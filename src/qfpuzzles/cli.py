@@ -147,9 +147,11 @@ def cmd_puzzle_irreducibles(args) -> int:
 
 def cmd_puzzle_verdict(args) -> int:
     puzzle = _load_puzzle(args.infile)
-    an = ReducibilityAnalyzer(puzzle)
-    piece = puzzle.id_of(args.piece)
-    v = an.verdict(piece)
+    try:
+        piece = puzzle.id_of(args.piece)
+    except PuzzleError as exc:
+        raise InputError(str(exc)) from None
+    v = ReducibilityAnalyzer(puzzle).verdict(piece)
     manifest = _manifest(
         "puzzle verdict",
         {"in": args.infile, "piece": args.piece},
@@ -384,7 +386,6 @@ def cmd_coupled_resultant(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qfpuzzles", description=__doc__)
-    top.add_argument("--threads", type=int, default=1, help="reserved; execution is deterministic")
     sub = top.add_subparsers(dest="group", required=True)
 
     puzzle = sub.add_parser("puzzle", help="puzzle-side operations")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from qfpuzzles.diagram import RateRow, RateTable
+from qfpuzzles.diagram import RateTable, _rate_table
 from qfpuzzles.polys import RationalPolynomial
 from qfpuzzles.puzzle import Puzzle
 
@@ -464,20 +464,15 @@ def boundary_entropy_estimate(
     meeting the partition boundary; an outer upper-estimate table.
     """
     boundary = boundary_pieces()
-    rows = []
-    prev = None
-    for n in sorted(n_range):
+
+    def count(n: int) -> int:
         covers = refine_cylinders(p, n, resolution)
-        itins = set()
-        for itin, boxes in covers.items():
-            if any(any(b.touches(edge) for edge in boundary) for b in boxes):
-                itins.add(itin)
-        count = len(itins)
-        rate = math.log(count) / n if count else None
-        ratio = math.log(count / prev) if prev and count else None
-        rows.append(RateRow(n, count, rate, ratio))
-        prev = count
-    return RateTable(tuple(rows), exact=False)
+        return sum(
+            any(any(b.touches(edge) for edge in boundary) for b in boxes)
+            for boxes in covers.values()
+        )
+
+    return _rate_table(((n, count(n)) for n in sorted(n_range)), exact=False)
 
 
 def multiplicity_estimate(

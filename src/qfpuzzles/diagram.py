@@ -369,10 +369,11 @@ class RateTable:
         return self.rows[-1].ratio if self.rows else None
 
 
-def _rate_table(counts: Sequence[int], exact: bool = True) -> RateTable:
+def _rate_table(pairs: Iterable[tuple[int, int]], exact: bool = True) -> RateTable:
+    """Rate rows for ``(n, count)`` pairs; ratios compare consecutive pairs."""
     rows = []
     prev = None
-    for n, c in enumerate(counts, start=1):
+    for n, c in pairs:
         rate = math.log(c) / n if c > 0 else None
         ratio = math.log(c / prev) if prev and c > 0 else None
         rows.append(RateRow(n, c, rate, ratio))
@@ -393,7 +394,7 @@ def gurevich_entropy_estimate(
         g = g.to_graph()
     counts = based_loop_counts(g, base, max_length)
     exact = g.completeness_bound is None or max_length <= g.completeness_bound
-    return _rate_table(counts, exact)
+    return _rate_table(enumerate(counts, start=1), exact)
 
 
 @dataclass(frozen=True)
@@ -458,4 +459,4 @@ def entropy_at_infinity_estimate(
                 if c > maxima[k]:
                     maxima[k] = c
     exact = g.completeness_bound is None or max_length <= g.completeness_bound
-    return _rate_table(maxima, exact)
+    return _rate_table(enumerate(maxima, start=1), exact)

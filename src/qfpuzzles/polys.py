@@ -8,8 +8,9 @@ analysis of rational functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -221,15 +222,12 @@ def sylvester_resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fractio
 def rational_roots(p: RationalPolynomial) -> list[Fraction]:
     """All rational roots of a nonzero polynomial, each listed once.
 
-    Scales to integer coefficients and runs the classical p/q divisor
-    search; exact, with multiplicity discarded.
+    Scales to primitive integer coefficients and runs the classical p/q
+    divisor search; exact, with multiplicity discarded.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
+    ints = _primitive_ints(p.coeffs)
     while ints and ints[0] == 0:
         ints = ints[1:]
     roots: list[Fraction] = []
@@ -246,10 +244,15 @@ def rational_roots(p: RationalPolynomial) -> list[Fraction]:
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive_ints(coeffs: Sequence[Fraction]) -> list[int]:
+    """Integers proportional to ``coeffs`` by a positive rational, with gcd one
+
+    (all zeros stay zeros).
+    """
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def _divisors(n: int) -> list[int]:

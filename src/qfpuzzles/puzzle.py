@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, Iterable, Mapping, Sequence
-
-EXACT_COVER_LIMIT = 20
 
 
 class PuzzleError(ValueError):
@@ -450,81 +448,30 @@ def bowen_ball(p: Puzzle, v: int, eps: DyadicDistance, n: int) -> frozenset[int]
     return frozenset(members)
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    count: int
-    exact: bool  # False: greedy upper bound only
+def covering_number(p: Puzzle, pieces: Iterable[int], eps: DyadicDistance, n: int) -> int:
+    """Minimum number of ``(eps, n)``-balls needed to cover a same-order piece set.
 
-    def __int__(self) -> int:
-        return self.count
-
-
-def covering_number(
-    p: Puzzle,
-    pieces: Iterable[int],
-    eps: DyadicDistance,
-    n: int,
-    exact_limit: int = EXACT_COVER_LIMIT,
-) -> CoverResult:
-    """Minimum number of ``(eps, n)``-balls needed to cover a piece set.
-
-    Ball centers range over the set itself; for same-order sets (every
-    family the estimators build) the ultrametric property makes this
-    lossless.  Exact set cover is solved for sets of at most
-    ``exact_limit`` elements; beyond that a greedy cover is returned,
-    flagged as an upper bound.
+    On pieces of one order ``m`` the ball relation is an equivalence:
+    with ``eps = 2^-e``, ``w`` lies in the ball of ``v`` exactly when
+    ``f^k w`` and ``f^k v`` have the same order-``e`` ancestor for every
+    ``k < min(n, m)`` (the same piece when ``eps`` is zero), because the
+    distance is an ultrametric.  The balls centered in the set are the
+    classes of that key, so the covering number is the number of keys.
+    Sets mixing orders raise :class:`PuzzleError`.
     """
-    S = sorted(set(pieces))
-    if not S:
-        return CoverResult(0, True)
-    index = {piece: k for k, piece in enumerate(S)}
-    masks = []
-    full = (1 << len(S)) - 1
-    for center in S:
-        ball = bowen_ball(p, center, eps, n)
-        mask = 0
-        for piece in ball:
-            if piece in index:
-                mask |= 1 << index[piece]
-        masks.append(mask)
-    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
-    # Drop balls strictly inside another ball.
-    kept = [m for k, m in enumerate(masks) if not any(m | n2 == n2 for n2 in masks[:k])]
-    if len(S) <= exact_limit:
-        return CoverResult(_exact_cover(kept, full), True)
-    return CoverResult(_greedy_cover(kept, full), False)
-
-
-def _greedy_cover(masks: list[int], full: int) -> int:
-    covered = 0
-    count = 0
-    while covered != full:
-        best = max(masks, key=lambda m: bin(m & ~covered).count("1"))
-        gain = best & ~covered
-        if not gain:
-            raise RuntimeError("cover is infeasible; balls do not exhaust the set")
-        covered |= best
-        count += 1
-    return count
-
-
-def _exact_cover(masks: list[int], full: int) -> int:
-    best = [_greedy_cover(masks, full)]
-
-    def search(covered: int, used: int):
-        if covered == full:
-            best[0] = min(best[0], used)
-            return
-        if used + 1 >= best[0]:
-            return
-        # Branch on the lowest uncovered element.
-        low = (~covered & full) & -(~covered & full)
-        for m in masks:
-            if m & low:
-                search(covered | m, used + 1)
-
-    search(0, 0)
-    return best[0]
+    S = set(pieces)
+    orders = sorted({p.order(v) for v in S})
+    if len(orders) > 1:
+        raise PuzzleError(f"covering_number needs a same-order set, got orders {orders}")
+    e = eps.exponent
+    keys = set()
+    for v in S:
+        key = []
+        for _ in range(min(n, p.order(v))):
+            key.append(v if e is None else p.project(v, e))
+            v = p.f(v)
+        keys.add(tuple(key))
+    return len(keys)
 
 
 @dataclass(frozen=True)
@@ -532,7 +479,7 @@ class EntropyCell:
     eps: DyadicDistance
     n: int
     count: int
-    exact: bool
+    exact: bool  # always True: covering numbers are exact class counts
     rate: float  # (1/n) log max(count, 1); estimate, not a certified value
 
 
@@ -557,17 +504,12 @@ class EntropyTable:
         smallest = min(c.eps for c in self.cells)
         return max(self.rates_at(smallest), default=0.0)
 
-    @property
-    def all_exact(self) -> bool:
-        return all(c.exact for c in self.cells)
-
 
 def sequence_entropy(
     p: Puzzle,
     family: Callable[[int], Iterable[int]] | Mapping[int, Iterable[int]],
     eps_list: Sequence[DyadicDistance],
     n_range: Sequence[int],
-    exact_limit: int = EXACT_COVER_LIMIT,
 ) -> EntropyTable:
     """Entropy estimate table for an indexed family ``S_n`` of piece sets.
 
@@ -578,8 +520,6 @@ def sequence_entropy(
     cells = []
     for eps in eps_list:
         for n in n_range:
-            sn = list(getter(n) or [])
-            cover = covering_number(p, sn, eps, n, exact_limit=exact_limit)
-            rate = math.log(max(cover.count, 1)) / n
-            cells.append(EntropyCell(eps, n, cover.count, cover.exact, rate))
+            count = covering_number(p, getter(n) or (), eps, n)
+            cells.append(EntropyCell(eps, n, count, True, math.log(max(count, 1)) / n))
     return EntropyTable(tuple(cells))

@@ -15,11 +15,17 @@ the diagram of the golden-mean puzzle would lose its base vertices and
 could not carry the dynamics, so sibling competition alone blocks
 reducibility here.
 
+Under the commutation axiom ``f`` maps the children of ``v`` into the
+children of ``f(v)``, so (R1) holds at ``v`` exactly when ``f`` is a
+bijection between those two child sets and (R1) holds at every child.
+The analyzer therefore computes all verdicts in one bottom-up pass, and
+it refuses puzzles that fail :meth:`Puzzle.validate`.
+
 Truncation semantics: bijectivity can only be checked on materialized
 tree levels.  A failure at any materialized level is definitive; success
 on all available levels yields a ``REDUCIBLE`` verdict certified to that
-depth, or ``UNKNOWN`` when fewer levels are available than the analyzer's
-``min_certified`` threshold.  R2 verdicts are exact at any depth.
+depth, or ``UNKNOWN`` when no level below the piece is materialized.
+R2 verdicts are exact at any depth.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from qfpuzzles.puzzle import DyadicDistance, EntropyTable, Puzzle, sequence_entropy
+from qfpuzzles.puzzle import DyadicDistance, EntropyTable, Puzzle, PuzzleError, sequence_entropy
 
 
 class Status(Enum):
@@ -122,14 +128,18 @@ class DeterminacyResult:
 
 
 class ReducibilityAnalyzer:
-    """Per-puzzle verdict engine with a write-once verdict cache."""
+    """Per-puzzle verdict engine; all verdicts are computed on the first query.
 
-    def __init__(self, puzzle: Puzzle, min_certified: int = 1):
-        if min_certified < 1:
-            raise ValueError("min_certified must be >= 1")
+    Raises :class:`PuzzleError` listing the violations when the puzzle
+    fails :meth:`Puzzle.validate`: the one-pass rule needs commutation.
+    """
+
+    def __init__(self, puzzle: Puzzle):
+        report = puzzle.validate()
+        if not report.ok:
+            raise PuzzleError(f"{puzzle.name} fails validation:\n{report}")
         self.puzzle = puzzle
-        self.min_certified = min_certified
-        self._verdicts: dict[int, ReducibilityVerdict] = {}
+        self._table: list[ReducibilityVerdict | None] | None = None
 
     # -- trees -------------------------------------------------------------
 
@@ -147,50 +157,52 @@ class ReducibilityAnalyzer:
     # -- verdicts ------------------------------------------------------------
 
     def verdict(self, piece: int) -> ReducibilityVerdict:
-        cached = self._verdicts.get(piece)
-        if cached is not None:
-            return cached
-        out = self._compute_verdict(piece)
-        self._verdicts.setdefault(piece, out)
-        return self._verdicts[piece]
-
-    def _compute_verdict(self, piece: int) -> ReducibilityVerdict:
-        p = self.puzzle
-        if p.order(piece) == 0:
+        if self.puzzle.order(piece) == 0:
             raise ValueError("reducibility is defined for pieces of order >= 1")
-        d_avail = p.depth - p.order(piece)
-        fv = p.f(piece)
+        if self._table is None:
+            self._table = self._verdict_table()
+        return self._table[piece]
 
-        level_v: Sequence[int] = (piece,)
-        level_fv: Sequence[int] = (fv,)
-        for lvl in range(1, d_avail + 1):
-            level_v = [w for u in level_v for w in p.i_preimages(u)]
-            level_fv = [w for u in level_fv for w in p.i_preimages(u)]
-            images = set()
-            ok = len(level_v) == len(level_fv)
-            if ok:
-                target = set(level_fv)
-                for w in level_v:
-                    img = p.f(w)
-                    if img in images or img not in target:
-                        ok = False
-                        break
-                    images.add(img)
-            if not ok:
-                return ReducibilityVerdict(
-                    Status.IRREDUCIBLE_R1, certified_depth=d_avail, witness_level=lvl
-                )
+    def _verdict_table(self) -> list[ReducibilityVerdict | None]:
+        """Verdicts of every piece, deepest level first.
 
-        iv = p.i(piece)
-        for sib in p.i_preimages(iv):
-            if sib != piece and p.f(sib) == fv:
-                return ReducibilityVerdict(
-                    Status.IRREDUCIBLE_R2, certified_depth=d_avail, witness_piece=sib
-                )
-
-        if d_avail < self.min_certified:
-            return ReducibilityVerdict(Status.UNKNOWN, certified_depth=d_avail)
-        return ReducibilityVerdict(Status.REDUCIBLE, certified_depth=d_avail)
+        ``r1_fail[v]`` is the first tree level below ``v`` where (R1)
+        fails, ``None`` when it holds on every materialized level.
+        """
+        p = self.puzzle
+        f, children = p.f, p.i_preimages
+        table: list[ReducibilityVerdict | None] = [None] * len(p.pieces())
+        r1_fail: list[int | None] = [None] * len(p.pieces())
+        for n in range(p.depth, 0, -1):
+            d_avail = p.depth - n
+            settled = ReducibilityVerdict(Status.REDUCIBLE if d_avail else Status.UNKNOWN, d_avail)
+            # siblings sharing their f-image, in id order: each other's (R2) rivals
+            twins: dict[tuple[int, int], list[int]] = {}
+            for piece in p.level(n):
+                twins.setdefault((p.i(piece), f(piece)), []).append(piece)
+            for (_, fv), group in twins.items():
+                target = set(children(fv)) if d_avail else None
+                for piece in group:
+                    if d_avail:
+                        kids = children(piece)
+                        images = {f(w) for w in kids}
+                        if len(images) != len(kids) or images != target:
+                            r1_fail[piece] = 1
+                        else:
+                            below = [r1_fail[w] for w in kids if r1_fail[w] is not None]
+                            r1_fail[piece] = 1 + min(below) if below else None
+                    if r1_fail[piece] is not None:
+                        table[piece] = ReducibilityVerdict(
+                            Status.IRREDUCIBLE_R1, d_avail, witness_level=r1_fail[piece]
+                        )
+                    elif len(group) > 1:
+                        rival = group[1] if group[0] == piece else group[0]
+                        table[piece] = ReducibilityVerdict(
+                            Status.IRREDUCIBLE_R2, d_avail, witness_piece=rival
+                        )
+                    else:
+                        table[piece] = settled
+        return table
 
     # -- derived notions -----------------------------------------------------
 

@@ -26,7 +26,7 @@ from qfpuzzles.graphs import (
     gamma_n,
     periodic_point_counts,
 )
-from qfpuzzles.polys import RationalPolynomial, poly_gcd, rational_roots
+from qfpuzzles.polys import RationalPolynomial, _primitive_ints, poly_gcd, rational_roots
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 from qfpuzzles.series import PowerSeries, SeriesError
@@ -190,33 +190,6 @@ def loop_graph_zeta(first_returns: PowerSeries) -> PowerSeries:
 # -- rational reconstruction ---------------------------------------------------
 
 
-def _joint_int_normalize(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Scale numerator and denominator by one common positive rational so
-
-    both become primitive integer polynomials; the function is unchanged.
-    """
-    lcm = 1
-    for c in (*num, *den):
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    n_ints = [int(c * lcm) for c in num]
-    d_ints = [int(c * lcm) for c in den]
-    g = 0
-    for c in (*n_ints, *d_ints):
-        g = _gcd(g, abs(c))
-    if g > 1:
-        n_ints = [c // g for c in n_ints]
-        d_ints = [c // g for c in d_ints]
-    return tuple(n_ints), tuple(d_ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Primitive integer-coefficient numerator/denominator, coprime as
@@ -303,9 +276,10 @@ def pade_pole_analysis(series: PowerSeries, num_deg: int, den_deg: int) -> PoleR
             scale = 1 / den_poly.coeffs[0]
             num_poly = num_poly * scale
             den_poly = den_poly * scale
-    rat = RationalFunction(
-        *_joint_int_normalize(list(num_poly.coeffs), list(den_poly.coeffs))
-    )
+    # one common positive scale makes both primitive; the function is unchanged
+    ints = _primitive_ints(num_poly.coeffs + den_poly.coeffs)
+    split = len(num_poly.coeffs)
+    rat = RationalFunction(tuple(ints[:split]), tuple(ints[split:]))
     poles, leftovers = _poles_of(list(den_poly.coeffs))
     return PoleReport(rat, tuple(poles), tuple(leftovers), series.order)
 
@@ -353,14 +327,7 @@ def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]
     leftovers = []
     if poly.degree > 0:
         # a factor is only defined up to scale; report it primitive
-        lcm = 1
-        for c in poly.coeffs:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in poly.coeffs]
-        g = 0
-        for c in ints:
-            g = _gcd(g, abs(c))
-        ints = [c // g for c in ints]
+        ints = _primitive_ints(poly.coeffs)
         if ints[0] < 0:
             ints = [-c for c in ints]
         leftovers.append(tuple(ints))

@@ -79,6 +79,32 @@ def test_puzzle_validate_broken_exits_one(capsys, tmp_path):
     assert payload["result"]["violations"]
 
 
+@pytest.mark.parametrize(
+    "op, extra",
+    [
+        ("irreducibles", ["--level", "1"]),
+        ("verdict", ["--piece", "0"]),
+        ("determined", []),
+        ("diagram", ["--cutoff", "2"]),
+        ("zeta", ["--level", "1", "--cert", "2", "--trunc", "3"]),
+    ],
+)
+def test_analyses_refuse_invalid_puzzle(capsys, tmp_path, op, extra):
+    path = tmp_path / "broken.json"
+    path.write_text(full_shift_puzzle(3).with_f_override({"01": "ε"}).dumps())
+    status, out, err = run(capsys, ["puzzle", op, "--in", str(path), *extra])
+    assert status == 2 and out == ""
+    assert "fails validation" in err and "level-skip" in err
+
+
+def test_verdict_unknown_piece_is_input_error(capsys, fullshift_file):
+    status, out, err = run(
+        capsys, ["puzzle", "verdict", "--in", str(fullshift_file), "--piece", "2"]
+    )
+    assert status == 1 and out == ""
+    assert "no piece labeled '2'" in err
+
+
 def test_puzzle_determined_and_verdict(capsys, fullshift_file):
     status, out, _ = run(capsys, ["puzzle", "determined", "--in", str(fullshift_file)])
     assert status == 0 and json.loads(out)["result"]["determined"]

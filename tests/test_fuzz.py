@@ -10,9 +10,17 @@ import random
 
 import pytest
 
+from qfpuzzles.constructions import (
+    full_shift_puzzle,
+    golden_mean_puzzle,
+    layered_full_shifts_puzzle,
+    periodic_orbit_tower_puzzle,
+    undetermined_puzzle,
+    words_avoiding,
+)
 from qfpuzzles.diagram import DiagramError, build_diagram, path_to_piece, scc_decomposition
-from qfpuzzles.puzzle import Puzzle, distance, dual
-from qfpuzzles.reducibility import ReducibilityAnalyzer, Status
+from qfpuzzles.puzzle import Puzzle, PuzzleError, distance, dual, from_subshift
+from qfpuzzles.reducibility import ReducibilityAnalyzer, ReducibilityVerdict, Status
 
 
 def random_puzzle(rng: random.Random, depth: int, max_width: int = 5) -> Puzzle:
@@ -136,3 +144,75 @@ def test_dual_of_undetermined_puzzle_analyzes():
     assert res.determined in (True, False)  # defined either way
     for n in range(1, q.depth):
         an.irreducible_pieces(n)
+
+
+def reference_verdict(p: Puzzle, piece: int) -> ReducibilityVerdict:
+    """The definition read literally: walk the i-trees below ``piece`` and
+
+    ``f(piece)`` level by level, checking that ``f`` is a bijection
+    between each pair of levels, then look for an (R2) sibling.
+    """
+    d_avail = p.depth - p.order(piece)
+    fv = p.f(piece)
+    level_v, level_fv = [piece], [fv]
+    for lvl in range(1, d_avail + 1):
+        level_v = [w for u in level_v for w in p.i_preimages(u)]
+        level_fv = [w for u in level_fv for w in p.i_preimages(u)]
+        images = set()
+        ok = len(level_v) == len(level_fv)
+        if ok:
+            target = set(level_fv)
+            for w in level_v:
+                img = p.f(w)
+                if img in images or img not in target:
+                    ok = False
+                    break
+                images.add(img)
+        if not ok:
+            return ReducibilityVerdict(Status.IRREDUCIBLE_R1, d_avail, witness_level=lvl)
+    for sib in p.i_preimages(p.i(piece)):
+        if sib != piece and p.f(sib) == fv:
+            return ReducibilityVerdict(Status.IRREDUCIBLE_R2, d_avail, witness_piece=sib)
+    if d_avail < 1:
+        return ReducibilityVerdict(Status.UNKNOWN, d_avail)
+    return ReducibilityVerdict(Status.REDUCIBLE, d_avail)
+
+
+def assert_verdicts_match_reference(p: Puzzle) -> None:
+    an = ReducibilityAnalyzer(p)
+    for piece in p.pieces():
+        if p.order(piece) >= 1:
+            assert an.verdict(piece) == reference_verdict(p, piece), p.label(piece)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_one_pass_verdicts_match_tree_walk_on_fuzz_puzzles(block):
+    # 10 blocks x 20 puzzles, each checked piece by piece, and its dual too.
+    rng = random.Random(3000 + block)
+    for _ in range(20):
+        p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6))
+        assert_verdicts_match_reference(p)
+        assert_verdicts_match_reference(dual(p))
+
+
+def test_one_pass_verdicts_match_tree_walk_on_constructions():
+    puzzles = [
+        full_shift_puzzle(5),
+        full_shift_puzzle(3, alphabet="012"),
+        golden_mean_puzzle(6),
+        from_subshift(words_avoiding("01", [("1", "1", "1")], 6), 6),
+        from_subshift(words_avoiding("01", [("1", "0", "1"), ("0", "0", "0")], 6), 6),
+        periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5),
+        layered_full_shifts_puzzle(3, 5),
+        undetermined_puzzle(),
+    ]
+    for p in puzzles:
+        assert_verdicts_match_reference(p)
+        assert_verdicts_match_reference(dual(p))
+
+
+def test_analyzer_refuses_invalid_puzzles():
+    for overrides in ({"01": "ε"}, {"010": "00"}):
+        broken = full_shift_puzzle(3).with_f_override(overrides)
+        with pytest.raises(PuzzleError, match="fails validation"):
+            ReducibilityAnalyzer(broken)

@@ -81,11 +81,11 @@ def test_covering_number_monotone_random():
         level = list(p.level(n))
         S = {v for v in level if rng.random() < 0.7} or set(level[:1])
         for e in (0, 1, 2):
-            wide = covering_number(p, S, DyadicDistance(e), n).count
-            tight = covering_number(p, S, DyadicDistance(e + 1), n).count
+            wide = covering_number(p, S, DyadicDistance(e), n)
+            tight = covering_number(p, S, DyadicDistance(e + 1), n)
             assert wide <= tight
-        shorter = covering_number(p, S, DyadicDistance(1), max(1, n - 1)).count
-        longer = covering_number(p, S, DyadicDistance(1), n).count
+        shorter = covering_number(p, S, DyadicDistance(1), max(1, n - 1))
+        longer = covering_number(p, S, DyadicDistance(1), n)
         assert shorter <= longer
 
 

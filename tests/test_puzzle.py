@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -147,31 +148,48 @@ def test_covering_number_full_shift_separates():
     p = full_shift_puzzle(3)
     S = set(p.level(3))
     eps = DyadicDistance(1)
-    result = covering_number(p, S, eps, 3)
-    assert result.exact
     balls = [set(bowen_ball(p, v, eps, 3)) & S for v in sorted(S)]
-    assert result.count == brute_minimum_cover(balls, S) == 8
+    assert covering_number(p, S, eps, 3) == brute_minimum_cover(balls, S) == 8
 
 
 def test_covering_number_radius_one_is_trivial():
     p = golden_mean_puzzle(3)
     S = set(p.level(3))
-    result = covering_number(p, S, DyadicDistance(0), 1)
-    assert result.count == 1 and result.exact
+    assert covering_number(p, S, DyadicDistance(0), 1) == 1
 
 
 def test_covering_number_singleton():
     p = golden_mean_puzzle(3)
-    res = covering_number(p, [p.level(2)[0]], DyadicDistance(3), 5)
-    assert res.count == 1
+    assert covering_number(p, [p.level(2)[0]], DyadicDistance(3), 5) == 1
 
 
-def test_covering_number_greedy_flagged_beyond_limit():
-    p = full_shift_puzzle(4)
-    S = set(p.level(4))  # 16 pieces
-    res = covering_number(p, S, DyadicDistance(1), 4, exact_limit=4)
-    assert not res.exact
-    assert res.count >= 1
+def test_covering_number_exact_beyond_twenty_elements():
+    # 64 pieces; at scale 1/2 the n-step key is the first n letters.
+    p = full_shift_puzzle(6)
+    S = set(p.level(6))
+    for n in range(1, 7):
+        assert covering_number(p, S, DyadicDistance(1), n) == 2**n
+    assert covering_number(p, S, DyadicDistance.zero(), 1) == 64
+
+
+def test_covering_number_rejects_mixed_orders():
+    p = full_shift_puzzle(3)
+    with pytest.raises(PuzzleError, match="same-order"):
+        covering_number(p, [p.id_of("0"), p.id_of("01")], DyadicDistance(1), 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_covering_number_matches_brute_cover_on_random_sets(seed):
+    rng = random.Random(500 + seed)
+    for p in (golden_mean_puzzle(5), full_shift_puzzle(4), periodic_orbit_tower_puzzle([2, 3, 2, 2], 4)):
+        for _ in range(4):
+            n = rng.randint(1, p.depth)
+            level = list(p.level(n))
+            S = set(rng.sample(level, min(len(level), rng.randint(1, 9))))
+            for eps in (DyadicDistance.zero(), *(DyadicDistance(e) for e in range(n + 1))):
+                steps = rng.randint(0, n + 1)
+                balls = [set(bowen_ball(p, v, eps, steps)) & S for v in sorted(S)]
+                assert covering_number(p, S, eps, steps) == brute_minimum_cover(balls, S)
 
 
 def test_covering_monotone_in_eps_and_n():
@@ -179,9 +197,9 @@ def test_covering_monotone_in_eps_and_n():
     S = set(p.level(4))
     for n1, n2 in ((1, 2), (2, 3)):
         for e_small, e_big in ((DyadicDistance(2), DyadicDistance(1)),):
-            small = covering_number(p, S, e_small, n2).count
-            assert covering_number(p, S, e_big, n2).count <= small
-            assert covering_number(p, S, e_small, n1).count <= small
+            small = covering_number(p, S, e_small, n2)
+            assert covering_number(p, S, e_big, n2) <= small
+            assert covering_number(p, S, e_small, n1) <= small
 
 
 def test_sequence_entropy_empty_family_is_zero():
