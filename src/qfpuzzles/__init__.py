@@ -5,13 +5,13 @@ The package is organised around a handful of small, exact data structures:
 * :mod:`qfpuzzles.puzzle` -- leveled piece sets with refinement (``i``) and
   dynamics (``f``) maps, the dyadic combinatorial metric and covering-number
   entropy estimators.
-* :mod:`qfpuzzles.reducibility` -- i-trees, reducibility verdicts,
+* :mod:`qfpuzzles.reducibility` -- reducibility verdicts,
   irreducible piece enumeration and determinacy.
 * :mod:`qfpuzzles.diagram` -- the Markov diagram on irreducible pieces,
   path/piece correspondences, SCCs and loop-count entropy estimators.
 * :mod:`qfpuzzles.graphs` -- finite presentations of countable directed
-  graphs (loop graphs, adjacency graphs, level transition graphs) and the
-  exact path-counting routines behind every zeta computation.
+  graphs (loop graphs, adjacency graphs, level transition graphs), indexed
+  once, and the exact path-counting routines behind every zeta computation.
 * :mod:`qfpuzzles.series` / :mod:`qfpuzzles.zeta` -- truncated formal power
   series over exact rationals and the zeta-function layer built on them.
 * :mod:`qfpuzzles.coupled` -- exact box dynamics for coupled quadratic maps

@@ -105,6 +105,12 @@ def _subset(text: str) -> list[str]:
     return [part for part in text.split(",") if part]
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise InputError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 # -- puzzle commands ----------------------------------------------------------
 
 
@@ -151,6 +157,8 @@ def cmd_puzzle_verdict(args) -> int:
         piece = puzzle.id_of(args.piece)
     except PuzzleError as exc:
         raise InputError(str(exc)) from None
+    if puzzle.order(piece) == 0:
+        raise InputError(f"piece {args.piece!r} is the root; verdicts need order >= 1")
     v = ReducibilityAnalyzer(puzzle).verdict(piece)
     manifest = _manifest(
         "puzzle verdict",
@@ -223,6 +231,7 @@ def cmd_puzzle_diagram(args) -> int:
 
 def cmd_puzzle_zeta(args) -> int:
     puzzle = _load_puzzle(args.infile)
+    _nonnegative("--trunc", args.trunc)
     res = zt.puzzle_zeta_n(puzzle, args.level, args.trunc, args.cert)
     manifest = _manifest(
         "puzzle zeta",
@@ -267,6 +276,7 @@ def cmd_graph_zeta(args) -> int:
     missing = [v for v in subset if v not in g.vertices]
     if missing:
         raise InputError(f"subset vertices not in graph: {missing}")
+    _nonnegative("--trunc/--order", args.trunc)
     fn = zt.semi_local_zeta_det if args.method == "det" else zt.semi_local_zeta_brute
     series = fn(g, subset, args.trunc)
     counts = zt.counts_from_zeta(series)
@@ -289,6 +299,7 @@ def cmd_graph_entropy(args) -> int:
     g = _load_graph(args.spec)
     if args.base not in g.vertices:
         raise InputError(f"base vertex {args.base!r} not in graph")
+    _nonnegative("--length", args.length)
     table = gurevich_entropy_estimate(g, args.base, args.length)
     manifest = _manifest(
         "graph entropy",
@@ -312,6 +323,7 @@ def cmd_graph_hinf(args) -> int:
     missing = [v for v in subset if v not in g.vertices]
     if missing:
         raise InputError(f"subset vertices not in graph: {missing}")
+    _nonnegative("--length", args.length)
     table = entropy_at_infinity_estimate(g, subset, args.length)
     manifest = _manifest(
         "graph hinf",

@@ -258,9 +258,7 @@ def scc_decomposition(g: GraphTruncation | MarkovDiagram) -> list[SCC]:
     """
     if isinstance(g, MarkovDiagram):
         g = g.to_graph()
-    succ: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        succ[e.src].append((e.dst, e.length))
+    outs = g.adjacency
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -270,7 +268,7 @@ def scc_decomposition(g: GraphTruncation | MarkovDiagram) -> list[SCC]:
     counter = [0]
 
     def strongconnect(root: str):
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(outs[root]))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -278,13 +276,14 @@ def scc_decomposition(g: GraphTruncation | MarkovDiagram) -> list[SCC]:
         while work:
             v, it = work[-1]
             advanced = False
-            for w, _ in it:
+            for e in it:
+                w = e.dst
                 if w not in index:
                     index[w] = low[w] = counter[0]
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(outs[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -312,27 +311,28 @@ def scc_decomposition(g: GraphTruncation | MarkovDiagram) -> list[SCC]:
     out = []
     for comp in components:
         cset = set(comp)
-        period = _component_period(comp, succ, cset)
+        period = _component_period(comp, outs, cset)
         out.append(SCC(tuple(sorted(comp)), period))
     out.sort(key=lambda s: s.vertices)
     return out
 
 
-def _component_period(comp: list[str], succ, cset: set[str]) -> int | None:
+def _component_period(comp: list[str], outs, cset: set[str]) -> int | None:
     root = comp[0]
     pot: dict[str, int] = {root: 0}
     queue = [root]
     g = 0
     while queue:
         v = queue.pop()
-        for w, length in succ[v]:
+        for e in outs[v]:
+            w = e.dst
             if w not in cset:
                 continue
             if w not in pot:
-                pot[w] = pot[v] + length
+                pot[w] = pot[v] + e.length
                 queue.append(w)
             else:
-                g = math.gcd(g, abs(pot[v] + length - pot[w]))
+                g = math.gcd(g, abs(pot[v] + e.length - pot[w]))
     return g or None
 
 
@@ -442,21 +442,17 @@ def entropy_at_infinity_estimate(
     """Growth of excursions avoiding a finite vertex set.
 
     For each pair (u, v) in the set, counts n-paths u -> v whose strictly
-    intermediate named vertices avoid the whole set; the table reports the
-    max count over pairs for each n.  The outer infimum over finite sets
-    is the caller's loop.
+    intermediate named vertices avoid the whole set (one excursion pass
+    per source u); the table reports the max count over pairs for each n.
+    The outer infimum over finite sets is the caller's loop.
     """
     if isinstance(g, MarkovDiagram):
         g = g.to_graph()
     F = sorted(set(finite_set))
     if not F:
         raise DiagramError("the avoided set must be nonempty")
-    maxima = [0] * max_length
-    for u in F:
-        for v in F:
-            counts = avoiding_path_counts(g, u, v, F, max_length)
-            for k, c in enumerate(counts):
-                if c > maxima[k]:
-                    maxima[k] = c
+    # every member is a source, so an unknown one raises before any is read
+    passes = [avoiding_path_counts(g, u, F, max_length) for u in F]
+    maxima = [max(col) for col in zip(*(counts[v] for counts in passes for v in F))]
     exact = g.completeness_bound is None or max_length <= g.completeness_bound
     return _rate_table(enumerate(maxima, start=1), exact)

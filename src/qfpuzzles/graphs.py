@@ -11,6 +11,10 @@ first-return counts) finite while preserving exact path counting: interior
 vertices carry no choices, so every walk statistic reduces to big-integer
 dynamic programming over named vertices, length-aware.
 
+Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`);
+every kernel reads that index, and :func:`avoiding_path_counts` runs one
+excursion pass per source and returns the counts to every target.
+
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
 means the graph is exactly as presented.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from qfpuzzles.puzzle import Puzzle, PuzzleError
@@ -65,11 +70,16 @@ class GraphTruncation:
 
     # -- structure ---------------------------------------------------------
 
-    def out_edges(self, v: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges if e.src == v),
-            key=lambda e: (e.dst, e.length),
-        )
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[Edge, ...]]:
+        """Out-edges of every vertex, sorted by ``(dst, length)``; built once."""
+        outs: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in sorted(self.edges, key=lambda e: (e.dst, e.length)):
+            outs[e.src].append(e)
+        return {v: tuple(es) for v, es in outs.items()}
+
+    def out_edges(self, v: str) -> tuple[Edge, ...]:
+        return self.adjacency[v]
 
     @property
     def is_plain(self) -> bool:
@@ -239,7 +249,7 @@ def _assert_two_hub_identity(g, a_counts, b_counts, s_counts, t_counts, bound):
     from qfpuzzles.series import PowerSeries
 
     measured = PowerSeries.from_counts(
-        avoiding_path_counts(g, "a", "a", {"a"}, bound), order=bound
+        avoiding_path_counts(g, "a", {"a"}, bound)["a"], order=bound
     )
     a = PowerSeries.from_counts(a_counts, order=bound)
     b = PowerSeries.from_counts(b_counts, order=bound)
@@ -271,37 +281,70 @@ def from_spec(data: Mapping) -> GraphTruncation:
 
     Kinds: ``complete`` (``d``), ``adjacency`` (``matrix``), ``loop_graph``
     (``f``), ``two_hub`` (``a``, ``b``, ``s``, ``t``, optional ``bound``),
-    or a generic ``vertices``/``edges`` listing.
+    or a generic ``vertices``/``edges`` listing.  Raises :class:`GraphError`
+    on a spec that is not an object or has a missing or ill-typed key.
     """
+    if not isinstance(data, Mapping):
+        raise GraphError("a graph spec must be a JSON object")
     kind = data.get("kind")
     if kind == "complete":
-        return complete_graph(int(data["d"]))
+        return complete_graph(_spec_key(data, "d", _is_int, "an integer"))
     if kind == "adjacency":
-        return sft_graph(data["matrix"])
+        return sft_graph(_spec_key(data, "matrix", _is_int_rows, "a list of integer rows"))
     if kind == "loop_graph":
-        return loop_graph([int(c) for c in data["f"]])
+        return loop_graph(_spec_key(data, "f", _is_ints, "a list of integers"))
     if kind == "two_hub":
-        return two_hub_graph(
-            [int(c) for c in data.get("a", [])],
-            [int(c) for c in data.get("b", [])],
-            [int(c) for c in data.get("s", [])],
-            [int(c) for c in data.get("t", [])],
-            data.get("bound"),
-        )
+        counts = [_spec_key(data, k, _is_ints, "a list of integers", []) for k in "abst"]
+        return two_hub_graph(*counts, _spec_key(data, "bound", _is_bound, _BOUND, None))
     if kind is None and "vertices" in data:
-        edges = []
-        for e in data.get("edges", []):
-            if len(e) == 2:
-                edges.append(Edge(e[0], e[1]))
-            else:
-                edges.append(Edge(e[0], e[1], int(e[2]), int(e[3])))
+        edges = _spec_key(data, "edges", _is_edges, "a list of [u, v] or [u, v, length, multiplicity]", [])
         return GraphTruncation(
-            tuple(data["vertices"]),
-            tuple(edges),
-            tuple(data.get("distinguished", ())),
-            data.get("completeness_bound"),
+            tuple(_spec_key(data, "vertices", _is_strs, "a list of strings")),
+            tuple(Edge(*e) for e in edges),
+            tuple(_spec_key(data, "distinguished", _is_strs, "a list of strings", [])),
+            _spec_key(data, "completeness_bound", _is_bound, _BOUND, None),
         )
     raise GraphError(f"unrecognized graph spec kind {kind!r}")
+
+
+_REQUIRED = object()
+_BOUND = "a non-negative integer or null"
+
+
+def _spec_key(data: Mapping, key: str, ok, what: str, default=_REQUIRED):
+    if key not in data:
+        if default is _REQUIRED:
+            raise GraphError(f"graph spec needs {key!r}")
+        return default
+    if not ok(data[key]):
+        raise GraphError(f"graph spec {key!r} must be {what}")
+    return data[key]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _is_int_rows(x) -> bool:
+    return isinstance(x, list) and all(map(_is_ints, x))
+
+
+def _is_strs(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _is_bound(x) -> bool:
+    return x is None or (_is_int(x) and x >= 0)
+
+
+def _is_edges(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and len(e) in (2, 4) and _is_strs(e[:2]) and _is_ints(e[2:]) for e in x
+    )
 
 
 def loads(text: str) -> GraphTruncation:
@@ -320,7 +363,7 @@ def path_count_table(g: GraphTruncation, max_length: int) -> list[dict[str, dict
     table: list[dict[str, dict[str, int]]] = []
     ident = {x: {y: (1 if x == y else 0) for y in verts} for x in verts}
     table.append(ident)
-    outs = {v: g.out_edges(v) for v in verts}
+    outs = g.adjacency
     for j in range(1, max_length + 1):
         row = {x: {y: 0 for y in verts} for x in verts}
         for x in verts:
@@ -351,11 +394,12 @@ def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
     equals the trace of the n-th adjacency power of the explicit graph.
     """
     table = path_count_table(g, max_length)
+    outs = g.adjacency
     out = []
     for n in range(1, max_length + 1):
         total = 0
         for v in g.vertices:
-            for e in g.out_edges(v):
+            for e in outs[v]:
                 if e.length <= n:
                     total += e.length * e.multiplicity * table[n - e.length][e.dst][v]
         out.append(total)
@@ -365,35 +409,29 @@ def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
 def avoiding_path_counts(
     g: GraphTruncation,
     src: str,
-    dst: str,
     avoid: Iterable[str],
     max_length: int,
-) -> list[int]:
-    """Counts of walks src->dst of each length 1..max_length whose
+) -> dict[str, list[int]]:
+    """For every named vertex y, the counts of walks src->y of each length
 
-    intermediate named vertices avoid the given set (endpoints exempt).
-    Anonymous bundle interiors are never avoidable.
+    1..max_length whose intermediate named vertices avoid the given set
+    (endpoints exempt).  Anonymous bundle interiors are never avoidable.
     """
-    if src not in g.vertices or dst not in g.vertices:
-        raise GraphError("unknown endpoint")
+    if src not in g.vertices:
+        raise GraphError(f"unknown source vertex {src!r}")
     forbidden = set(avoid)
-    counts = [0] * (max_length + 1)
-    # reach[j][x]: walks src->x of length j with x not in forbidden and
-    # all intermediate named vertices outside the forbidden set.
-    reach: list[dict[str, int]] = [dict() for _ in range(max_length + 1)]
+    outs = g.adjacency
+    # reach[j][x]: walks src->x of length j whose intermediate named
+    # vertices avoid the set; arrivals at an avoided vertex are counted
+    # but not extended.
+    reach: list[dict[str, int]] = [{} for _ in range(max_length + 1)]
     reach[0][src] = 1
     for j in range(max_length + 1):
-        if not reach[j]:
-            continue
-        for x, c in sorted(reach[j].items()):
+        for x, c in reach[j].items():
             if j > 0 and x in forbidden:
                 continue
-            for e in g.out_edges(x):
+            for e in outs[x]:
                 nj = j + e.length
-                if nj > max_length:
-                    continue
-                if e.dst == dst:
-                    counts[nj] += c * e.multiplicity
-                if e.dst not in forbidden:
+                if nj <= max_length:
                     reach[nj][e.dst] = reach[nj].get(e.dst, 0) + c * e.multiplicity
-    return counts[1:]
+    return {y: [reach[j].get(y, 0) for j in range(1, max_length + 1)] for y in g.vertices}

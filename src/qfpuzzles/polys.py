@@ -178,29 +178,41 @@ def sylvester_matrix(p: RationalPolynomial, q: RationalPolynomial) -> list[list[
     return rows
 
 
-def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with rational pivots."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in matrix]
+def _gauss_jordan(m: list[list[Fraction]], cols: int) -> tuple[list[int], Fraction]:
+    """Reduce the rows of ``m`` in place to reduced row echelon form on
+
+    their first ``cols`` columns; later columns (a right-hand side) ride
+    along.  Returns the pivot columns, in row order, and the signed product
+    of the pivots, which is the determinant of a square full-rank ``m``.
+    """
+    pivots: list[int] = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        k = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+        det *= m[r][c]
+        inv = 1 / m[r][c]
+        # the pivot row is zero left of c; zeros are skipped, not multiplied
+        m[r] = pivot_row = [x * inv if x else x for x in m[r]]
+        for j, row in enumerate(m):
+            f = row[c]
+            if j != r and f != 0:
+                m[j] = row[:c] + [x - f * y if y else x for x, y in zip(row[c:], pivot_row[c:])]
+        pivots.append(c)
+    return pivots, det
+
+
+def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by Gauss-Jordan elimination with rational pivots."""
+    pivots, det = _gauss_jordan([row[:] for row in matrix], len(matrix))
+    return det if len(pivots) == len(matrix) else Fraction(0)
 
 
 def sylvester_resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:

@@ -1,4 +1,4 @@
-"""Reducibility of puzzle pieces: i-trees, verdicts, constraints, determinacy.
+"""Reducibility of puzzle pieces: verdicts, constraints, determinacy.
 
 A piece ``v`` of positive order is *f-reducible* when
 (R1) ``f`` maps the i-tree below ``v`` level-by-level bijectively onto the
@@ -65,30 +65,6 @@ class ReducibilityVerdict:
 
 
 @dataclass(frozen=True)
-class ITree:
-    """The i-tree below a piece, materialized breadth-first.
-
-    ``levels[k]`` holds the pieces ``w`` with ``i^k(w) = root``;
-    ``certified_depth`` is the number of levels below the root that the
-    puzzle truncation allowed us to materialize.
-    """
-
-    root: int
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def certified_depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def size(self) -> int:
-        return sum(len(lv) for lv in self.levels)
-
-    def nodes(self) -> list[int]:
-        return [w for lv in self.levels for w in lv]
-
-
-@dataclass(frozen=True)
 class ReductionOutcome:
     """Result of following a reduction chain for a fixed number of steps."""
 
@@ -140,19 +116,6 @@ class ReducibilityAnalyzer:
             raise PuzzleError(f"{puzzle.name} fails validation:\n{report}")
         self.puzzle = puzzle
         self._table: list[ReducibilityVerdict | None] | None = None
-
-    # -- trees -------------------------------------------------------------
-
-    def i_tree(self, piece: int, max_levels: int | None = None) -> ITree:
-        p = self.puzzle
-        available = p.depth - p.order(piece)
-        depth = available if max_levels is None else min(max_levels, available)
-        levels: list[tuple[int, ...]] = [(piece,)]
-        frontier = [piece]
-        for _ in range(depth):
-            frontier = sorted(w for u in frontier for w in p.i_preimages(u))
-            levels.append(tuple(frontier))
-        return ITree(piece, tuple(levels))
 
     # -- verdicts ------------------------------------------------------------
 

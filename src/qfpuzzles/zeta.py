@@ -22,11 +22,11 @@ from typing import Iterable, Mapping, Sequence
 from qfpuzzles.graphs import (
     GraphTruncation,
     avoiding_path_counts,
-    based_loop_counts,
     gamma_n,
+    path_count_table,
     periodic_point_counts,
 )
-from qfpuzzles.polys import RationalPolynomial, _primitive_ints, poly_gcd, rational_roots
+from qfpuzzles.polys import RationalPolynomial, _gauss_jordan, _primitive_ints, poly_gcd, rational_roots
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 from qfpuzzles.series import PowerSeries, SeriesError
@@ -99,31 +99,23 @@ def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: in
     _check_coverage(g, order, "first-return counting")
     entries = {}
     for u in F:
+        counts = avoiding_path_counts(g, u, F, order)
         for v in F:
-            counts = avoiding_path_counts(g, u, v, F, order)
-            series = PowerSeries.from_counts(counts, order=order)
-            entries[(u, v)] = series
+            entries[(u, v)] = PowerSeries.from_counts(counts[v], order=order)
     return FirstReturnMatrix(F, entries, order)
 
 
 def _series_det(matrix: list[list[PowerSeries]], order: int) -> PowerSeries:
     """Determinant by Gaussian elimination over the truncated series ring.
 
-    Callers arrange unit constant terms on the diagonal (Id - L with
-    L(0) = 0), so pivots are always invertible.
+    The caller passes ``Id - L(z)`` with ``L(0) = 0``.  Elimination keeps
+    the constant terms equal to the identity, so every diagonal pivot is a
+    unit (``reciprocal`` raises :class:`SeriesError` if that ever breaks).
     """
     n = len(matrix)
-    if n == 0:
-        return PowerSeries.one(order)
     m = [row[:] for row in matrix]
     det = PowerSeries.one(order)
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col].coeffs[0] != 0), None)
-        if pivot_row is None:
-            return PowerSeries.zero(order)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = det * -1
         pivot = m[col][col]
         det = det * pivot
         inv = pivot.reciprocal()
@@ -246,16 +238,19 @@ def pade_pole_analysis(series: PowerSeries, num_deg: int, den_deg: int) -> PoleR
     if num_deg + den_deg > series.order:
         raise NotRationalError("series too short for the requested degrees")
     # Unknowns q_1..q_d with q_0 = 1:  sum_j q_j c_{k-j} = 0 for the
-    # window num_deg < k <= num_deg + den_deg.
+    # window num_deg < k <= num_deg + den_deg; the last column is -c_k.
     d = den_deg
-    rows = []
-    rhs = []
-    for k in range(num_deg + 1, num_deg + den_deg + 1):
-        rows.append([series[k - j] if k - j >= 0 else Fraction(0) for j in range(1, d + 1)])
-        rhs.append(-series[k])
-    q = _solve_exact(rows, rhs)
-    if q is None:
+    m = [
+        [series[k - j] if k - j >= 0 else Fraction(0) for j in range(1, d + 1)] + [-series[k]]
+        for k in range(num_deg + 1, num_deg + den_deg + 1)
+    ]
+    pivots, _ = _gauss_jordan(m, d)
+    # a row past the rank reads 0 = rhs
+    if any(row[-1] != 0 for row in m[len(pivots):]):
         raise NotRationalError("denominator system is not solvable at these degrees")
+    q = [Fraction(0)] * d
+    for row, c in zip(m, pivots):
+        q[c] = row[-1]
     den = [Fraction(1), *q]
     den_series = PowerSeries(den, order=series.order)
     prod = series * den_series
@@ -282,35 +277,6 @@ def pade_pole_analysis(series: PowerSeries, num_deg: int, den_deg: int) -> PoleR
     rat = RationalFunction(tuple(ints[:split]), tuple(ints[split:]))
     poles, leftovers = _poles_of(list(den_poly.coeffs))
     return PoleReport(rat, tuple(poles), tuple(leftovers), series.order)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rows)
-    if n == 0:
-        return []
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    cols = len(rows[0])
-    where = [-1] * cols
-    r = 0
-    for c in range(cols):
-        pivot = next((k for k in range(r, n) if m[k][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(n):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        where[c] = r
-        r += 1
-        if r == n:
-            break
-    for k in range(n):
-        if all(x == 0 for x in m[k][:-1]) and m[k][-1] != 0:
-            return None
-    return [m[where[c]][-1] if where[c] >= 0 else Fraction(0) for c in range(cols)]
 
 
 def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]]]:
@@ -383,11 +349,6 @@ def puzzle_zeta_n(
         raise ValueError("need level < cert_depth <= depth")
     an = analyzer or ReducibilityAnalyzer(p)
     graph = gamma_n(p, level)
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        succ[e.src].append(e.dst)
-    for v in succ:
-        succ[v].sort()
 
     id_of = {p.label(v): v for v in p.level(level)}
     memo: dict[tuple[int, tuple[int, ...]], bool] = {}
@@ -417,7 +378,7 @@ def puzzle_zeta_n(
 
     totals, certs, classes = [], [], []
     for n in range(1, order + 1):
-        words = _periodic_words(succ, sorted(graph.vertices), n)
+        words = _periodic_words(graph, n)
         cert_count = 0
         for word in words:
             beta = tuple(id_of[w] for w in word)
@@ -460,21 +421,23 @@ def _product(options: list[list[int]]):
             yield [choice, *rest]
 
 
-def _periodic_words(succ: dict[str, list[str]], vertices: list[str], n: int) -> list[tuple[str, ...]]:
-    """All n-periodic vertex sequences (x_0 .. x_{n-1}) along edges."""
+def _periodic_words(g: GraphTruncation, n: int) -> list[tuple[str, ...]]:
+    """All n-periodic vertex sequences (x_0 .. x_{n-1}) along plain edges."""
+    outs = g.adjacency
     out: list[tuple[str, ...]] = []
 
     def extend(word: list[str]):
         if len(word) == n:
-            if word[0] in succ[word[-1]]:
-                out.append(tuple(word))
+            for e in outs[word[-1]]:
+                if e.dst == word[0]:
+                    out.append(tuple(word))
             return
-        for w in succ[word[-1]]:
-            word.append(w)
+        for e in outs[word[-1]]:
+            word.append(e.dst)
             extend(word)
             word.pop()
 
-    for v in vertices:
+    for v in sorted(g.vertices):
         extend([v])
     return out
 
@@ -488,11 +451,11 @@ def periodic_empirical_measure(g: GraphTruncation, n: int) -> dict[str, Fraction
     """
     if not g.is_plain:
         raise ValueError("empirical measures need a plain (unit-edge) graph")
-    total = periodic_point_counts(g, n)[n - 1]
+    if n < 1:
+        raise ValueError("the period must be >= 1")
+    # on a plain graph, n-periodic sequences at v are the closed n-walks at v
+    loops = path_count_table(g, n)[n]
+    total = sum(loops[v][v] for v in g.vertices)
     if total == 0:
         raise ValueError(f"no {n}-periodic sequences")
-    freqs = {}
-    for v in g.vertices:
-        loops = based_loop_counts(g, v, n)[n - 1]
-        freqs[v] = Fraction(loops, total)
-    return freqs
+    return {v: Fraction(loops[v][v], total) for v in g.vertices}

@@ -105,6 +105,46 @@ def test_verdict_unknown_piece_is_input_error(capsys, fullshift_file):
     assert "no piece labeled '2'" in err
 
 
+K3 = {"kind": "complete", "d": 3}
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (K3, ["graph", "zeta", "--trunc", "-3"]),
+        (K3, ["graph", "zeta", "--order", "-1"]),
+        (K3, ["graph", "hinf", "--subset", "0", "--length", "-1"]),
+        (K3, ["graph", "entropy", "--base", "0", "--length", "-2"]),
+        ({"kind": "complete"}, ["graph", "zeta"]),
+        ([K3], ["graph", "zeta"]),
+        ({"kind": "complete", "d": "3"}, ["graph", "build"]),
+        ({"kind": "loop_graph", "f": "12"}, ["graph", "build"]),
+        ({"kind": "adjacency", "matrix": [1, 0]}, ["graph", "build"]),
+        ({"kind": "two_hub", "a": [1], "bound": -1}, ["graph", "build"]),
+        ({"vertices": "ab"}, ["graph", "build"]),
+        ({"vertices": ["a"], "edges": [["a", "a", 2]]}, ["graph", "build"]),
+        (None, ["puzzle", "zeta", "--level", "1", "--cert", "2", "--trunc", "-1"]),
+        (None, ["puzzle", "verdict", "--piece", "ε"]),
+    ],
+    ids=[
+        "zeta-negative-trunc", "zeta-negative-order", "hinf-negative-length",
+        "entropy-negative-length", "spec-missing-key", "spec-top-level-array", "spec-string-d",
+        "spec-string-f", "spec-flat-matrix", "spec-negative-bound", "spec-string-vertices",
+        "spec-three-field-edge", "puzzle-zeta-negative-trunc", "verdict-root-piece",
+    ],
+)
+def test_bad_input_exits_one_without_output(capsys, tmp_path, fullshift_file, spec, argv):
+    if spec is None:
+        argv = [*argv[:2], "--in", str(fullshift_file), *argv[2:]]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [*argv[:2], "--spec", str(path), *argv[2:]]
+    status, out, err = run(capsys, argv)
+    assert (status, out) == (1, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_puzzle_determined_and_verdict(capsys, fullshift_file):
     status, out, _ = run(capsys, ["puzzle", "determined", "--in", str(fullshift_file)])
     assert status == 0 and json.loads(out)["result"]["determined"]

@@ -35,8 +35,11 @@ def matrix_power_traces(matrix, n_max):
     return traces
 
 
-def brute_walk_counts(g, start, end, length):
-    """Independent DFS walk counter over explicit unit edges."""
+def brute_walk_counts(g, start, end, length, avoid=()):
+    """Independent DFS walk counter over explicit unit edges; walks stop
+
+    at a vertex of ``avoid`` reached after the start.
+    """
     adj = {}
     for e in g.edges:
         assert e.length == 1
@@ -47,6 +50,8 @@ def brute_walk_counts(g, start, end, length):
         v, steps = stack.pop()
         if steps == length:
             total += v == end
+            continue
+        if steps > 0 and v in avoid:
             continue
         for w in adj.get(v, []):
             stack.append((w, steps + 1))
@@ -111,13 +116,13 @@ def test_two_hub_excursion_counts():
     # No b-loops, single a->b and b->a paths: excursions add one length-2
     # first return on top of the a-loops.
     g = two_hub_graph([1, 0], [0, 0], [1], [1], 8)
-    first = avoiding_path_counts(g, "a", "a", {"a"}, 8)
+    first = avoiding_path_counts(g, "a", {"a"}, 8)["a"]
     assert first == [1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_two_hub_without_transitions_reduces_to_loop_graph():
     g = two_hub_graph([1, 2], [0, 3], [], [], 8)
-    assert avoiding_path_counts(g, "a", "a", {"a"}, 8) == [1, 2, 0, 0, 0, 0, 0, 0]
+    assert avoiding_path_counts(g, "a", {"a"}, 8)["a"] == [1, 2, 0, 0, 0, 0, 0, 0]
     loops_hub = based_loop_counts(g, "a", 8)
     loops_plain = based_loop_counts(loop_graph([1, 2]), "a", 8)
     assert loops_hub == loops_plain
@@ -146,37 +151,50 @@ def test_gamma_n_needs_next_level():
 
 def test_avoiding_path_counts_k3():
     k3 = complete_graph(3)
-    counts = avoiding_path_counts(k3, "0", "0", {"0"}, 8)
+    counts = avoiding_path_counts(k3, "0", {"0"}, 8)["0"]
     assert counts == [1] + [2 ** (k - 1) for k in range(2, 9)]
 
 
+def random_bundle_graph(rng, names):
+    """Random bundles: lengths 1..3, multiplicities 1..2, no duplicate key."""
+    edges = {}
+    for _ in range(rng.randint(1, 2 * len(names))):
+        key = (rng.choice(names), rng.choice(names), rng.randint(1, 3))
+        edges[key] = Edge(*key, rng.randint(1, 2))
+    return GraphTruncation(tuple(names), tuple(edges.values()))
+
+
 def test_avoiding_path_counts_brute_cross_check():
+    """Every (source, target) pair against DFS on the materialized graph,
+
+    on 0/1 graphs and on bundle graphs, with avoid sets that contain the
+    source and sets that do not.
+    """
     rng = random.Random(3)
-    for _ in range(10):
+    graphs = []
+    for _ in range(8):
         d = rng.randint(2, 4)
-        matrix = [[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
-        g = sft_graph(matrix)
-        if not g.edges:
-            continue
-        avoid = {g.vertices[0]}
-        counts = avoiding_path_counts(g, g.vertices[0], g.vertices[0], avoid, 5)
+        graphs.append(sft_graph([[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]))
+        graphs.append(random_bundle_graph(rng, ["a", "b", "c"][: rng.randint(2, 3)]))
+    bundles = [e for g in graphs for e in g.edges]
+    assert any(e.length > 1 for e in bundles) and any(e.multiplicity > 1 for e in bundles)
+    L = 5
+    for g in graphs:
         explicit = g.materialize()
-        for n in range(1, 6):
-            walks = 0
-            stack = [(g.vertices[0], 0)]
-            adj = {}
-            for e in explicit.edges:
-                adj.setdefault(e.src, []).extend([e.dst] * e.multiplicity)
-            while stack:
-                v, steps = stack.pop()
-                if steps == n:
-                    walks += v == g.vertices[0]
-                    continue
-                if steps > 0 and v in avoid:
-                    continue
-                for w in adj.get(v, []):
-                    stack.append((w, steps + 1))
-            assert walks == counts[n - 1]
+        for src in g.vertices:
+            others = [v for v in g.vertices if v != src]
+            avoid_sets = [
+                {src},
+                set(others),
+                set(),
+                set(rng.sample(g.vertices, rng.randint(1, len(g.vertices)))),
+            ]
+            for avoid in avoid_sets:
+                counts = avoiding_path_counts(g, src, avoid, L)
+                assert set(counts) == set(g.vertices)
+                for dst in g.vertices:
+                    brute = [brute_walk_counts(explicit, src, dst, n, avoid) for n in range(1, L + 1)]
+                    assert counts[dst] == brute, (g.edges, src, dst, avoid)
 
 
 def test_periodic_counts_on_bundles_match_explicit():

@@ -76,6 +76,8 @@ def test_rational_roots_exact():
 def test_det_fraction_singular_and_regular():
     assert det_fraction([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
     assert det_fraction([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
+    # a zero leading entry forces a row swap, which flips the sign
+    assert det_fraction([[Fraction(0), Fraction(1)], [Fraction(3), Fraction(5)]]) == -3
 
 
 def test_compose_and_eval():

@@ -16,29 +16,6 @@ def labels(p, pieces):
     return sorted(p.label(v) for v in pieces)
 
 
-def test_i_tree_of_full_shift_is_binary():
-    p = full_shift_puzzle(4)
-    an = ReducibilityAnalyzer(p)
-    tree = an.i_tree(p.id_of("0"), 2)
-    assert [len(lv) for lv in tree.levels] == [1, 2, 4]
-    assert tree.size == 7
-
-
-def test_i_tree_at_truncation_boundary():
-    p = full_shift_puzzle(3)
-    an = ReducibilityAnalyzer(p)
-    tree = an.i_tree(p.id_of("010"))
-    assert tree.levels == ((p.id_of("010"),),)
-    assert tree.certified_depth == 0
-
-
-def test_i_tree_golden_mean_excludes_forbidden():
-    p = golden_mean_puzzle(3)
-    an = ReducibilityAnalyzer(p)
-    tree = an.i_tree(p.id_of("1"), 1)
-    assert labels(p, tree.nodes()) == ["1", "10"]
-
-
 def test_full_shift_word_is_reducible():
     p = full_shift_puzzle(4)
     an = ReducibilityAnalyzer(p)

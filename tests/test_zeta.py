@@ -11,6 +11,7 @@ from qfpuzzles.constructions import (
     periodic_orbit_tower_puzzle,
 )
 from qfpuzzles.graphs import (
+    based_loop_counts,
     complete_graph,
     loop_graph,
     periodic_point_counts,
@@ -193,6 +194,9 @@ def test_pade_rejects_non_rational():
     series = PowerSeries.z(10).exp()
     with pytest.raises(NotRationalError):
         pade_pole_analysis(series, 1, 1)
+    # 1 + z^2 at (1, 1): the system reads 0 * q_1 = -1
+    with pytest.raises(NotRationalError, match="not solvable"):
+        pade_pole_analysis(PowerSeries([1, 0, 1], order=6), 1, 1)
 
 
 def test_pade_reports_irrational_poles_as_factor():
@@ -260,6 +264,23 @@ def test_empirical_measure_three_cycle():
     g = sft_graph([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     freqs = periodic_empirical_measure(g, 3)
     assert set(freqs.values()) == {Fraction(1, 3)}
+
+
+def test_empirical_measure_matches_loop_and_point_counts():
+    rng = random.Random(11)
+    for _ in range(12):
+        d = rng.randint(1, 4)
+        g = sft_graph([[rng.randint(0, 1) for _ in range(d)] for _ in range(d)])
+        for n in range(1, 7):
+            total = periodic_point_counts(g, n)[n - 1]
+            if total == 0:
+                with pytest.raises(ValueError):
+                    periodic_empirical_measure(g, n)
+                continue
+            expected = {v: Fraction(based_loop_counts(g, v, n)[n - 1], total) for v in g.vertices}
+            assert periodic_empirical_measure(g, n) == expected
+    with pytest.raises(ValueError):
+        periodic_empirical_measure(complete_graph(2), 0)
 
 
 def test_empirical_measure_golden_mean_near_parry():
