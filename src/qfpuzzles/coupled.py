@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
 from qfpuzzles.polys import RationalPolynomial
@@ -41,14 +43,6 @@ def _ivl(lo, hi) -> Interval:
 def _ivl_scale(s: Fraction, iv: Interval) -> Interval:
     a, b = s * iv[0], s * iv[1]
     return (a, b) if a <= b else (b, a)
-
-
-def _ivl_add(u: Interval, v: Interval) -> Interval:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _ivl_shift(iv: Interval, s: Fraction) -> Interval:
-    return (iv[0] + s, iv[1] + s)
 
 
 def _ivl_square(iv: Interval) -> Interval:
@@ -127,22 +121,26 @@ class CouplingParams:
         )
 
 
+def _coord(main: Fraction, c: Fraction, m2: Interval, o2: Interval) -> Interval:
+    """Range of ``main * (1 - 4 s) + c * t - 1/2`` over ``s`` in m2, ``t`` in o2."""
+    lo, hi = _ivl_scale(main, (1 - 4 * m2[1], 1 - 4 * m2[0]))
+    clo, chi = _ivl_scale(c, o2)
+    return (lo + clo - HALF, hi + chi - HALF)
+
+
+def _image(p: CouplingParams, cell: tuple[Interval, Interval]) -> tuple[Interval, Interval]:
+    x2, y2 = _ivl_square(cell[0]), _ivl_square(cell[1])
+    return (_coord(p.a, p.c, x2, y2), _coord(p.b, p.c, y2, x2))
+
+
 def image_box(p: CouplingParams, box: Box) -> Box:
     """Exact bounding box of the image of a box.
 
     Each coordinate is a sum of two univariate quadratics, so its exact
     range over a product box is the sum of the univariate ranges.
     """
-    x2, y2 = _ivl_square(box.x), _ivl_square(box.y)
+    return Box(*_image(p, (box.x, box.y)))
 
-    def coord(main: Fraction, m2: Interval, o2: Interval) -> Interval:
-        bend = _ivl_scale(main, _ivl_shift(_ivl_scale(Fraction(-4), m2), Fraction(1)))
-        return _ivl_shift(_ivl_add(bend, _ivl_scale(p.c, o2)), -HALF)
-
-    return Box(coord(p.a, x2, y2), coord(p.b, y2, x2))
-
-
-QUADRANT_ORDER = ("PP", "PN", "NP", "NN")
 
 _SIGN = {"P": (Fraction(0), HALF), "N": (-HALF, Fraction(0))}
 
@@ -187,56 +185,75 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
     return hits
 
 
+def _grid(resolution: int) -> list[Interval]:
+    """``[-1/2, 1/2]`` cut into ``2^resolution`` dyadic intervals."""
+    n = 2**resolution
+    step = Fraction(1, n)
+    return [(-HALF + k * step, -HALF + (k + 1) * step) for k in range(n)]
+
+
 def dyadic_grid(resolution: int) -> list[Box]:
     """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
     if resolution < 1:
         raise CoupledError("resolution must be >= 1")
-    n = 2**resolution
-    step = Fraction(1, n)
-    cells = []
-    for ix in range(n):
-        x0 = -HALF + ix * step
-        for iy in range(n):
-            y0 = -HALF + iy * step
-            cells.append(Box((x0, x0 + step), (y0, y0 + step)))
-    return cells
+    return [Box(x, y) for x, y in product(_grid(resolution), repeat=2)]
 
 
 Itinerary = tuple[str, ...]
+Cell = tuple[Interval, ...]
+
+
+def _options(cell: Cell, step: Callable[[Cell], Cell], depth: int) -> list[list[str]]:
+    """Sign words touched by the first ``depth`` iterates of a cell.
+
+    Iterate ``k`` is ``step`` applied to iterate ``k - 1`` clipped to
+    ``[-1/2, 1/2]`` in each coordinate; its word lists, in
+    ``itertools.product`` order, every choice of ``P`` (the coordinate
+    reaches ``>= 0``) or ``N`` (``<= 0``) per coordinate.  The list stops
+    at the first iterate that misses the square, so a cell whose first
+    ``n`` iterates stay in it has at least ``n`` entries.
+    """
+    options: list[list[str]] = []
+    while len(options) < depth:
+        if options:
+            cell = step(cell)
+        cell = tuple(_ivl_intersect(iv, (-HALF, HALF)) for iv in cell)
+        if None in cell:
+            break
+        contacts = [[s for s, hit in (("P", hi >= 0), ("N", lo <= 0)) if hit] for lo, hi in cell]
+        options.append(["".join(word) for word in product(*contacts)])
+    return options
 
 
 def _cell_options(
     p: CouplingParams, depth: int, resolution: int
 ) -> list[tuple[Box, list[list[str]]]]:
-    """Per grid cell, the quadrants its k-th bounding-box image touches,
-
-    for each k < depth; images are clipped to the square before iterating.
-    """
-    quads = sign_partition()
-    out = []
-    for cell in dyadic_grid(resolution):
-        options: list[list[str]] = []
-        img = cell
-        for _ in range(depth):
-            clipped = img.intersection(UNIT_SQUARE)
-            if clipped is None:
-                options = []
-                break
-            options.append([q for q in QUADRANT_ORDER if clipped.touches(quads[q])])
-            img = image_box(p, clipped)
-        if options:
-            out.append((cell, options))
-    return out
+    """Every grid cell with its :func:`_options` under the coupled map."""
+    step = partial(_image, p)
+    return [(box, _options((box.x, box.y), step, depth)) for box in dyadic_grid(resolution)]
 
 
-def _covers_from_options(
-    cells: list[tuple[Box, list[list[str]]]], depth: int
-) -> dict[Itinerary, tuple[Box, ...]]:
-    covers: dict[Itinerary, list[Box]] = {}
+def _covers_from_options(cells: list[tuple], n: int) -> dict[Itinerary, tuple]:
+    """Covers of the depth-``n`` cylinders by the cells with >= n options."""
+    covers: dict[Itinerary, list] = {}
     for cell, options in cells:
-        for itin in _expand(options[:depth]):
-            covers.setdefault(itin, []).append(cell)
-    return {itin: tuple(boxes) for itin, boxes in sorted(covers.items())}
+        if len(options) >= n:
+            for itin in product(*options[:n]):
+                covers.setdefault(itin, []).append(cell)
+    return {itin: tuple(members) for itin, members in sorted(covers.items())}
+
+
+def _covers_by_depth(
+    p: CouplingParams, n_range: Sequence[int], resolution: int
+) -> list[tuple[int, dict[Itinerary, tuple[Box, ...]]]]:
+    """``(n, refine_cylinders(p, n, resolution))`` for n in sorted(n_range), from one pass."""
+    ns = sorted(n_range)
+    if not ns:
+        return []
+    if ns[0] < 1:
+        raise CoupledError("depth must be >= 1")
+    cells = _cell_options(p, ns[-1], resolution)
+    return [(n, _covers_from_options(cells, n)) for n in ns]
 
 
 def refine_cylinders(
@@ -246,18 +263,12 @@ def refine_cylinders(
 
     A grid box is assigned every itinerary whose quadrants its iterated
     bounding-box images touch.  Covers may overlap (never
-    under-approximate).
+    under-approximate).  Escape rule: a box is dropped when one of its
+    first ``depth`` iterates misses the square, so a box whose orbit
+    leaves later still covers depth-``depth`` cylinders here (unlike
+    :func:`build_puzzle`, which drops it at every level).
     """
-    if depth < 1:
-        raise CoupledError("depth must be >= 1")
-    return _covers_from_options(_cell_options(p, depth, resolution), depth)
-
-
-def _expand(options: list[list[str]]) -> list[Itinerary]:
-    out: list[Itinerary] = [()]
-    for step in options:
-        out = [itin + (q,) for itin in out for q in step]
-    return out
+    return _covers_by_depth(p, [depth], resolution)[0][1]
 
 
 def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tuple[Box, ...]]:
@@ -265,18 +276,15 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
 
     Union-find with adjacency ``distance < gap``; the gap is an explicit
     parameter because "positive distance" has no canonical value at a
-    finite resolution.  Coordinates sharing a modest common denominator
-    (any dyadic grid) are compared as scaled integers.
+    finite resolution.  Coordinates are compared as integers over their
+    common denominator.
     """
     gap = Fraction(gap)
     if gap <= 0:
         raise CoupledError("gap must be positive")
-    scaled = _scaled_coords(boxes, gap)
-    if scaled is not None:
-        coords, rho = scaled
-    else:
-        coords = [(b.x[0], b.x[1], b.y[0], b.y[1]) for b in boxes]
-        rho = gap
+    denom = math.lcm(gap.denominator, *(v.denominator for b in boxes for v in (*b.x, *b.y)))
+    coords = [tuple(int(v * denom) for v in (*b.x, *b.y)) for b in boxes]
+    rho = int(gap * denom)
     order = sorted(range(len(boxes)), key=lambda k: coords[k])
     parent = list(range(len(boxes)))
 
@@ -305,29 +313,6 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
     ]
     comps.sort(key=lambda comp: (comp[0].x, comp[0].y))
     return comps
-
-
-_SCALE_LIMIT = 1 << 62
-
-
-def _scaled_coords(boxes: Sequence[Box], gap: Fraction):
-    """Common-denominator integer coordinates, or None when impractical."""
-    denom = gap.denominator
-    for b in boxes:
-        for v in (b.x[0], b.x[1], b.y[0], b.y[1]):
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-            if denom > _SCALE_LIMIT:
-                return None
-    coords = [
-        (
-            int(b.x[0] * denom),
-            int(b.x[1] * denom),
-            int(b.y[0] * denom),
-            int(b.y[1] * denom),
-        )
-        for b in boxes
-    ]
-    return coords, int(gap * denom)
 
 
 def default_gap(resolution: int) -> Fraction:
@@ -367,12 +352,13 @@ def build_puzzle(
     containment one level up, ``f`` the component containing the image
     cover, resolved by maximal overlap when the outer approximation is
     ambiguous.  Unresolvable assignments (exact overlap ties) raise.
+
+    Escape rule: a grid box is dropped from every level when one of its
+    first ``depth`` iterates misses the square, so level ``n`` can hold
+    fewer boxes than ``refine_cylinders(p, n, resolution)``.
     """
     gap = default_gap(resolution) if gap is None else Fraction(gap)
-    cell_options = _cell_options(p, depth, resolution)
-    covers_by_depth = {
-        n: _covers_from_options(cell_options, n) for n in range(1, depth + 1)
-    }
+    cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
 
     levels: list[list[str]] = [[ROOT]]
     pieces: dict[str, ExtractedPiece] = {
@@ -381,7 +367,7 @@ def build_puzzle(
     by_level: list[list[ExtractedPiece]] = [[pieces[ROOT]]]
     for n in range(1, depth + 1):
         level_pieces: list[ExtractedPiece] = []
-        for itin, boxes in covers_by_depth[n].items():
+        for itin, boxes in _covers_from_options(cells, n).items():
             for ci, comp in enumerate(almost_connected_components(boxes, gap)):
                 piece = ExtractedPiece(_piece_label(itin, ci), itin, comp)
                 level_pieces.append(piece)
@@ -465,14 +451,16 @@ def boundary_entropy_estimate(
     """
     boundary = boundary_pieces()
 
-    def count(n: int) -> int:
-        covers = refine_cylinders(p, n, resolution)
+    def count(covers: dict[Itinerary, tuple[Box, ...]]) -> int:
         return sum(
             any(any(b.touches(edge) for edge in boundary) for b in boxes)
             for boxes in covers.values()
         )
 
-    return _rate_table(((n, count(n)) for n in sorted(n_range)), exact=False)
+    return _rate_table(
+        ((n, count(covers)) for n, covers in _covers_by_depth(p, n_range, resolution)),
+        exact=False,
+    )
 
 
 def multiplicity_estimate(
@@ -484,8 +472,7 @@ def multiplicity_estimate(
     peak; an upper estimate within the outer approximation.
     """
     out = {}
-    for n in sorted(n_range):
-        covers = refine_cylinders(p, n, resolution)
+    for n, covers in _covers_by_depth(p, n_range, resolution):
         incidence: dict[tuple[Fraction, Fraction], set[Itinerary]] = {}
         for itin, boxes in covers.items():
             for box in boxes:
@@ -519,39 +506,26 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
 # -- 1d reference pipeline (product checks) -------------------------------------
 
 
-def _image_interval_1d(alpha: Fraction, iv: Interval) -> Interval:
-    sq = _ivl_square(iv)
-    return _ivl_shift(_ivl_scale(alpha, _ivl_shift(_ivl_scale(Fraction(-4), sq), 1)), -HALF)
+def _cell_options_1d(
+    alpha: Fraction, depth: int, resolution: int
+) -> list[tuple[Interval, list[list[str]]]]:
+    """Every grid interval with its :func:`_options` under ``t -> a(1-4t^2) - 1/2``,
+
+    the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.
+    """
+
+    def step(cell: Cell) -> Cell:
+        sq = _ivl_square(cell[0])
+        return (_coord(alpha, 0, sq, sq),)
+
+    return [(iv, _options((iv,), step, depth)) for iv in _grid(resolution)]
 
 
 def refine_cylinders_1d(
     alpha: Fraction, depth: int, resolution: int
 ) -> dict[Itinerary, tuple[Interval, ...]]:
     """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
-    n = 2**resolution
-    step = Fraction(1, n)
-    cells = [(-HALF + k * step, -HALF + (k + 1) * step) for k in range(n)]
-    full = (-HALF, HALF)
-    covers: dict[Itinerary, list[Interval]] = {}
-    for cell in cells:
-        options: list[list[str]] = []
-        img = cell
-        alive = True
-        for _ in range(depth):
-            clipped = _ivl_intersect(img, full)
-            if clipped is None:
-                alive = False
-                break
-            step_syms = [
-                s for s in "PN" if _ivl_gap(clipped, _SIGN[s]) == 0
-            ]
-            options.append(step_syms)
-            img = _image_interval_1d(alpha, clipped)
-        if not alive:
-            continue
-        for itin in _expand(options):
-            covers.setdefault(itin, []).append(cell)
-    return {itin: tuple(ivs) for itin, ivs in sorted(covers.items())}
+    return _covers_from_options(_cell_options_1d(alpha, depth, resolution), depth)
 
 
 def component_counts_1d(
@@ -559,11 +533,11 @@ def component_counts_1d(
 ) -> list[int]:
     """Component counts per level 1..depth of the 1d pipeline."""
     gap = default_gap(resolution) if gap is None else Fraction(gap)
+    cells = _cell_options_1d(alpha, depth, resolution)
     out = []
     for n in range(1, depth + 1):
-        covers = refine_cylinders_1d(alpha, n, resolution)
         total = 0
-        for ivs in covers.values():
+        for ivs in _covers_from_options(cells, n).values():
             boxes = [Box(iv, (Fraction(0), Fraction(0))) for iv in ivs]
             total += len(almost_connected_components(boxes, gap))
         out.append(total)

@@ -419,6 +419,8 @@ def avoiding_path_counts(
     """
     if src not in g.vertices:
         raise GraphError(f"unknown source vertex {src!r}")
+    if max_length < 0:
+        raise GraphError(f"max_length must be >= 0, got {max_length}")
     forbidden = set(avoid)
     outs = g.adjacency
     # reach[j][x]: walks src->x of length j whose intermediate named

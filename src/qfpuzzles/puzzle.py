@@ -283,12 +283,26 @@ class Puzzle:
 
     @classmethod
     def from_json(cls, data: dict, name: str = "puzzle") -> "Puzzle":
+        """Load the :meth:`to_json` form; raises :class:`PuzzleError` on
+        missing keys or ill-typed values (labels must be strings)."""
+        if not isinstance(data, dict):
+            raise PuzzleError("puzzle JSON must be an object")
         try:
             levels = data["levels"]
             i_map = data["i"]
             f_map = data["f"]
         except KeyError as missing:
             raise PuzzleError(f"puzzle JSON missing key {missing}") from None
+        if not isinstance(levels, list) or not all(
+            isinstance(level, list) and all(isinstance(label, str) for label in level)
+            for level in levels
+        ):
+            raise PuzzleError('"levels" must be a list of lists of string labels')
+        for key, mapping in (("i", i_map), ("f", f_map)):
+            if not isinstance(mapping, dict) or not all(
+                isinstance(label, str) for label in mapping.values()
+            ):
+                raise PuzzleError(f'"{key}" must be an object mapping labels to labels')
         if "depth" in data and data["depth"] != len(levels) - 1:
             raise PuzzleError("depth field inconsistent with levels")
         return cls(levels, i_map, f_map, name=name)

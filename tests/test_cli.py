@@ -125,21 +125,25 @@ K3 = {"kind": "complete", "d": 3}
         ({"vertices": ["a"], "edges": [["a", "a", 2]]}, ["graph", "build"]),
         (None, ["puzzle", "zeta", "--level", "1", "--cert", "2", "--trunc", "-1"]),
         (None, ["puzzle", "verdict", "--piece", "ε"]),
+        ([{"levels": [["e"], ["a"]], "i": {"a": "e"}, "f": {"a": "e"}}], ["puzzle", "validate"]),
+        ({"levels": [["e"], ["a"]], "i": ["a", "e"], "f": {"a": "e"}}, ["puzzle", "validate"]),
+        ({"levels": "ab", "i": {}, "f": {}}, ["puzzle", "validate"]),
+        ({"levels": [["e"], [1]], "i": {}, "f": {}}, ["puzzle", "validate"]),
     ],
     ids=[
         "zeta-negative-trunc", "zeta-negative-order", "hinf-negative-length",
         "entropy-negative-length", "spec-missing-key", "spec-top-level-array", "spec-string-d",
         "spec-string-f", "spec-flat-matrix", "spec-negative-bound", "spec-string-vertices",
         "spec-three-field-edge", "puzzle-zeta-negative-trunc", "verdict-root-piece",
+        "puzzle-top-level-array", "puzzle-i-array", "puzzle-string-levels", "puzzle-int-label",
     ],
 )
 def test_bad_input_exits_one_without_output(capsys, tmp_path, fullshift_file, spec, argv):
-    if spec is None:
-        argv = [*argv[:2], "--in", str(fullshift_file), *argv[2:]]
-    else:
+    path = fullshift_file
+    if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        argv = [*argv[:2], "--spec", str(path), *argv[2:]]
+    argv = [*argv[:2], "--in" if argv[0] == "puzzle" else "--spec", str(path), *argv[2:]]
     status, out, err = run(capsys, argv)
     assert (status, out) == (1, "")
     assert err.startswith("input error:") and "Traceback" not in err

@@ -110,6 +110,70 @@ def test_outer_approximation_soundness():
             assert img.touches(quads[itin[1]])
 
 
+def reference_covers(p, depth, resolution):
+    """Covers from the Box loop, one depth at a time: each grid box clips its
+    iterates to the square and takes every quadrant they touch."""
+    quads = sign_partition()
+    covers = {}
+    for cell in dyadic_grid(resolution):
+        itins, img = [()], cell
+        for _ in range(depth):
+            clipped = img.intersection(UNIT_SQUARE)
+            if clipped is None:
+                break
+            itins = [w + (q,) for w in itins for q in quads if clipped.touches(quads[q])]
+            img = image_box(p, clipped)
+        else:
+            for w in itins:
+                covers.setdefault(w, []).append(cell)
+    return {w: tuple(boxes) for w, boxes in sorted(covers.items())}
+
+
+ORACLE_PARAMS = [
+    (1, 1, 0),
+    (Fraction(9, 10), Fraction(9, 10), Fraction(1, 20)),
+    (Fraction(7, 8), Fraction(5, 8), Fraction(-1, 4)),
+    (3, 3, 0),  # the rest leave the domain: orbits escape the square
+    (Fraction(3, 2), Fraction(1, 2), Fraction(1, 4)),
+    (2, 1, 1),
+]
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_refine_matches_box_loop_reference(abc):
+    p = CouplingParams.make(*abc)
+    for resolution in (3, 4):
+        for depth in (1, 2, 3):
+            assert refine_cylinders(p, depth, resolution) == reference_covers(p, depth, resolution)
+
+
+@pytest.mark.parametrize("alpha", sorted({Fraction(a) for a, _, _ in ORACLE_PARAMS}))
+def test_refine_1d_is_x_coordinate_of_box_loop_reference(alpha):
+    # With c = 0 and b = 1 the y-dynamics keep the square, so a box
+    # survives exactly when its x-interval does.
+    p = CouplingParams.make(alpha, 1, 0)
+    for resolution in (3, 4):
+        for depth in (1, 2, 3):
+            projected = {}
+            for w, boxes in reference_covers(p, depth, resolution).items():
+                projected.setdefault(tuple(q[0] for q in w), set()).update(b.x for b in boxes)
+            expected = {w: tuple(sorted(xs)) for w, xs in sorted(projected.items())}
+            assert refine_cylinders_1d(alpha, depth, resolution) == expected
+
+
+def test_escape_rule_refine_versus_build():
+    # refine_cylinders(p, n) drops a box only when it leaves the square
+    # within n steps; build_puzzle drops it from every level when it
+    # leaves within `depth` steps.
+    p = CouplingParams.make(3, 3, 0)
+    assert sum(len(boxes) for boxes in refine_cylinders(p, 1, 4).values()) == 324
+    build = build_puzzle(p, 3, 4)
+    level1 = [build.pieces[build.puzzle.label(v)] for v in build.puzzle.level(1)]
+    assert sum(len(q.boxes) for q in level1) == 16
+    survivors = {(w[:1], b) for w, boxes in refine_cylinders(p, 3, 4).items() for b in boxes}
+    assert {(q.itinerary, b) for q in level1 for b in q.boxes} == survivors
+
+
 def test_components_touching_boxes_merge():
     a = Box((Fraction(0), Fraction(1, 4)), (Fraction(0), Fraction(1, 4)))
     b = Box((Fraction(1, 4), H), (Fraction(0), Fraction(1, 4)))
@@ -121,6 +185,16 @@ def test_components_split_at_gap():
     b = Box((Fraction(3, 8), H), (Fraction(0), Fraction(1, 8)))  # distance 1/4
     assert len(almost_connected_components([a, b], Fraction(1, 8))) == 2
     assert len(almost_connected_components([a, b], Fraction(1, 2))) == 1
+
+
+def test_components_exact_beyond_64_bit_denominators():
+    # The common denominator 2^63 * 3^40 exceeds 2^62.
+    d, gap, z = Fraction(1, 3**40), Fraction(1, 2**63), Fraction(0)
+    a = Box((z, d), (z, d))
+    b = Box((d, 2 * d), (z, d))
+    c = Box((2 * d + gap, 3 * d + gap), (z, d))  # exactly `gap` right of b
+    assert almost_connected_components([c, a, b], gap) == [(a, b), (c,)]
+    assert almost_connected_components([c, a, b], gap + gap * d) == [(a, b, c)]
 
 
 def test_components_annulus_stable_under_refinement():

@@ -155,6 +155,19 @@ def test_avoiding_path_counts_k3():
     assert counts == [1] + [2 ** (k - 1) for k in range(2, 9)]
 
 
+def test_negative_lengths_raise_graph_error():
+    from qfpuzzles.diagram import entropy_at_infinity_estimate
+    from qfpuzzles.zeta import first_return_matrix
+
+    k2 = complete_graph(2)
+    with pytest.raises(GraphError):
+        avoiding_path_counts(k2, "0", {"0"}, -1)
+    with pytest.raises(GraphError):
+        entropy_at_infinity_estimate(k2, ["0"], -1)
+    with pytest.raises(GraphError):
+        first_return_matrix(k2, ["0"], -1)
+
+
 def random_bundle_graph(rng, names):
     """Random bundles: lengths 1..3, multiplicities 1..2, no duplicate key."""
     edges = {}
