@@ -16,6 +16,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from qfpuzzles import __version__
 from qfpuzzles import coupled as cp
@@ -66,32 +67,29 @@ def _emit_dot(manifest: dict, dot: str, out: str | None) -> None:
 
 
 def _write(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}")
+
+
+def _load(path: str, parse: Callable[[str], object], error: type[Exception]):
+    """``parse`` of a UTF-8 JSON file; every way it can fail is an :class:`InputError`."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}")
+    except error as exc:
+        raise InputError(f"bad input file {path}: {exc}")
 
 
 def _load_puzzle(path: str) -> Puzzle:
-    try:
-        return Puzzle.loads(Path(path).read_text(), name=Path(path).stem)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
-    except PuzzleError as exc:
-        raise InputError(f"bad puzzle file {path}: {exc}")
-
-
-def _load_graph(path: str) -> gr.GraphTruncation:
-    try:
-        return gr.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
-    except gr.GraphError as exc:
-        raise InputError(f"bad graph spec {path}: {exc}")
+    return _load(path, lambda text: Puzzle.loads(text, name=Path(path).stem), PuzzleError)
 
 
 def _fraction(text: str) -> Fraction:
@@ -101,8 +99,12 @@ def _fraction(text: str) -> Fraction:
         raise InputError(f"not a rational: {text!r} (use p/q)")
 
 
-def _subset(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+def _subset(text: str, g: gr.GraphTruncation) -> list[str]:
+    subset = [part for part in text.split(",") if part]
+    missing = [v for v in subset if v not in g.vertices]
+    if missing:
+        raise InputError(f"subset vertices not in graph: {missing}")
+    return subset
 
 
 def _nonnegative(flag: str, value: int) -> int:
@@ -259,7 +261,7 @@ def cmd_puzzle_zeta(args) -> int:
 
 
 def cmd_graph_build(args) -> int:
-    g = _load_graph(args.spec)
+    g = _load(args.spec, gr.loads, gr.GraphError)
     manifest = _manifest(
         "graph build", {"spec": args.spec}, {"spec": Path(args.spec)},
         {"completeness_bound": g.completeness_bound},
@@ -271,11 +273,8 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_zeta(args) -> int:
-    g = _load_graph(args.spec)
-    subset = _subset(args.subset) if args.subset else list(g.vertices)
-    missing = [v for v in subset if v not in g.vertices]
-    if missing:
-        raise InputError(f"subset vertices not in graph: {missing}")
+    g = _load(args.spec, gr.loads, gr.GraphError)
+    subset = _subset(args.subset, g) if args.subset else list(g.vertices)
     _nonnegative("--trunc/--order", args.trunc)
     fn = zt.semi_local_zeta_det if args.method == "det" else zt.semi_local_zeta_brute
     series = fn(g, subset, args.trunc)
@@ -296,7 +295,7 @@ def cmd_graph_zeta(args) -> int:
 
 
 def cmd_graph_entropy(args) -> int:
-    g = _load_graph(args.spec)
+    g = _load(args.spec, gr.loads, gr.GraphError)
     if args.base not in g.vertices:
         raise InputError(f"base vertex {args.base!r} not in graph")
     _nonnegative("--length", args.length)
@@ -318,11 +317,8 @@ def cmd_graph_entropy(args) -> int:
 
 
 def cmd_graph_hinf(args) -> int:
-    g = _load_graph(args.spec)
-    subset = _subset(args.subset)
-    missing = [v for v in subset if v not in g.vertices]
-    if missing:
-        raise InputError(f"subset vertices not in graph: {missing}")
+    g = _load(args.spec, gr.loads, gr.GraphError)
+    subset = _subset(args.subset, g)
     _nonnegative("--length", args.length)
     table = entropy_at_infinity_estimate(g, subset, args.length)
     manifest = _manifest(

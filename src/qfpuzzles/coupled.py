@@ -187,6 +187,8 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
 
 def _grid(resolution: int) -> list[Interval]:
     """``[-1/2, 1/2]`` cut into ``2^resolution`` dyadic intervals."""
+    if resolution < 1:
+        raise CoupledError("resolution must be >= 1")
     n = 2**resolution
     step = Fraction(1, n)
     return [(-HALF + k * step, -HALF + (k + 1) * step) for k in range(n)]
@@ -194,8 +196,6 @@ def _grid(resolution: int) -> list[Interval]:
 
 def dyadic_grid(resolution: int) -> list[Box]:
     """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
-    if resolution < 1:
-        raise CoupledError("resolution must be >= 1")
     return [Box(x, y) for x, y in product(_grid(resolution), repeat=2)]
 
 
@@ -513,6 +513,8 @@ def _cell_options_1d(
 
     the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.
     """
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
 
     def step(cell: Cell) -> Cell:
         sq = _ivl_square(cell[0])

@@ -268,11 +268,8 @@ def gamma_n(p: Puzzle, n: int) -> GraphTruncation:
     """
     if not 1 <= n <= p.depth - 1:
         raise PuzzleError(f"level {n} needs pieces of order {n + 1}; depth is {p.depth}")
-    pairs = set()
-    for w in p.level(n + 1):
-        pairs.add((p.label(p.i(w)), p.label(p.f(w))))
     names = tuple(p.label(v) for v in p.level(n))
-    edges = tuple(Edge(u, v) for u, v in sorted(pairs))
+    edges = tuple(Edge(*e) for e in sorted((p.label(u), p.label(v)) for u, v in p.fibres(n + 1)))
     return GraphTruncation(names, edges, name=f"{p.name}-gamma{n}")
 
 

@@ -214,6 +214,18 @@ class Puzzle:
     def i_preimages(self, piece: int) -> tuple[int, ...]:
         return self._i_preimages.get(piece, ())
 
+    def fibres(self, n: int) -> dict[tuple[int, int], list[int]]:
+        """The order-``n`` pieces grouped by ``(i(v), f(v))``, in id order.
+
+        Each key is an edge ``u -> v`` of the level-``n - 1`` transition
+        graph; its fibre holds the pieces lifting that edge, which are
+        each other's (R2) rivals.
+        """
+        out: dict[tuple[int, int], list[int]] = {}
+        for v in self.levels[n]:
+            out.setdefault((self.i(v), self.f(v)), []).append(v)
+        return out
+
     def project(self, piece: int, n: int) -> int:
         """``i_n``: the order-``min(|v|, n)`` ancestor of a piece."""
         drop = max(0, self.order(piece) - n)
@@ -528,8 +540,11 @@ def sequence_entropy(
     """Entropy estimate table for an indexed family ``S_n`` of piece sets.
 
     Empty sets contribute rate 0 through the ``log max(count, 1)``
-    convention.  No extrapolation is performed.
+    convention.  No extrapolation is performed.  Raises
+    :class:`PuzzleError` on ``n < 1``.
     """
+    if any(n < 1 for n in n_range):
+        raise PuzzleError(f"entropy rates need n >= 1, got {sorted(n_range)}")
     getter = family.get if isinstance(family, Mapping) else family
     cells = []
     for eps in eps_list:

@@ -139,11 +139,8 @@ class ReducibilityAnalyzer:
         for n in range(p.depth, 0, -1):
             d_avail = p.depth - n
             settled = ReducibilityVerdict(Status.REDUCIBLE if d_avail else Status.UNKNOWN, d_avail)
-            # siblings sharing their f-image, in id order: each other's (R2) rivals
-            twins: dict[tuple[int, int], list[int]] = {}
-            for piece in p.level(n):
-                twins.setdefault((p.i(piece), f(piece)), []).append(piece)
-            for (_, fv), group in twins.items():
+            # the members of a fibre are each other's (R2) rivals
+            for (_, fv), group in p.fibres(n).items():
                 target = set(children(fv)) if d_avail else None
                 for piece in group:
                     if d_avail:

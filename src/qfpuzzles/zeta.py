@@ -17,6 +17,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from qfpuzzles.graphs import (
@@ -56,15 +58,13 @@ def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSe
     """``exp(sum p_n z^n / n)`` for non-negative integer point counts."""
     if any(c < 0 for c in counts):
         raise ValueError("periodic point counts must be non-negative")
-    return _counts_to_log_series(counts, order).exp()
-
-
-def _counts_to_log_series(counts: Sequence[int], order: int | None) -> PowerSeries:
     k = order if order is not None else len(counts)
+    if k < 0:
+        raise SeriesError(f"order must be >= 0, got {k}")
     cs = [Fraction(0)] * (k + 1)
     for n, c in enumerate(counts[:k], start=1):
         cs[n] = Fraction(c, n)
-    return PowerSeries(cs)
+    return PowerSeries(cs).exp()
 
 
 def counts_from_zeta(zeta: PowerSeries) -> list[int]:
@@ -337,25 +337,25 @@ def puzzle_zeta_n(
     the level-``level`` transition graph, then tries to lift each one
     through levels ``level+1 .. cert_depth`` by choosing, position by
     position, pieces whose i-parent matches the current lift and whose
-    f-image matches its successor.  A sequence is certified when a
-    consistent periodic lift chain reaches ``cert_depth``.
+    f-image matches its successor (the edge's fibre in
+    :meth:`Puzzle.fibres`).  A sequence is certified when a consistent
+    periodic lift chain reaches ``cert_depth``.
 
-    Certified sequences are tagged by the reduction chains of their
-    topmost lift: if every chain ends at order <= level the class echoes
-    a low first-return loop, otherwise a high one.  Enumeration is
-    exponential in ``order``; this is a desk-scale instrument.
+    Certified sequences are tagged by the reduction chains of the first
+    lift found, with candidates tried level by level in
+    ``itertools.product`` order over piece ids: if every chain ends at
+    order <= level the class echoes a low first-return loop, otherwise a
+    high one.  Enumeration is exponential in ``order``; this is a
+    desk-scale instrument.
     """
     if not level < cert_depth <= p.depth:
         raise ValueError("need level < cert_depth <= depth")
     an = analyzer or ReducibilityAnalyzer(p)
     graph = gamma_n(p, level)
-
     id_of = {p.label(v): v for v in p.level(level)}
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def lift_options(beta: tuple[int, ...], j: int) -> list[int]:
-        nxt = beta[(j + 1) % len(beta)]
-        return [w for w in p.i_preimages(beta[j]) if p.f(w) == nxt]
+    # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
+    lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
         """Return a lift of beta at cert_depth, or None.  Failures are
@@ -364,38 +364,35 @@ def puzzle_zeta_n(
         """
         if at_level == cert_depth:
             return beta
-        key = (at_level, beta)
-        if key in memo:
+        if (at_level, beta) in failed:
             return None
-        options = [lift_options(beta, j) for j in range(len(beta))]
-        if all(options):
-            for candidate in _product(options):
-                lifted = certify(tuple(candidate), at_level + 1)
-                if lifted is not None:
-                    return lifted
-        memo[key] = False
+        fibre = lifts[at_level]
+        nxt = beta[1:] + beta[:1]
+        for candidate in product(*(fibre.get(edge, ()) for edge in zip(beta, nxt))):
+            lifted = certify(candidate, at_level + 1)
+            if lifted is not None:
+                return lifted
+        failed.add((at_level, beta))
         return None
+
+    @cache
+    def high(piece: int) -> bool:
+        chain = an.reduction_chain(piece)
+        return chain.kind == "unknown" or (
+            chain.kind == "irreducible" and p.order(chain.terminal) > level
+        )
 
     totals, certs, classes = [], [], []
     for n in range(1, order + 1):
         words = _periodic_words(graph, n)
         cert_count = 0
         for word in words:
-            beta = tuple(id_of[w] for w in word)
-            top = certify(beta, level)
-            certified = top is not None
+            top = certify(tuple(id_of[w] for w in word), level)
             tag = "unliftable-at-depth"
-            if certified:
+            if top is not None:
                 cert_count += 1
-                tag = "liftable-with-low-return"
-                for piece in top:
-                    chain = an.reduction_chain(piece)
-                    if chain.kind == "unknown" or (
-                        chain.kind == "irreducible" and p.order(chain.terminal) > level
-                    ):
-                        tag = "liftable-high"
-                        break
-            classes.append(PeriodicClass(word, certified, tag))
+                tag = "liftable-high" if any(high(v) for v in top) else "liftable-with-low-return"
+            classes.append(PeriodicClass(word, top is not None, tag))
         totals.append(len(words))
         certs.append(cert_count)
     uncert = [t - c for t, c in zip(totals, certs)]
@@ -409,16 +406,6 @@ def puzzle_zeta_n(
         tuple(classes),
         zeta_from_counts(certs, order=order),
     )
-
-
-def _product(options: list[list[int]]):
-    if not options:
-        yield []
-        return
-    head, *tail = options
-    for choice in head:
-        for rest in _product(tail):
-            yield [choice, *rest]
 
 
 def _periodic_words(g: GraphTruncation, n: int) -> list[tuple[str, ...]]:

@@ -106,6 +106,7 @@ def test_verdict_unknown_piece_is_input_error(capsys, fullshift_file):
 
 
 K3 = {"kind": "complete", "d": 3}
+DIRECTORY = object()
 
 
 @pytest.mark.parametrize(
@@ -129,6 +130,18 @@ K3 = {"kind": "complete", "d": 3}
         ({"levels": [["e"], ["a"]], "i": ["a", "e"], "f": {"a": "e"}}, ["puzzle", "validate"]),
         ({"levels": "ab", "i": {}, "f": {}}, ["puzzle", "validate"]),
         ({"levels": [["e"], [1]], "i": {}, "f": {}}, ["puzzle", "validate"]),
+        (DIRECTORY, ["puzzle", "validate"]),
+        (DIRECTORY, ["graph", "build"]),
+        (None, ["puzzle", "validate", "--out", "{tmp}"]),
+        (None, ["puzzle", "irreducibles", "--level", "1", "--out", "{tmp}/missing/out.json"]),
+        (None, ["puzzle", "diagram", "--cutoff", "2", "--dot", "{tmp}"]),
+        (None, ["puzzle", "diagram", "--cutoff", "2", "--dot", "{tmp}/missing/d.dot"]),
+        (K3, ["graph", "build", "--out", "{tmp}"]),
+        (K3, ["graph", "build", "--dot", "{tmp}/missing/k3.dot"]),
+        ("[" * 100_000 + "]" * 100_000, ["puzzle", "validate"]),
+        ("[" * 100_000 + "]" * 100_000, ["graph", "zeta"]),
+        (b'{"kind": "complete", "d": 3, "note": "\xff"}', ["graph", "zeta"]),
+        (b'{"levels": [["\xe9"]], "i": {}, "f": {}}', ["puzzle", "validate"]),
     ],
     ids=[
         "zeta-negative-trunc", "zeta-negative-order", "hinf-negative-length",
@@ -136,14 +149,24 @@ K3 = {"kind": "complete", "d": 3}
         "spec-string-f", "spec-flat-matrix", "spec-negative-bound", "spec-string-vertices",
         "spec-three-field-edge", "puzzle-zeta-negative-trunc", "verdict-root-piece",
         "puzzle-top-level-array", "puzzle-i-array", "puzzle-string-levels", "puzzle-int-label",
+        "puzzle-in-directory", "graph-spec-directory", "out-directory", "out-missing-folder",
+        "dot-directory", "dot-missing-folder", "graph-out-directory", "graph-dot-missing-folder",
+        "puzzle-deep-nesting", "spec-deep-nesting", "spec-not-utf8", "puzzle-not-utf8",
     ],
 )
 def test_bad_input_exits_one_without_output(capsys, tmp_path, fullshift_file, spec, argv):
-    path = fullshift_file
-    if spec is not None:
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-    argv = [*argv[:2], "--in" if argv[0] == "puzzle" else "--spec", str(path), *argv[2:]]
+    # spec: None for the full-shift file, a directory, raw text or bytes, or JSON data
+    path = tmp_path / "spec.json"
+    if spec is None:
+        path = fullshift_file
+    elif spec is DIRECTORY:
+        path = tmp_path
+    elif isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    flags = [a.format(tmp=tmp_path) for a in argv[2:]]
+    argv = [*argv[:2], "--in" if argv[0] == "puzzle" else "--spec", str(path), *flags]
     status, out, err = run(capsys, argv)
     assert (status, out) == (1, "")
     assert err.startswith("input error:") and "Traceback" not in err

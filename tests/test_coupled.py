@@ -323,6 +323,17 @@ def test_bad_inputs():
         Box((H, Fraction(0)), (Fraction(0), H))
 
 
+@pytest.mark.parametrize("depth, resolution", [(0, 4), (-1, 4), (2, 0), (2, -1)])
+def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
+    alpha = Fraction(1)
+    with pytest.raises(CoupledError):
+        refine_cylinders_1d(alpha, depth, resolution)
+    with pytest.raises(CoupledError):
+        component_counts_1d(alpha, depth, resolution)
+    with pytest.raises(CoupledError):
+        refine_cylinders(DECOUPLED, depth, resolution)
+
+
 def test_default_gap_tracks_resolution():
     assert default_gap(6) == Fraction(1, 16)
     assert default_gap(2) == Fraction(1)

@@ -19,8 +19,16 @@ from qfpuzzles.constructions import (
     words_avoiding,
 )
 from qfpuzzles.diagram import DiagramError, build_diagram, path_to_piece, scc_decomposition
+from qfpuzzles.graphs import Edge, gamma_n
 from qfpuzzles.puzzle import Puzzle, PuzzleError, distance, dual, from_subshift
 from qfpuzzles.reducibility import ReducibilityAnalyzer, ReducibilityVerdict, Status
+from qfpuzzles.zeta import (
+    PeriodicClass,
+    PuzzleZetaResult,
+    _periodic_words,
+    puzzle_zeta_n,
+    zeta_from_counts,
+)
 
 
 def random_puzzle(rng: random.Random, depth: int, max_width: int = 5) -> Puzzle:
@@ -216,3 +224,135 @@ def test_analyzer_refuses_invalid_puzzles():
         broken = full_shift_puzzle(3).with_f_override(overrides)
         with pytest.raises(PuzzleError, match="fails validation"):
             ReducibilityAnalyzer(broken)
+
+
+def reference_puzzle_zeta(
+    p: Puzzle,
+    level: int,
+    order: int,
+    cert_depth: int,
+    analyzer: ReducibilityAnalyzer | None = None,
+) -> PuzzleZetaResult:
+    """The lift search as first written: per-position ``lift_options``
+
+    scans of ``i_preimages``, a hand-written ``_product``, and the tag
+    test repeated for every piece of every certified word.
+    """
+    if not level < cert_depth <= p.depth:
+        raise ValueError("need level < cert_depth <= depth")
+    an = analyzer or ReducibilityAnalyzer(p)
+    graph = gamma_n(p, level)
+
+    id_of = {p.label(v): v for v in p.level(level)}
+    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+    def lift_options(beta: tuple[int, ...], j: int) -> list[int]:
+        nxt = beta[(j + 1) % len(beta)]
+        return [w for w in p.i_preimages(beta[j]) if p.f(w) == nxt]
+
+    def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
+        """Return a lift of beta at cert_depth, or None.  Failures are
+
+        memoized; they recur across periodic words sharing a stretch.
+        """
+        if at_level == cert_depth:
+            return beta
+        key = (at_level, beta)
+        if key in memo:
+            return None
+        options = [lift_options(beta, j) for j in range(len(beta))]
+        if all(options):
+            for candidate in _product(options):
+                lifted = certify(tuple(candidate), at_level + 1)
+                if lifted is not None:
+                    return lifted
+        memo[key] = False
+        return None
+
+    totals, certs, classes = [], [], []
+    for n in range(1, order + 1):
+        words = _periodic_words(graph, n)
+        cert_count = 0
+        for word in words:
+            beta = tuple(id_of[w] for w in word)
+            top = certify(beta, level)
+            certified = top is not None
+            tag = "unliftable-at-depth"
+            if certified:
+                cert_count += 1
+                tag = "liftable-with-low-return"
+                for piece in top:
+                    chain = an.reduction_chain(piece)
+                    if chain.kind == "unknown" or (
+                        chain.kind == "irreducible" and p.order(chain.terminal) > level
+                    ):
+                        tag = "liftable-high"
+                        break
+            classes.append(PeriodicClass(word, certified, tag))
+        totals.append(len(words))
+        certs.append(cert_count)
+    uncert = [t - c for t, c in zip(totals, certs)]
+    return PuzzleZetaResult(
+        level,
+        cert_depth,
+        order,
+        tuple(totals),
+        tuple(certs),
+        tuple(uncert),
+        tuple(classes),
+        zeta_from_counts(certs, order=order),
+    )
+
+
+def _product(options: list[list[int]]):
+    if not options:
+        yield []
+        return
+    head, *tail = options
+    for choice in head:
+        for rest in _product(tail):
+            yield [choice, *rest]
+
+
+def assert_zeta_matches_reference(p: Puzzle, order: int) -> None:
+    """Every (level, cert_depth) pair: the whole result, tags and class order included."""
+    an = ReducibilityAnalyzer(p)
+    for level in range(1, p.depth):
+        pairs = {(p.label(p.i(w)), p.label(p.f(w))) for w in p.level(level + 1)}
+        assert gamma_n(p, level).edges == tuple(Edge(u, v) for u, v in sorted(pairs))
+        for cert in range(level + 1, p.depth + 1):
+            expected = reference_puzzle_zeta(p, level, order, cert, an)
+            assert puzzle_zeta_n(p, level, order, cert, an) == expected, (level, cert)
+
+
+def test_puzzle_zeta_matches_reference_on_constructions():
+    puzzles = [
+        full_shift_puzzle(5),
+        full_shift_puzzle(3, alphabet="012"),
+        golden_mean_puzzle(6),
+        from_subshift(words_avoiding("01", [("1", "1", "1")], 6), 6),
+        from_subshift(words_avoiding("01", [("1", "0", "1"), ("0", "0", "0")], 6), 6),
+        periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5),
+        layered_full_shifts_puzzle(3, 5),
+        undetermined_puzzle(),
+    ]
+    for p in puzzles:
+        assert_zeta_matches_reference(p, 6)
+        assert_zeta_matches_reference(dual(p), 6)
+    for p, level, order, cert in [
+        (layered_full_shifts_puzzle(5, 6), 1, 6, 5),
+        (periodic_orbit_tower_puzzle([2, 3, 2, 2, 3, 2], 6), 1, 6, 6),
+    ]:
+        result = puzzle_zeta_n(p, level, order, cert)
+        assert result == reference_puzzle_zeta(p, level, order, cert)
+        assert sum(result.counts_certified) > 0
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_puzzle_zeta_matches_reference_on_fuzz_puzzles(block):
+    # 10 blocks x 15 puzzles, each with its dual, at every level < cert_depth <= depth.
+    rng = random.Random(4000 + block)
+    for _ in range(15):
+        p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6))
+        assert_zeta_matches_reference(p, 6)
+        assert_zeta_matches_reference(dual(p), 6)

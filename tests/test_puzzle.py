@@ -225,6 +225,14 @@ def test_sequence_entropy_full_levels_tracks_log2():
     assert abs(table.estimate - math.log(2)) < 1e-12
 
 
+@pytest.mark.parametrize("n_range", [[0], [-1], [2, 0, 3]])
+def test_sequence_entropy_rejects_n_below_one(n_range):
+    p = full_shift_puzzle(3)
+    family = {n: set(p.level(n)) for n in range(1, 4)}
+    with pytest.raises(PuzzleError, match="n >= 1"):
+        sequence_entropy(p, family, [DyadicDistance(1)], n_range)
+
+
 def test_json_roundtrip_and_root_label_freedom():
     p = golden_mean_puzzle(3)
     q = Puzzle.loads(p.dumps())

@@ -8,7 +8,7 @@ from qfpuzzles.constructions import (
     undetermined_puzzle,
     words_avoiding,
 )
-from qfpuzzles.puzzle import DyadicDistance, from_subshift
+from qfpuzzles.puzzle import DyadicDistance, PuzzleError, from_subshift
 from qfpuzzles.reducibility import ReducibilityAnalyzer, Status
 
 
@@ -106,6 +106,13 @@ def test_constraint_entropy_layered_tail_vanishes():
     assert [c.count for c in table.cells if c.n == 3] == [1]
     assert [c.count for c in table.cells if c.n == 4] == [0]
     assert table.estimate == 0.0
+
+
+@pytest.mark.parametrize("n_range", [range(0, 3), [-2]])
+def test_constraint_entropy_rejects_n_below_one(n_range):
+    an = ReducibilityAnalyzer(full_shift_puzzle(4))
+    with pytest.raises(PuzzleError, match="n >= 1"):
+        an.constraint_entropy([DyadicDistance(2)], n_range)
 
 
 def test_constraint_entropy_orbit_tower_bounded():

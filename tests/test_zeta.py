@@ -55,6 +55,14 @@ def test_zeta_of_lucas_counts_matches_determinant_oracle():
     assert zeta_from_counts(lucas) == ratio_series([1], [1, -1, -1], 12)
 
 
+def test_zeta_from_counts_order_bounds():
+    assert zeta_from_counts([2, 4, 8], order=0) == PowerSeries.one(0)
+    assert zeta_from_counts([], order=3) == PowerSeries.one(3)
+    for order in (-1, -5):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            zeta_from_counts([2, 4, 8], order=order)
+
+
 def test_counts_roundtrip_through_log():
     counts = [3, 1, 4, 1, 5, 9, 2, 6]
     assert counts_from_zeta(zeta_from_counts(counts)) == counts
