@@ -10,6 +10,7 @@ precondition violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -23,6 +24,7 @@ from qfpuzzles import coupled as cp
 from qfpuzzles import graphs as gr
 from qfpuzzles import zeta as zt
 from qfpuzzles.diagram import build_diagram, entropy_at_infinity_estimate, gurevich_entropy_estimate, scc_decomposition
+from qfpuzzles.polys import sylvester_resultant
 from qfpuzzles.puzzle import Puzzle, PuzzleError
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 from qfpuzzles.series import SeriesError
@@ -34,17 +36,17 @@ class InputError(Exception):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _manifest(command: str, params: dict, inputs: dict[str, Path], bounds: dict) -> dict:
+def _manifest(args, params: dict, bounds: dict) -> dict:
+    """The run manifest; the files named by the ``in``/``spec`` parameters are hashed."""
     return {
-        "command": command,
-        "parameters": {k: v for k, v in sorted(params.items())},
-        "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
+        "command": f"{args.group} {args.op}",
+        "parameters": params,
+        "inputs": {
+            name: hashlib.sha256(Path(params[name]).read_bytes()).hexdigest()
+            for name in ("in", "spec") if name in params
+        },
         "version": __version__,
-        "truncation": {k: v for k, v in sorted(bounds.items())},
+        "truncation": bounds,
     }
 
 
@@ -92,11 +94,21 @@ def _load_puzzle(path: str) -> Puzzle:
     return _load(path, lambda text: Puzzle.loads(text, name=Path(path).stem), PuzzleError)
 
 
+def _load_graph(path: str) -> gr.GraphTruncation:
+    return _load(path, gr.loads, gr.GraphError)
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"not a rational: {text!r} (use p/q)")
+
+
+def _coupling(args) -> tuple[cp.CouplingParams, dict]:
+    """The ``--a --b --c`` parameters and their manifest entries."""
+    params = cp.CouplingParams.make(_fraction(args.a), _fraction(args.b), _fraction(args.c))
+    return params, {"a": str(params.a), "b": str(params.b), "c": str(params.c)}
 
 
 def _subset(text: str, g: gr.GraphTruncation) -> list[str]:
@@ -113,16 +125,39 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
+def _emit_series(args, manifest: dict, series, counts: list[int], certified: list[str]) -> int:
+    """Zeta coefficients 1..``--trunc`` as CSV, with the counts behind them."""
+    rows = [
+        [n, counts[n - 1], certified[n - 1], series[n].numerator, series[n].denominator]
+        for n in range(1, args.trunc + 1)
+    ]
+    _emit_csv(manifest, ["n", "count", "certified", "coeff_num", "coeff_den"], rows, args.out)
+    return 0
+
+
+def _emit_rates(args, g: gr.GraphTruncation, params: dict, table) -> int:
+    """A growth-rate table of ``graph entropy`` or ``graph hinf`` as CSV."""
+    manifest = _manifest(
+        args, {"spec": args.spec, "length": args.length, **params},
+        {"length": args.length, "completeness_bound": g.completeness_bound},
+    )
+    rows = [
+        [r.n, r.count, "exact" if table.exact else "lower-bound",
+         "" if r.rate is None else f"{r.rate:.12f}",
+         "" if r.ratio is None else f"{r.ratio:.12f}"]
+        for r in table.rows
+    ]
+    _emit_csv(manifest, ["n", "count", "certified", "rate_estimate", "ratio_estimate"], rows, args.out)
+    return 0
+
+
 # -- puzzle commands ----------------------------------------------------------
 
 
 def cmd_puzzle_validate(args) -> int:
     puzzle = _load_puzzle(args.infile)
     report = puzzle.validate()
-    manifest = _manifest(
-        "puzzle validate", {"in": args.infile}, {"in": Path(args.infile)},
-        {"depth": puzzle.depth},
-    )
+    manifest = _manifest(args, {"in": args.infile}, {"depth": puzzle.depth})
     result = {
         "ok": report.ok,
         "violations": [
@@ -136,14 +171,8 @@ def cmd_puzzle_validate(args) -> int:
 
 def cmd_puzzle_irreducibles(args) -> int:
     puzzle = _load_puzzle(args.infile)
-    an = ReducibilityAnalyzer(puzzle)
-    level = an.irreducible_pieces(args.level)
-    manifest = _manifest(
-        "puzzle irreducibles",
-        {"in": args.infile, "level": args.level},
-        {"in": Path(args.infile)},
-        {"depth": puzzle.depth},
-    )
+    level = ReducibilityAnalyzer(puzzle).irreducible_pieces(args.level)
+    manifest = _manifest(args, {"in": args.infile, "level": args.level}, {"depth": puzzle.depth})
     result = {
         "level": args.level,
         "irreducible": [puzzle.label(v) for v in level.certified],
@@ -162,12 +191,7 @@ def cmd_puzzle_verdict(args) -> int:
     if puzzle.order(piece) == 0:
         raise InputError(f"piece {args.piece!r} is the root; verdicts need order >= 1")
     v = ReducibilityAnalyzer(puzzle).verdict(piece)
-    manifest = _manifest(
-        "puzzle verdict",
-        {"in": args.infile, "piece": args.piece},
-        {"in": Path(args.infile)},
-        {"depth": puzzle.depth},
-    )
+    manifest = _manifest(args, {"in": args.infile, "piece": args.piece}, {"depth": puzzle.depth})
     result = {
         "piece": args.piece,
         "status": v.status.value,
@@ -181,12 +205,8 @@ def cmd_puzzle_verdict(args) -> int:
 
 def cmd_puzzle_determined(args) -> int:
     puzzle = _load_puzzle(args.infile)
-    an = ReducibilityAnalyzer(puzzle)
-    res = an.is_determined()
-    manifest = _manifest(
-        "puzzle determined", {"in": args.infile}, {"in": Path(args.infile)},
-        {"depth": puzzle.depth},
-    )
+    res = ReducibilityAnalyzer(puzzle).is_determined()
+    manifest = _manifest(args, {"in": args.infile}, {"depth": puzzle.depth})
     result = {
         "determined": res.determined,
         "checked_through_order": res.checked_through_order,
@@ -202,9 +222,7 @@ def cmd_puzzle_diagram(args) -> int:
     puzzle = _load_puzzle(args.infile)
     d = build_diagram(puzzle, args.cutoff)
     manifest = _manifest(
-        "puzzle diagram",
-        {"in": args.infile, "cutoff": args.cutoff},
-        {"in": Path(args.infile)},
+        args, {"in": args.infile, "cutoff": args.cutoff},
         {"depth": puzzle.depth, "cutoff": args.cutoff, "complete": d.is_complete},
     )
     if args.dot:
@@ -236,36 +254,19 @@ def cmd_puzzle_zeta(args) -> int:
     _nonnegative("--trunc", args.trunc)
     res = zt.puzzle_zeta_n(puzzle, args.level, args.trunc, args.cert)
     manifest = _manifest(
-        "puzzle zeta",
-        {"in": args.infile, "level": args.level, "cert": args.cert, "trunc": args.trunc},
-        {"in": Path(args.infile)},
+        args, {"in": args.infile, "level": args.level, "cert": args.cert, "trunc": args.trunc},
         {"depth": puzzle.depth, "trunc": args.trunc, "cert_depth": args.cert},
     )
-    rows = []
-    for n in range(1, args.trunc + 1):
-        coeff = res.zeta[n]
-        rows.append(
-            [
-                n,
-                res.counts_certified[n - 1],
-                "certified" if res.counts_uncertified[n - 1] == 0 else "partial",
-                coeff.numerator,
-                coeff.denominator,
-            ]
-        )
-    _emit_csv(manifest, ["n", "count", "certified", "coeff_num", "coeff_den"], rows, args.out)
-    return 0
+    certified = ["certified" if k == 0 else "partial" for k in res.counts_uncertified]
+    return _emit_series(args, manifest, res.zeta, res.counts_certified, certified)
 
 
 # -- graph commands ------------------------------------------------------------
 
 
 def cmd_graph_build(args) -> int:
-    g = _load(args.spec, gr.loads, gr.GraphError)
-    manifest = _manifest(
-        "graph build", {"spec": args.spec}, {"spec": Path(args.spec)},
-        {"completeness_bound": g.completeness_bound},
-    )
+    g = _load_graph(args.spec)
+    manifest = _manifest(args, {"spec": args.spec}, {"completeness_bound": g.completeness_bound})
     if args.dot:
         _emit_dot(manifest, g.to_dot(), args.dot)
     _emit_json(manifest, g.to_json(), args.out)
@@ -273,88 +274,50 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_zeta(args) -> int:
-    g = _load(args.spec, gr.loads, gr.GraphError)
+    g = _load_graph(args.spec)
     subset = _subset(args.subset, g) if args.subset else list(g.vertices)
     _nonnegative("--trunc/--order", args.trunc)
     fn = zt.semi_local_zeta_det if args.method == "det" else zt.semi_local_zeta_brute
     series = fn(g, subset, args.trunc)
     counts = zt.counts_from_zeta(series)
     manifest = _manifest(
-        "graph zeta",
-        {"spec": args.spec, "subset": ",".join(subset), "method": args.method, "trunc": args.trunc},
-        {"spec": Path(args.spec)},
+        args, {"spec": args.spec, "subset": ",".join(subset), "method": args.method, "trunc": args.trunc},
         {"trunc": args.trunc, "completeness_bound": g.completeness_bound},
     )
     exact = g.completeness_bound is None or args.trunc <= g.completeness_bound
-    rows = []
-    for n in range(1, args.trunc + 1):
-        coeff = series[n]
-        rows.append([n, counts[n - 1], "exact" if exact else "lower-bound", coeff.numerator, coeff.denominator])
-    _emit_csv(manifest, ["n", "count", "certified", "coeff_num", "coeff_den"], rows, args.out)
-    return 0
+    certified = ["exact" if exact else "lower-bound"] * args.trunc
+    return _emit_series(args, manifest, series, counts, certified)
 
 
 def cmd_graph_entropy(args) -> int:
-    g = _load(args.spec, gr.loads, gr.GraphError)
+    g = _load_graph(args.spec)
     if args.base not in g.vertices:
         raise InputError(f"base vertex {args.base!r} not in graph")
     _nonnegative("--length", args.length)
     table = gurevich_entropy_estimate(g, args.base, args.length)
-    manifest = _manifest(
-        "graph entropy",
-        {"spec": args.spec, "base": args.base, "length": args.length},
-        {"spec": Path(args.spec)},
-        {"length": args.length, "completeness_bound": g.completeness_bound},
-    )
-    rows = [
-        [r.n, r.count, "exact" if table.exact else "lower-bound",
-         "" if r.rate is None else f"{r.rate:.12f}",
-         "" if r.ratio is None else f"{r.ratio:.12f}"]
-        for r in table.rows
-    ]
-    _emit_csv(manifest, ["n", "count", "certified", "rate_estimate", "ratio_estimate"], rows, args.out)
-    return 0
+    return _emit_rates(args, g, {"base": args.base}, table)
 
 
 def cmd_graph_hinf(args) -> int:
-    g = _load(args.spec, gr.loads, gr.GraphError)
+    g = _load_graph(args.spec)
     subset = _subset(args.subset, g)
     _nonnegative("--length", args.length)
     table = entropy_at_infinity_estimate(g, subset, args.length)
-    manifest = _manifest(
-        "graph hinf",
-        {"spec": args.spec, "subset": ",".join(subset), "length": args.length},
-        {"spec": Path(args.spec)},
-        {"length": args.length, "completeness_bound": g.completeness_bound},
-    )
-    rows = [
-        [r.n, r.count, "exact" if table.exact else "lower-bound",
-         "" if r.rate is None else f"{r.rate:.12f}",
-         "" if r.ratio is None else f"{r.ratio:.12f}"]
-        for r in table.rows
-    ]
-    _emit_csv(manifest, ["n", "count", "certified", "rate_estimate", "ratio_estimate"], rows, args.out)
-    return 0
+    return _emit_rates(args, g, {"subset": ",".join(subset)}, table)
 
 
 # -- coupled commands -----------------------------------------------------------
 
 
 def cmd_coupled_build(args) -> int:
-    params = cp.CouplingParams.make(
-        _fraction(args.a), _fraction(args.b), _fraction(args.c)
-    )
+    params, abc = _coupling(args)
     gap = _fraction(args.gap) if args.gap else None
     build = cp.build_puzzle(params, args.depth, args.res, gap)
     report = build.puzzle.validate()
     manifest = _manifest(
-        "coupled build",
-        {
-            "a": str(params.a), "b": str(params.b), "c": str(params.c),
-            "depth": args.depth, "res": args.res,
-            "gap": str(gap if gap is not None else cp.default_gap(args.res)),
-        },
-        {},
+        args,
+        {**abc, "depth": args.depth, "res": args.res,
+         "gap": str(gap if gap is not None else cp.default_gap(args.res))},
         {"depth": args.depth, "resolution": args.res},
     )
     payload = dict(build.puzzle.to_json())
@@ -365,20 +328,11 @@ def cmd_coupled_build(args) -> int:
 
 
 def cmd_coupled_resultant(args) -> int:
-    params = cp.CouplingParams.make(
-        _fraction(args.a), _fraction(args.b), _fraction(args.c)
-    )
-    from qfpuzzles.polys import sylvester_resultant
-
+    params, abc = _coupling(args)
     pn = cp.iterate_polynomial(params, args.n)
     pm = cp.iterate_polynomial(params, args.m)
     value = sylvester_resultant(pn, pm)
-    manifest = _manifest(
-        "coupled resultant",
-        {"a": str(params.a), "b": str(params.b), "c": str(params.c), "n": args.n, "m": args.m},
-        {},
-        {},
-    )
+    manifest = _manifest(args, {**abc, "n": args.n, "m": args.m}, {})
     result = {
         "resultant_numerator": value.numerator,
         "resultant_denominator": value.denominator,
@@ -391,94 +345,64 @@ def cmd_coupled_resultant(args) -> int:
 
 # -- dispatch --------------------------------------------------------------------
 
+_REQ = dict(required=True)
+_INT = dict(type=int, required=True)
+_TRUNC = dict(type=int, default=DEFAULT_TRUNC)
+_IN = {"--in": dict(dest="infile", required=True)}
+_ABC = {"--a": _REQ, "--b": _REQ, "--c": _REQ}
 
+GROUPS = {
+    "puzzle": "puzzle-side operations",
+    "graph": "graph-side operations",
+    "coupled": "coupled quadratic map pipeline",
+}
+
+# The command surface: (group, op) -> (function, flags).  A flag key holds
+# the option strings, space-separated; every command also takes --out.
+COMMANDS: dict[tuple[str, str], tuple[Callable, dict[str, dict]]] = {
+    ("puzzle", "validate"): (cmd_puzzle_validate, _IN),
+    ("puzzle", "irreducibles"): (cmd_puzzle_irreducibles, {**_IN, "--level": _INT}),
+    ("puzzle", "verdict"): (cmd_puzzle_verdict, {**_IN, "--piece": _REQ}),
+    ("puzzle", "determined"): (cmd_puzzle_determined, _IN),
+    ("puzzle", "diagram"): (cmd_puzzle_diagram, {**_IN, "--cutoff": _INT, "--dot": {}}),
+    ("puzzle", "zeta"): (cmd_puzzle_zeta, {**_IN, "--level": _INT, "--cert": _INT, "--trunc": _TRUNC}),
+    ("graph", "build"): (cmd_graph_build, {"--spec": _REQ, "--dot": {}}),
+    ("graph", "zeta"): (cmd_graph_zeta, {
+        "--spec": _REQ,
+        "--subset": dict(help="comma-separated vertices; default all"),
+        "--method": dict(choices=("det", "brute"), default="det"),
+        "--trunc --order": _TRUNC,
+    }),
+    ("graph", "entropy"): (cmd_graph_entropy, {"--spec": _REQ, "--base": _REQ, "--length": _TRUNC}),
+    ("graph", "hinf"): (cmd_graph_hinf, {"--spec": _REQ, "--subset": _REQ, "--length": _TRUNC}),
+    ("coupled", "build"): (cmd_coupled_build, {**_ABC, "--depth": _INT, "--res": _INT, "--gap": {}}),
+    ("coupled", "resultant"): (cmd_coupled_resultant, {**_ABC, "--n": _INT, "--m": _INT}),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :data:`COMMANDS`, built once per process."""
     top = argparse.ArgumentParser(prog="qfpuzzles", description=__doc__)
-    sub = top.add_subparsers(dest="group", required=True)
-
-    puzzle = sub.add_parser("puzzle", help="puzzle-side operations")
-    psub = puzzle.add_subparsers(dest="op", required=True)
-
-    def pz(name, fn, **extra):
-        sp = psub.add_parser(name)
-        sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--out", default=None)
-        for flag, kw in extra.items():
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(func=fn)
-        return sp
-
-    pz("validate", cmd_puzzle_validate)
-    pz("irreducibles", cmd_puzzle_irreducibles, **{"--level": dict(type=int, required=True)})
-    pz("verdict", cmd_puzzle_verdict, **{"--piece": dict(required=True)})
-    pz("determined", cmd_puzzle_determined)
-    pz("diagram", cmd_puzzle_diagram, **{
-        "--cutoff": dict(type=int, required=True),
-        "--dot": dict(default=None),
-    })
-    pz("zeta", cmd_puzzle_zeta, **{
-        "--level": dict(type=int, required=True),
-        "--cert": dict(type=int, required=True),
-        "--trunc": dict(type=int, default=DEFAULT_TRUNC),
-    })
-
-    graph = sub.add_parser("graph", help="graph-side operations")
-    gsub = graph.add_subparsers(dest="op", required=True)
-
-    gb = gsub.add_parser("build")
-    gb.add_argument("--spec", required=True)
-    gb.add_argument("--out", default=None)
-    gb.add_argument("--dot", default=None)
-    gb.set_defaults(func=cmd_graph_build)
-
-    gz = gsub.add_parser("zeta")
-    gz.add_argument("--spec", required=True)
-    gz.add_argument("--subset", default=None, help="comma-separated vertices; default all")
-    gz.add_argument("--method", choices=("det", "brute"), default="det")
-    gz.add_argument("--trunc", "--order", dest="trunc", type=int, default=DEFAULT_TRUNC)
-    gz.add_argument("--out", default=None)
-    gz.set_defaults(func=cmd_graph_zeta)
-
-    ge = gsub.add_parser("entropy")
-    ge.add_argument("--spec", required=True)
-    ge.add_argument("--base", required=True)
-    ge.add_argument("--length", type=int, default=DEFAULT_TRUNC)
-    ge.add_argument("--out", default=None)
-    ge.set_defaults(func=cmd_graph_entropy)
-
-    gh = gsub.add_parser("hinf")
-    gh.add_argument("--spec", required=True)
-    gh.add_argument("--subset", required=True)
-    gh.add_argument("--length", type=int, default=DEFAULT_TRUNC)
-    gh.add_argument("--out", default=None)
-    gh.set_defaults(func=cmd_graph_hinf)
-
-    coupled = sub.add_parser("coupled", help="coupled quadratic map pipeline")
-    csub = coupled.add_subparsers(dest="op", required=True)
-
-    cb = csub.add_parser("build")
-    for flag in ("--a", "--b", "--c"):
-        cb.add_argument(flag, required=True)
-    cb.add_argument("--depth", type=int, required=True)
-    cb.add_argument("--res", type=int, required=True)
-    cb.add_argument("--gap", default=None)
-    cb.add_argument("--out", default=None)
-    cb.set_defaults(func=cmd_coupled_build)
-
-    cr = csub.add_parser("resultant")
-    for flag in ("--a", "--b", "--c"):
-        cr.add_argument(flag, required=True)
-    cr.add_argument("--n", type=int, required=True)
-    cr.add_argument("--m", type=int, required=True)
-    cr.add_argument("--out", default=None)
-    cr.set_defaults(func=cmd_coupled_resultant)
-
+    groups = top.add_subparsers(dest="group", required=True)
+    ops = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="op", required=True)
+        for group, text in GROUPS.items()
+    }
+    for (group, op), (fn, flags) in COMMANDS.items():
+        sub = ops[group].add_parser(op)
+        for names, kw in {**flags, "--out": {}}.items():
+            sub.add_argument(*names.split(), **kw)
+        sub.set_defaults(func=fn)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit status and never raises ``SystemExit``."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage error (2) or --help (0)
+        return exc.code
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -27,13 +27,15 @@ def full_shift_words(alphabet: Sequence[str], depth: int) -> set[tuple[str, ...]
 def words_avoiding(
     alphabet: Sequence[str], forbidden: Iterable[Sequence[str]], depth: int
 ) -> set[tuple[str, ...]]:
-    """All words up to the given length containing no forbidden factor."""
+    """All words up to the given length containing no forbidden factor.
+
+    Words grow one letter at a time from words that avoid every forbidden
+    factor, so only a factor ending at the appended letter can be new.
+    """
     bad = [tuple(f) for f in forbidden]
 
     def ok(w: tuple[str, ...]) -> bool:
-        return not any(
-            w[k : k + len(b)] == b for b in bad for k in range(len(w) - len(b) + 1)
-        )
+        return not any(len(b) <= len(w) and w[len(w) - len(b) :] == b for b in bad)
 
     words: set[tuple[str, ...]] = {()}
     frontier: list[tuple[str, ...]] = [()]

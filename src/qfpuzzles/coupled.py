@@ -357,6 +357,8 @@ def build_puzzle(
     first ``depth`` iterates misses the square, so level ``n`` can hold
     fewer boxes than ``refine_cylinders(p, n, resolution)``.
     """
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
     gap = default_gap(resolution) if gap is None else Fraction(gap)
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
 

@@ -78,9 +78,6 @@ class GraphTruncation:
             outs[e.src].append(e)
         return {v: tuple(es) for v, es in outs.items()}
 
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return self.adjacency[v]
-
     @property
     def is_plain(self) -> bool:
         """True when every bundle is a single ordinary edge."""

@@ -82,11 +82,6 @@ class DyadicDistance:
             return Fraction(0)
         return Fraction(1, 2**self.exponent)
 
-    def halved(self) -> "DyadicDistance":
-        if self.exponent is None:
-            return self
-        return DyadicDistance(self.exponent + 1)
-
     def doubled(self) -> Fraction:
         return 2 * self.value()
 

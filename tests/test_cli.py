@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfpuzzles import cli
 from qfpuzzles.cli import main
 from qfpuzzles.constructions import full_shift_puzzle, golden_mean_puzzle
 from qfpuzzles.series import PowerSeries
@@ -349,3 +350,33 @@ def test_coupled_build_depth_two_cli(capsys, tmp_path):
     )
     assert puzzle.validate().ok
     ReducibilityAnalyzer(puzzle).irreducible_pieces(1)
+
+
+def test_shared_parser_matches_fresh_build(capsys, monkeypatch, k3_spec, fullshift_file):
+    valid = [
+        ["graph", "zeta", "--spec", str(k3_spec), "--subset", "0", "--order", "6"],
+        ["graph", "entropy", "--spec", str(k3_spec), "--base", "0", "--length", "4"],
+        ["graph", "hinf", "--spec", str(k3_spec), "--subset", "0,1", "--length", "4"],
+        ["puzzle", "verdict", "--in", str(fullshift_file), "--piece", "0"],
+        ["puzzle", "zeta", "--in", str(fullshift_file), "--level", "1", "--cert", "3", "--trunc", "4"],
+        ["puzzle", "diagram", "--in", str(fullshift_file), "--cutoff", "2"],
+        ["coupled", "resultant", "--a", "1", "--b", "1", "--c", "0", "--n", "1", "--m", "2"],
+        ["coupled", "build", "--a", "1", "--b", "1", "--c", "0", "--depth", "1", "--res", "3"],
+    ]
+    rejected = [
+        ["puzzle", "zeta", "--in", str(fullshift_file), "--level", "x", "--cert", "1"],
+        ["graph", "hinf", "--spec", str(k3_spec)],
+        ["graph", "nope"],
+        ["coupled"],
+    ]
+    shared = cli.build_parser()
+    for argv in valid:
+        assert vars(shared.parse_args(argv)) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    outputs = [run(capsys, argv) for argv in valid + rejected]
+    assert [status for status, _, _ in outputs] == [0] * len(valid) + [2] * len(rejected)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, argv) for argv in valid + rejected] == outputs
+    monkeypatch.undo()
+    status, out, _ = run(capsys, ["--help"])
+    assert status == 0 and out.startswith("usage: qfpuzzles")
+    assert cli.build_parser() is shared and cli.build_parser.cache_info().misses == 1

@@ -5,8 +5,11 @@ well-typed flag values, go through ``cli.main``.  Whatever the input, no
 exception may escape, the exit code is 0, 1 or 2, and nothing reaches
 stdout when stderr reports an input error or a precondition violation.
 ``puzzle validate`` and ``coupled build`` are the two commands that print
-their report before exiting non-zero on a bad puzzle.  Uses ``random``
-with fixed seeds, so it needs nothing beyond pytest.
+their report before exiting non-zero on a bad puzzle.  Command lines the
+parser rejects (ill-typed values, missing required flags, unknown ops,
+bare groups, unknown flags) return 2 with a usage error on stderr and
+nothing on stdout.  Uses ``random`` with fixed seeds, so it needs nothing
+beyond pytest.
 """
 
 import copy
@@ -174,3 +177,39 @@ def test_cli_never_crashes_and_keeps_stdout_clean_on_failure(capsys, tmp_path, s
             assert argv[:2] in (["puzzle", "validate"], ["coupled", "build"]), argv
         statuses.add(status)
     assert statuses == {0, 1, 2}
+
+
+INT_FLAGS = {"--level", "--cert", "--trunc", "--order", "--cutoff", "--length", "--depth", "--res", "--n", "--m"}
+# Flags every command that has them requires (``--subset`` is optional in ``graph zeta``).
+REQUIRED_FLAGS = {"--in", "--spec", "--a", "--b", "--c", "--level", "--cert", "--piece", "--cutoff",
+                  "--base", "--depth", "--res", "--n", "--m"}
+
+
+def rejected_argv(rng: random.Random, tmp_path) -> list[str]:
+    """A command line the parser rejects, made from a valid one."""
+    argv = random_argv(rng, tmp_path)
+    typed = [k for k, a in enumerate(argv) if a in INT_FLAGS or a == "--method"]
+    kind = rng.choice(["missing", "unknown-op", "bare-group", "unknown-flag"] + ["ill-typed"] * bool(typed))
+    if kind == "ill-typed":
+        argv[rng.choice(typed) + 1] = rng.choice(["x", "1.5", "", "1/2", "fast"])
+    elif kind == "missing":
+        k = rng.choice([k for k, a in enumerate(argv) if a in REQUIRED_FLAGS])
+        del argv[k : k + 2]
+    elif kind == "unknown-op":
+        argv[1] = rng.choice(["nope", "Zeta", "", "build-puzzle"])
+    elif kind == "bare-group":
+        argv = argv[:1]
+    else:
+        argv.insert(rng.randrange(2, len(argv) + 1), rng.choice(["--bogus", "--input", "-x"]))
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_rejected_flags_exit_two_without_output(capsys, tmp_path, seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(40):
+        argv = rejected_argv(rng, tmp_path)
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, ""), argv
+        assert captured.err.startswith("usage: qfpuzzles") and " error: " in captured.err, argv

@@ -332,6 +332,8 @@ def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
         component_counts_1d(alpha, depth, resolution)
     with pytest.raises(CoupledError):
         refine_cylinders(DECOUPLED, depth, resolution)
+    with pytest.raises(CoupledError):
+        build_puzzle(DECOUPLED, depth, resolution)
 
 
 def test_default_gap_tracks_resolution():

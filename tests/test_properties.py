@@ -40,6 +40,39 @@ def random_factor_language(rng, depth):
     return words
 
 
+def reference_words_avoiding(alphabet, forbidden, depth):
+    """``words_avoiding`` as it was: every factor of every extended word is tested."""
+    bad = [tuple(f) for f in forbidden]
+
+    def ok(w):
+        return not any(
+            w[k : k + len(b)] == b for b in bad for k in range(len(w) - len(b) + 1)
+        )
+
+    words = {()}
+    frontier = [()]
+    for _ in range(depth):
+        frontier = [w + (a,) for w in frontier for a in alphabet if ok(w + (a,))]
+        words.update(frontier)
+    return words
+
+
+def test_words_avoiding_matches_full_factor_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        alphabet = "01" if rng.random() < 0.6 else "012"
+        # the empty factor forbids every non-empty word; factors longer
+        # than a word cannot occur in it
+        forbidden = [
+            tuple(rng.choice(alphabet) for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4, 7))))
+            for _ in range(rng.randint(0, 3))
+        ]
+        depth = rng.randint(0, 6)
+        assert words_avoiding(alphabet, forbidden, depth) == reference_words_avoiding(
+            alphabet, forbidden, depth
+        ), (alphabet, forbidden, depth)
+
+
 def test_random_subshift_puzzles_validate():
     rng = random.Random(41)
     built = 0
