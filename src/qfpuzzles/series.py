@@ -8,11 +8,17 @@ series of different orders truncate to the smaller order.
 The preconditions follow the classical ones for the series ring:
 ``reciprocal`` needs ``c_0 != 0``, ``log`` needs ``c_0 == 1`` and ``exp``
 needs ``c_0 == 0``.  Violations raise :class:`SeriesError`.
+
+Series over the integers, which is what the zeta layer mostly handles,
+also have a private kernel on plain ``int`` lists ``[c_0, ..., c_K]``
+(``_int_*`` below); callers convert to :class:`PowerSeries` at their
+boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -79,7 +85,9 @@ class PowerSeries:
         return self.coeffs[: k + 1] == other.coeffs[: k + 1]
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # ``==`` sees only the common prefix, so equal series of different
+        # orders share no more than the constant term.
+        return hash(self.coeffs[0])
 
     def __repr__(self) -> str:
         terms = []
@@ -226,3 +234,59 @@ def geometric(ratio: Coeff, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The expansion of ``1 / (1 - ratio*z)`` to the given order."""
     r = Fraction(ratio)
     return PowerSeries([r**n for n in range(order + 1)])
+
+
+# -- integer kernel ----------------------------------------------------------
+# Series over Z truncated at order K, as ``int`` lists of length K + 1.
+# Operands of one call have the same length.
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Truncated product."""
+    rb = b[::-1]
+    k = len(a) - 1
+    return [sum(map(mul, a, rb[k - n:])) for n in range(k + 1)]
+
+
+def _int_unit_reciprocal(a: list[int]) -> list[int]:
+    """Inverse of a unit of ``Z[[z]]``: the constant term must be +1 or -1."""
+    c0 = a[0]
+    if c0 != 1 and c0 != -1:
+        raise SeriesError(f"integer reciprocal requires constant term +1 or -1, got {c0}")
+    out = [c0]
+    rest = a[1:]
+    for n in range(1, len(a)):
+        # c0 * sum_{j<=n} a_j out_{n-j} = 0 and 1/c0 == c0
+        out.append(-c0 * sum(map(mul, rest[:n], reversed(out))))
+    return out
+
+
+def _int_exp_counts(counts: Sequence[int], order: int) -> list[int] | None:
+    """``exp(sum_n p_n z^n / n)`` from point counts ``p_1, p_2, ...``.
+
+    Newton's identity ``n a_n = sum_{k<=n} p_k a_{n-k}``; returns ``None``
+    at the first division by ``n`` that leaves a remainder (the counts
+    are then not those of a map, and the series is not integral).
+    """
+    p = list(counts[:order]) + [0] * (order - len(counts))
+    out = [1]
+    for n in range(1, order + 1):
+        q, r = divmod(sum(map(mul, p[:n], reversed(out))), n)
+        if r:
+            return None
+        out.append(q)
+    return out
+
+
+def _int_log_counts(a: list[int]) -> list[int]:
+    """Point counts ``p_1 .. p_K`` of a zeta series with ``a_0 == 1``:
+
+    ``p_n = n a_n - sum_{k<n} p_k a_{n-k}``, the inverse of
+    :func:`_int_exp_counts`.
+    """
+    if a[0] != 1:
+        raise SeriesError("log requires constant term 1")
+    p: list[int] = []
+    for n in range(1, len(a)):
+        p.append(n * a[n] - sum(map(mul, p, reversed(a[1:n]))))
+    return p

@@ -31,7 +31,14 @@ from qfpuzzles.graphs import (
 from qfpuzzles.polys import RationalPolynomial, _gauss_jordan, _primitive_ints, poly_gcd, rational_roots
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.reducibility import ReducibilityAnalyzer
-from qfpuzzles.series import PowerSeries, SeriesError
+from qfpuzzles.series import (
+    PowerSeries,
+    SeriesError,
+    _int_exp_counts,
+    _int_log_counts,
+    _int_mul,
+    _int_unit_reciprocal,
+)
 
 
 class TruncationWarning(UserWarning):
@@ -55,12 +62,20 @@ def _check_coverage(g: GraphTruncation, order: int, what: str) -> bool:
 
 
 def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSeries:
-    """``exp(sum p_n z^n / n)`` for non-negative integer point counts."""
+    """``exp(sum p_n z^n / n)`` for non-negative integer point counts.
+
+    Counts of a map give an integral series, computed in ``int``; other
+    counts (from a file, or lower bounds) fall back to ``Fraction``.
+    """
     if any(c < 0 for c in counts):
         raise ValueError("periodic point counts must be non-negative")
     k = order if order is not None else len(counts)
     if k < 0:
         raise SeriesError(f"order must be >= 0, got {k}")
+    if all(isinstance(c, int) for c in counts):
+        exact = _int_exp_counts(counts, k)
+        if exact is not None:
+            return PowerSeries(exact)
     cs = [Fraction(0)] * (k + 1)
     for n, c in enumerate(counts[:k], start=1):
         cs[n] = Fraction(c, n)
@@ -69,6 +84,8 @@ def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSe
 
 def counts_from_zeta(zeta: PowerSeries) -> list[int]:
     """Recover p_n = n * [z^n] log(zeta); exact on genuine count data."""
+    if all(c.denominator == 1 for c in zeta.coeffs):
+        return _int_log_counts([c.numerator for c in zeta.coeffs])
     lg = zeta.log()
     out = []
     for n in range(1, zeta.order + 1):
@@ -91,12 +108,20 @@ class FirstReturnMatrix:
         return self.entries[(u, v)]
 
 
-def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: int) -> FirstReturnMatrix:
-    """Counts of u->v paths avoiding F strictly in between, as series."""
+def _checked_subset(g: GraphTruncation, finite_set: Iterable[str], order: int, what: str) -> tuple[str, ...]:
+    """F sorted, after the checks both semi-local routes share."""
     F = tuple(sorted(set(finite_set)))
     if not set(F) <= set(g.vertices):
         raise ValueError("F must be a subset of the graph's vertices")
-    _check_coverage(g, order, "first-return counting")
+    if order < 0:
+        raise SeriesError(f"order must be >= 0, got {order}")
+    _check_coverage(g, order, what)
+    return F
+
+
+def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: int) -> FirstReturnMatrix:
+    """Counts of u->v paths avoiding F strictly in between, as series."""
+    F = _checked_subset(g, finite_set, order, "first-return counting")
     entries = {}
     for u in F:
         counts = avoiding_path_counts(g, u, F, order)
@@ -105,45 +130,44 @@ def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: in
     return FirstReturnMatrix(F, entries, order)
 
 
-def _series_det(matrix: list[list[PowerSeries]], order: int) -> PowerSeries:
-    """Determinant by Gaussian elimination over the truncated series ring.
+def _series_det(matrix: list[list[list[int]]]) -> list[int]:
+    """Determinant by Gaussian elimination over ``Z[[z]]`` truncated.
 
     The caller passes ``Id - L(z)`` with ``L(0) = 0``.  Elimination keeps
     the constant terms equal to the identity, so every diagonal pivot is a
-    unit (``reciprocal`` raises :class:`SeriesError` if that ever breaks).
+    unit (``_int_unit_reciprocal`` raises :class:`SeriesError` if that
+    ever breaks).  Rows are updated right of the pivot column only; the
+    entries below the pivot are never read again.
     """
     n = len(matrix)
     m = [row[:] for row in matrix]
-    det = PowerSeries.one(order)
+    det = [1] + [0] * (len(m[0][0]) - 1)
     for col in range(n):
-        pivot = m[col][col]
-        det = det * pivot
-        inv = pivot.reciprocal()
+        pivot_row = m[col]
+        pivot = pivot_row[col]
+        det = _int_mul(det, pivot)
+        inv = _int_unit_reciprocal(pivot)
         for r in range(col + 1, n):
-            if m[r][col].is_zero():
+            row = m[r]
+            if not any(row[col]):
                 continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
+            factor = _int_mul(row[col], inv)
+            for c in range(col + 1, n):
+                if any(pivot_row[c]):
+                    row[c] = [x - y for x, y in zip(row[c], _int_mul(factor, pivot_row[c]))]
     return det
 
 
 def semi_local_zeta_det(g: GraphTruncation, finite_set: Iterable[str], order: int) -> PowerSeries:
     """Semi-local zeta at F via ``1 / det(Id - L(z))``."""
-    L = first_return_matrix(g, finite_set, order)
-    F = L.index
+    F = _checked_subset(g, finite_set, order, "first-return counting")
     if not F:
         return PowerSeries.one(order)
     matrix = []
     for u in F:
-        row = []
-        for v in F:
-            entry = -L.entry(u, v)
-            if u == v:
-                entry = entry + 1
-            row.append(entry)
-        matrix.append(row)
-    return _series_det(matrix, order).reciprocal()
+        counts = avoiding_path_counts(g, u, F, order)
+        matrix.append([[int(u == v), *(-c for c in counts[v])] for v in F])
+    return PowerSeries(_int_unit_reciprocal(_series_det(matrix)))
 
 
 def semi_local_zeta_brute(g: GraphTruncation, finite_set: Iterable[str], order: int) -> PowerSeries:
@@ -153,10 +177,7 @@ def semi_local_zeta_brute(g: GraphTruncation, finite_set: Iterable[str], order: 
     (F-avoiding), then exponentiates.  Independent of the determinant
     route.
     """
-    F = sorted(set(finite_set))
-    if not set(F) <= set(g.vertices):
-        raise ValueError("F must be a subset of the graph's vertices")
-    _check_coverage(g, order, "periodic point counting")
+    F = _checked_subset(g, finite_set, order, "periodic point counting")
     if not F:
         return PowerSeries.one(order)
     total = periodic_point_counts(g, order)
@@ -176,7 +197,7 @@ def loop_graph_zeta(first_returns: PowerSeries) -> PowerSeries:
     for c in first_returns.coeffs:
         if c.denominator != 1 or c < 0:
             raise SeriesError("first-return coefficients must be non-negative integers")
-    return (1 - first_returns).reciprocal()
+    return PowerSeries(_int_unit_reciprocal([1, *(-c.numerator for c in first_returns.coeffs[1:])]))
 
 
 # -- rational reconstruction ---------------------------------------------------

@@ -157,15 +157,12 @@ def test_avoiding_path_counts_k3():
 
 def test_negative_lengths_raise_graph_error():
     from qfpuzzles.diagram import entropy_at_infinity_estimate
-    from qfpuzzles.zeta import first_return_matrix
 
     k2 = complete_graph(2)
     with pytest.raises(GraphError):
         avoiding_path_counts(k2, "0", {"0"}, -1)
     with pytest.raises(GraphError):
         entropy_at_infinity_estimate(k2, ["0"], -1)
-    with pytest.raises(GraphError):
-        first_return_matrix(k2, ["0"], -1)
 
 
 def random_bundle_graph(rng, names):

@@ -69,6 +69,14 @@ def test_equality_compares_common_prefix():
     assert PowerSeries([1, 2, 4], order=2) != PowerSeries([1, 2, 3], order=2)
 
 
+def test_hash_agrees_with_prefix_equality():
+    short = PowerSeries([1, 1], order=1)
+    long = PowerSeries([1, 1, 5], order=2)
+    assert short == long
+    assert hash(short) == hash(long)
+    assert len({short, long}) == 1
+
+
 def test_truncate_only_shrinks():
     s = PowerSeries([1, 2, 3], order=5)
     assert s.truncate(2).order == 2

@@ -112,6 +112,14 @@ def test_semi_local_empty_subset_is_one():
     assert semi_local_zeta_det(k3, [], 8) == PowerSeries.one(8)
 
 
+@pytest.mark.parametrize("F", [[], ["0"], ["0", "1"]])
+def test_semi_local_routes_reject_negative_order(F):
+    k2 = complete_graph(2)
+    for route in (semi_local_zeta_det, semi_local_zeta_brute, first_return_matrix):
+        with pytest.raises(SeriesError, match="order must be >= 0, got -1"):
+            route(k2, F, -1)
+
+
 def test_det_equals_brute_on_random_digraphs():
     rng = random.Random(17)
     for _ in range(15):
