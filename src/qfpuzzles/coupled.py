@@ -2,8 +2,11 @@
 
 The family is ``F(x, y) = (a(1-4x^2) + c y^2 - 1/2, b(1-4y^2) + c x^2 - 1/2)``
 on the square ``Q = [-1/2, 1/2]^2`` with the sign partition into four
-quadrants.  All geometry is exact rational interval arithmetic: quadratic
-images of rational boxes are rational, so covers carry no rounding.
+quadrants.  All geometry is exact: quadratic images of rational boxes
+are rational, so covers carry no rounding.  The grid pipeline carries
+each iterate as integer interval numerators over one denominator per
+iterate, and each grid cell as its grid index; ``Box`` values are built
+only for returned data.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -14,6 +17,7 @@ extracted puzzles are sound in the merge direction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -33,24 +37,27 @@ class CoupledError(ValueError):
     pass
 
 
+def _exact(v) -> Fraction:
+    """``v`` as a ``Fraction``.  Floats are refused: their binary expansion
+    would enter exact data as a power-of-two denominator."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, float):
+        raise CoupledError(f"float {v!r} is not exact; pass an int, Fraction or 'p/q' string")
+    return Fraction(v)
+
+
+def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator, and that denominator."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def _ivl(lo, hi) -> Interval:
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _exact(lo), _exact(hi)
     if lo > hi:
         raise CoupledError(f"empty interval [{lo}, {hi}]")
     return (lo, hi)
-
-
-def _ivl_scale(s: Fraction, iv: Interval) -> Interval:
-    a, b = s * iv[0], s * iv[1]
-    return (a, b) if a <= b else (b, a)
-
-
-def _ivl_square(iv: Interval) -> Interval:
-    lo, hi = iv
-    if lo <= 0 <= hi:
-        return (Fraction(0), max(lo * lo, hi * hi))
-    cands = (lo * lo, hi * hi)
-    return (min(cands), max(cands))
 
 
 def _ivl_gap(u: Interval, v: Interval) -> Fraction:
@@ -68,8 +75,8 @@ class Box:
     y: Interval
 
     def __post_init__(self):
-        _ivl(*self.x)
-        _ivl(*self.y)
+        object.__setattr__(self, "x", _ivl(*self.x))
+        object.__setattr__(self, "y", _ivl(*self.y))
 
     def distance(self, other: "Box") -> Fraction:
         """L-infinity gap between the closed boxes (zero when touching)."""
@@ -101,9 +108,13 @@ class CouplingParams:
     b: Fraction
     c: Fraction
 
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _exact(getattr(self, name)))
+
     @classmethod
     def make(cls, a, b, c) -> "CouplingParams":
-        return cls(Fraction(a), Fraction(b), Fraction(c))
+        return cls(a, b, c)
 
     def in_domain(self) -> bool:
         """Parameter region where the square is strictly forward-invariant."""
@@ -114,32 +125,58 @@ class CouplingParams:
             and self.c < 4 - 4 * max(self.a, self.b)
         )
 
-    def apply(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        return (
-            self.a * (1 - 4 * x * x) + self.c * y * y - HALF,
-            self.b * (1 - 4 * y * y) + self.c * x * x - HALF,
-        )
+    def apply(self, x, y) -> tuple[Fraction, Fraction]:
+        img = image_box(self, Box((x, x), (y, y)))
+        return img.x[0], img.y[0]
 
 
-def _coord(main: Fraction, c: Fraction, m2: Interval, o2: Interval) -> Interval:
-    """Range of ``main * (1 - 4 s) + c * t - 1/2`` over ``s`` in m2, ``t`` in o2."""
-    lo, hi = _ivl_scale(main, (1 - 4 * m2[1], 1 - 4 * m2[0]))
-    clo, chi = _ivl_scale(c, o2)
-    return (lo + clo - HALF, hi + chi - HALF)
+IntCell = Sequence[tuple[int, int]]  # interval numerators over a shared denominator
+Step = Callable[[IntCell, int], tuple[IntCell, int]]
 
 
-def _image(p: CouplingParams, cell: tuple[Interval, Interval]) -> tuple[Interval, Interval]:
-    x2, y2 = _ivl_square(cell[0]), _ivl_square(cell[1])
-    return (_coord(p.a, p.c, x2, y2), _coord(p.b, p.c, y2, x2))
+def _step(
+    mains: tuple[int, ...], c: int, lcd: int, cell: IntCell, denom: int
+) -> tuple[IntCell, int]:
+    """Exact bounding intervals of the image of ``cell``, over ``lcd * denom^2``.
 
-
-def image_box(p: CouplingParams, box: Box) -> Box:
-    """Exact bounding box of the image of a box.
-
+    ``cell`` holds numerators over ``denom``, and the map's coefficients
+    are numerators over ``lcd``, which is even.  Coordinate ``k`` maps to
+    ``(mains[k] (1 - 4 s^2) + c t^2) / lcd - 1/2``, where ``s`` is the
+    coordinate and ``t`` the other one (itself in 1-D, where ``c = 0``).
     Each coordinate is a sum of two univariate quadratics, so its exact
     range over a product box is the sum of the univariate ranges.
     """
-    return Box(*_image(p, (box.x, box.y)))
+    d2 = denom * denom
+    half = lcd * d2 // 2
+    squares = [
+        (lo * lo, hi * hi) if lo > 0
+        else (hi * hi, lo * lo) if hi < 0
+        else (0, max(lo * lo, hi * hi))
+        for lo, hi in cell
+    ]
+    image = []
+    for k, main in enumerate(mains):
+        (s_lo, s_hi), (t_lo, t_hi) = squares[k], squares[-1 - k]
+        lo, hi = main * (d2 - 4 * s_hi), main * (d2 - 4 * s_lo)
+        if main < 0:
+            lo, hi = hi, lo
+        if c < 0:
+            t_lo, t_hi = t_hi, t_lo
+        image.append((lo + c * t_lo - half, hi + c * t_hi - half))
+    return image, lcd * d2
+
+
+def _map_step(mains: tuple[Fraction, ...], c: Fraction) -> Step:
+    """:func:`_step` for the map with these main coefficients and coupling ``c``."""
+    (*nums, c_num, _), lcd = _common((*mains, c, HALF))
+    return partial(_step, tuple(nums), c_num, lcd)
+
+
+def image_box(p: CouplingParams, box: Box) -> Box:
+    """Exact bounding box of the image of a box."""
+    (x0, x1, y0, y1), denom = _common((*box.x, *box.y))
+    (x, y), denom = _map_step((p.a, p.b), p.c)(((x0, x1), (y0, y1)), denom)
+    return Box(*((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in (x, y)))
 
 
 _SIGN = {"P": (Fraction(0), HALF), "N": (-HALF, Fraction(0))}
@@ -176,7 +213,7 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
 
     on the partition boundary.  Statistics only; no finiteness claim.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = _exact(x), _exact(y)
     hits = []
     for k in range(steps + 1):
         if on_boundary(x, y):
@@ -185,52 +222,83 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
     return hits
 
 
-def _grid(resolution: int) -> list[Interval]:
-    """``[-1/2, 1/2]`` cut into ``2^resolution`` dyadic intervals."""
+def _grid_size(resolution: int) -> int:
     if resolution < 1:
         raise CoupledError("resolution must be >= 1")
-    n = 2**resolution
+    return 2**resolution
+
+
+def _grid(resolution: int) -> list[Interval]:
+    """``[-1/2, 1/2]`` cut into ``2^resolution`` dyadic intervals."""
+    n = _grid_size(resolution)
     step = Fraction(1, n)
     return [(-HALF + k * step, -HALF + (k + 1) * step) for k in range(n)]
 
 
+GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
+
+
+def _grid_boxes(resolution: int) -> dict[GridCell, Box]:
+    """Every grid index ``(i, j)`` with its dyadic box, in :func:`dyadic_grid` order."""
+    ivs = _grid(resolution)
+    return {(i, j): Box(x, y) for (i, x), (j, y) in product(enumerate(ivs), repeat=2)}
+
+
 def dyadic_grid(resolution: int) -> list[Box]:
     """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
-    return [Box(x, y) for x, y in product(_grid(resolution), repeat=2)]
+    return list(_grid_boxes(resolution).values())
 
 
 Itinerary = tuple[str, ...]
-Cell = tuple[Interval, ...]
+
+# The sign words of one iterate, keyed by the contacts of each coordinate
+# ("P", "N" or "PN"), in ``itertools.product`` order.
+_WORDS = {
+    signs: tuple("".join(word) for word in product(*signs))
+    for dim in (1, 2)
+    for signs in product(("P", "N", "PN"), repeat=dim)
+}
 
 
-def _options(cell: Cell, step: Callable[[Cell], Cell], depth: int) -> list[list[str]]:
+def _options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[str, ...]]:
     """Sign words touched by the first ``depth`` iterates of a cell.
 
-    Iterate ``k`` is ``step`` applied to iterate ``k - 1`` clipped to
-    ``[-1/2, 1/2]`` in each coordinate; its word lists, in
-    ``itertools.product`` order, every choice of ``P`` (the coordinate
-    reaches ``>= 0``) or ``N`` (``<= 0``) per coordinate.  The list stops
-    at the first iterate that misses the square, so a cell whose first
-    ``n`` iterates stay in it has at least ``n`` entries.
+    ``cell`` holds interval numerators over ``denom``.  Iterate ``k`` is
+    ``step`` applied to iterate ``k - 1`` clipped to ``[-1/2, 1/2]`` in
+    each coordinate; its word lists, in ``itertools.product`` order, every
+    choice of ``P`` (the coordinate reaches ``>= 0``) or ``N`` (``<= 0``)
+    per coordinate.  The list stops at the first iterate that misses the
+    square, so a cell whose first ``n`` iterates stay in it has at least
+    ``n`` entries.
     """
-    options: list[list[str]] = []
+    options: list[tuple[str, ...]] = []
     while len(options) < depth:
         if options:
-            cell = step(cell)
-        cell = tuple(_ivl_intersect(iv, (-HALF, HALF)) for iv in cell)
-        if None in cell:
+            cell, denom = step(cell, denom)
+        r = denom // 2
+        cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
+        if any(lo > hi for lo, hi in cell):
             break
-        contacts = [[s for s, hit in (("P", hi >= 0), ("N", lo <= 0)) if hit] for lo, hi in cell]
-        options.append(["".join(word) for word in product(*contacts)])
+        options.append(_WORDS[tuple(["P" * (hi >= 0) + "N" * (lo <= 0) for lo, hi in cell])])
     return options
+
+
+def _grid_options(
+    step: Step, dim: int, depth: int, resolution: int
+) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
+    """Every grid index, in ``product`` order, with the :func:`_options` of its cell."""
+    n = _grid_size(resolution)
+    return [
+        (cell, _options(tuple((i - n // 2, i + 1 - n // 2) for i in cell), n, step, depth))
+        for cell in product(range(n), repeat=dim)
+    ]
 
 
 def _cell_options(
     p: CouplingParams, depth: int, resolution: int
-) -> list[tuple[Box, list[list[str]]]]:
-    """Every grid cell with its :func:`_options` under the coupled map."""
-    step = partial(_image, p)
-    return [(box, _options((box.x, box.y), step, depth)) for box in dyadic_grid(resolution)]
+) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
+    """Every grid index ``(i, j)`` with its :func:`_options` under the coupled map."""
+    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
 
 
 def _covers_from_options(cells: list[tuple], n: int) -> dict[Itinerary, tuple]:
@@ -245,8 +313,9 @@ def _covers_from_options(cells: list[tuple], n: int) -> dict[Itinerary, tuple]:
 
 def _covers_by_depth(
     p: CouplingParams, n_range: Sequence[int], resolution: int
-) -> list[tuple[int, dict[Itinerary, tuple[Box, ...]]]]:
-    """``(n, refine_cylinders(p, n, resolution))`` for n in sorted(n_range), from one pass."""
+) -> list[tuple[int, dict[Itinerary, tuple[GridCell, ...]]]]:
+    """``(n, covers)`` for n in sorted(n_range), from one pass; the covers
+    are those of ``refine_cylinders(p, n, resolution)`` by grid index."""
     ns = sorted(n_range)
     if not ns:
         return []
@@ -268,7 +337,42 @@ def refine_cylinders(
     leaves later still covers depth-``depth`` cylinders here (unlike
     :func:`build_puzzle`, which drops it at every level).
     """
-    return _covers_by_depth(p, [depth], resolution)[0][1]
+    covers = _covers_by_depth(p, [depth], resolution)[0][1]
+    box_of = _grid_boxes(resolution)
+    return {itin: tuple(box_of[cell] for cell in cells) for itin, cells in covers.items()}
+
+
+def _components(rects: Sequence[tuple[int, int, int, int]], rho: int) -> list[list[int]]:
+    """Positions of the ``(x0, x1, y0, y1)`` integer rectangles grouped by
+    union-find with adjacency "L-infinity gap ``< rho``".
+
+    Members are listed in rectangle order (position order among equal
+    rectangles), and components in the order of their first members.
+    """
+    order = sorted(range(len(rects)), key=rects.__getitem__)
+    ranked = [rects[k] for k in order]
+    parent = list(range(len(ranked)))  # union-find over ranks
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a, (_, x1a, y0a, y1a) in enumerate(ranked):
+        root = find(a)
+        for b, (x0b, x1b, y0b, y1b) in enumerate(ranked[a + 1 :], a + 1):
+            if x0b - x1a >= rho:
+                break  # sorted by x0, so later rectangles sit further right
+            # x0a <= x0b <= x1b, so b never lies rho or more left of a
+            if y0b - y1a < rho and y0a - y1b < rho and parent[b] != root:
+                rb = find(b)
+                if rb != root:
+                    parent[rb] = root
+    groups: dict[int, list[int]] = {}
+    for a, k in enumerate(order):
+        groups.setdefault(find(a), []).append(k)
+    return list(groups.values())
 
 
 def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tuple[Box, ...]]:
@@ -277,42 +381,25 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
     Union-find with adjacency ``distance < gap``; the gap is an explicit
     parameter because "positive distance" has no canonical value at a
     finite resolution.  Coordinates are compared as integers over their
-    common denominator.
+    common denominator.  Components come sorted by their first box, and
+    each lists its boxes in ``(x, y)`` order.
     """
-    gap = Fraction(gap)
+    gap = _exact(gap)
     if gap <= 0:
         raise CoupledError("gap must be positive")
-    denom = math.lcm(gap.denominator, *(v.denominator for b in boxes for v in (*b.x, *b.y)))
-    coords = [tuple(int(v * denom) for v in (*b.x, *b.y)) for b in boxes]
-    rho = int(gap * denom)
-    order = sorted(range(len(boxes)), key=lambda k: coords[k])
-    parent = list(range(len(boxes)))
+    (rho, *coords), _ = _common([gap, *(v for b in boxes for v in (*b.x, *b.y))])
+    rects = [tuple(coords[4 * k : 4 * k + 4]) for k in range(len(boxes))]
+    return [tuple(boxes[k] for k in comp) for comp in _components(rects, rho)]
 
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
 
-    for pos, k in enumerate(order):
-        x0k, x1k, y0k, y1k = coords[k]
-        for other in order[pos + 1 :]:
-            x0o, x1o, y0o, y1o = coords[other]
-            if x0o - x1k >= rho:
-                break  # sorted by x0; later boxes sit further right
-            if x0k - x1o < rho and y0o - y1k < rho and y0k - y1o < rho:
-                ru, rv = find(k), find(other)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for k in range(len(boxes)):
-        groups.setdefault(find(k), []).append(k)
-    comps = [
-        tuple(boxes[k] for k in sorted(members, key=lambda k: coords[k]))
-        for members in groups.values()
-    ]
-    comps.sort(key=lambda comp: (comp[0].x, comp[0].y))
-    return comps
+def _grid_components(
+    cells: Sequence[GridCell], resolution: int, gap: Fraction
+) -> list[tuple[GridCell, ...]]:
+    """:func:`almost_connected_components` of the 2-D grid cells at these
+    indices, on integer rectangles over ``lcm(2^resolution, den gap)``."""
+    (rho, unit), _ = _common((gap, Fraction(1, 2**resolution)))
+    rects = [(i * unit, (i + 1) * unit, j * unit, (j + 1) * unit) for i, j in cells]
+    return [tuple(cells[k] for k in comp) for comp in _components(rects, rho)]
 
 
 def default_gap(resolution: int) -> Fraction:
@@ -359,45 +446,48 @@ def build_puzzle(
     """
     if depth < 1:
         raise CoupledError("depth must be >= 1")
-    gap = default_gap(resolution) if gap is None else Fraction(gap)
+    gap = default_gap(resolution) if gap is None else _exact(gap)
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
+    box_of = _grid_boxes(resolution)
 
-    levels: list[list[str]] = [[ROOT]]
-    pieces: dict[str, ExtractedPiece] = {
-        ROOT: ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
-    }
-    by_level: list[list[ExtractedPiece]] = [[pieces[ROOT]]]
+    # Per level, the pieces of each itinerary with the grid cells of their
+    # boxes, in label order; the root holds every cell.
+    root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
+    by_level: list[dict[Itinerary, list[tuple[ExtractedPiece, tuple[GridCell, ...]]]]] = [
+        {(): [(root, tuple(cell for cell, _ in cells))]}
+    ]
     for n in range(1, depth + 1):
-        level_pieces: list[ExtractedPiece] = []
-        for itin, boxes in _covers_from_options(cells, n).items():
-            for ci, comp in enumerate(almost_connected_components(boxes, gap)):
-                piece = ExtractedPiece(_piece_label(itin, ci), itin, comp)
-                level_pieces.append(piece)
-                pieces[piece.label] = piece
-        levels.append([q.label for q in level_pieces])
-        by_level.append(level_pieces)
+        by_level.append({
+            itin: [
+                (ExtractedPiece(_piece_label(itin, ci), itin, tuple(box_of[c] for c in comp)), comp)
+                for ci, comp in enumerate(_grid_components(members, resolution, gap))
+            ]
+            for itin, members in _covers_from_options(cells, n).items()
+        })
+    levels = [[q.label for group in level.values() for q, _ in group] for level in by_level]
+    pieces = {q.label: q for level in by_level for group in level.values() for q, _ in group}
 
     i_map: dict[str, str] = {}
     f_map: dict[str, str] = {}
     ambiguous: list[str] = []
-    for n in range(1, depth + 1):
+    for parents, level in zip(by_level, by_level[1:]):
         home_of = {
-            (q.itinerary, box): q.label for q in by_level[n - 1] for box in q.boxes
+            (itin, c): q.label for itin, group in parents.items() for q, comp in group for c in comp
         }
-        for piece in by_level[n]:
-            i_map[piece.label] = _containing_piece(piece, home_of)
-            f_map[piece.label], flagged = _image_piece(p, piece, by_level[n - 1])
-            if flagged:
-                ambiguous.append(piece.label)
+        for itin, group in level.items():
+            candidates = [q for q, _ in parents.get(itin[1:], ())]
+            for piece, comp in group:
+                i_map[piece.label] = _containing_piece(piece, comp, home_of)
+                f_map[piece.label], flagged = _image_piece(p, piece, candidates)
+                if flagged:
+                    ambiguous.append(piece.label)
     puzzle = Puzzle(levels, i_map, f_map, name="coupled")
     return PuzzleBuild(puzzle, pieces, tuple(ambiguous))
 
 
-def _containing_piece(piece: ExtractedPiece, home_of: Mapping) -> str:
-    if not piece.itinerary[:-1]:
-        return ROOT
+def _containing_piece(piece: ExtractedPiece, cells: tuple[GridCell, ...], home_of: Mapping) -> str:
     want = piece.itinerary[:-1]
-    homes = {home_of.get((want, box)) for box in piece.boxes}
+    homes = {home_of.get((want, cell)) for cell in cells}
     if len(homes) != 1 or None in homes:
         raise CoupledError(
             f"unresolvable containment for {piece.label!r}: candidates {sorted(filter(None, homes))}"
@@ -406,12 +496,11 @@ def _containing_piece(piece: ExtractedPiece, home_of: Mapping) -> str:
 
 
 def _image_piece(
-    p: CouplingParams, piece: ExtractedPiece, parents: list[ExtractedPiece]
+    p: CouplingParams, piece: ExtractedPiece, candidates: list[ExtractedPiece]
 ) -> tuple[str, bool]:
-    if len(parents) == 1 and parents[0].label == ROOT:
-        return ROOT, False
-    want = piece.itinerary[1:]
-    candidates = [q for q in parents if q.itinerary == want]
+    """The piece one level up holding the image of ``piece``, among the
+    ``candidates`` carrying its shifted itinerary, and whether that needed
+    tie-breaking."""
     if not candidates:
         raise CoupledError(f"no image cylinder for {piece.label!r}")
     if len(candidates) == 1:
@@ -451,16 +540,14 @@ def boundary_entropy_estimate(
 
     meeting the partition boundary; an outer upper-estimate table.
     """
-    boundary = boundary_pieces()
-
-    def count(covers: dict[Itinerary, tuple[Box, ...]]) -> int:
-        return sum(
-            any(any(b.touches(edge) for edge in boundary) for b in boxes)
-            for boxes in covers.values()
-        )
-
+    covers_by_depth = _covers_by_depth(p, n_range, resolution)
+    n = 2**resolution
+    edge = {0, n // 2 - 1, n // 2, n - 1}  # grid rows and columns on an axis or the frame
     return _rate_table(
-        ((n, count(covers)) for n, covers in _covers_by_depth(p, n_range, resolution)),
+        (
+            (depth, sum(any(i in edge or j in edge for i, j in cells) for cells in covers.values()))
+            for depth, covers in covers_by_depth
+        ),
         exact=False,
     )
 
@@ -475,12 +562,14 @@ def multiplicity_estimate(
     """
     out = {}
     for n, covers in _covers_by_depth(p, n_range, resolution):
-        incidence: dict[tuple[Fraction, Fraction], set[Itinerary]] = {}
-        for itin, boxes in covers.items():
-            for box in boxes:
-                for corner in box.corners():
-                    incidence.setdefault(corner, set()).add(itin)
-        out[n] = max((len(s) for s in incidence.values()), default=0)
+        incidence: Counter[tuple[int, int]] = Counter()  # covers per grid corner (i, j)
+        for cells in covers.values():
+            incidence.update({
+                corner
+                for i, j in cells
+                for corner in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
+            })
+        out[n] = max(incidence.values(), default=0)
     return out
 
 
@@ -510,42 +599,37 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
 
 def _cell_options_1d(
     alpha: Fraction, depth: int, resolution: int
-) -> list[tuple[Interval, list[list[str]]]]:
-    """Every grid interval with its :func:`_options` under ``t -> a(1-4t^2) - 1/2``,
-
-    the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.
+) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
+    """Every grid index ``(i,)`` with its :func:`_options` under
+    ``t -> a(1-4t^2) - 1/2``, the x-coordinate of the coupled map with
+    ``a = alpha``, ``c = 0``.
     """
     if depth < 1:
         raise CoupledError("depth must be >= 1")
-
-    def step(cell: Cell) -> Cell:
-        sq = _ivl_square(cell[0])
-        return (_coord(alpha, 0, sq, sq),)
-
-    return [(iv, _options((iv,), step, depth)) for iv in _grid(resolution)]
+    return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution)
 
 
 def refine_cylinders_1d(
     alpha: Fraction, depth: int, resolution: int
 ) -> dict[Itinerary, tuple[Interval, ...]]:
     """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
-    return _covers_from_options(_cell_options_1d(alpha, depth, resolution), depth)
+    covers = _covers_from_options(_cell_options_1d(alpha, depth, resolution), depth)
+    ivs = _grid(resolution)
+    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells in covers.items()}
 
 
 def component_counts_1d(
     alpha: Fraction, depth: int, resolution: int, gap: Fraction | None = None
 ) -> list[int]:
     """Component counts per level 1..depth of the 1d pipeline."""
-    gap = default_gap(resolution) if gap is None else Fraction(gap)
+    gap = default_gap(resolution) if gap is None else _exact(gap)
     cells = _cell_options_1d(alpha, depth, resolution)
-    out = []
-    for n in range(1, depth + 1):
-        total = 0
-        for ivs in _covers_from_options(cells, n).values():
-            boxes = [Box(iv, (Fraction(0), Fraction(0))) for iv in ivs]
-            total += len(almost_connected_components(boxes, gap))
-        out.append(total)
-    return out
+    # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
+    return [
+        sum(len(_grid_components([(i, 0) for (i,) in members], resolution, gap))
+            for members in _covers_from_options(cells, n).values())
+        for n in range(1, depth + 1)
+    ]
 
 
 def component_counts_2d(build: PuzzleBuild) -> list[int]:

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
 from qfpuzzles.coupled import (
+    HALF,
     Box,
     CoupledError,
     CouplingParams,
@@ -22,6 +26,10 @@ from qfpuzzles.coupled import (
     refine_cylinders,
     refine_cylinders_1d,
     sign_partition,
+    _cell_options,
+    _cell_options_1d,
+    _grid,
+    _ivl_intersect,
 )
 from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
 
@@ -159,6 +167,256 @@ def test_refine_1d_is_x_coordinate_of_box_loop_reference(alpha):
                 projected.setdefault(tuple(q[0] for q in w), set()).update(b.x for b in boxes)
             expected = {w: tuple(sorted(xs)) for w, xs in sorted(projected.items())}
             assert refine_cylinders_1d(alpha, depth, resolution) == expected
+
+
+# -- the Fraction cell iterates as first written: the oracle of the integer path
+
+
+def _ivl_scale(s, iv):
+    a, b = s * iv[0], s * iv[1]
+    return (a, b) if a <= b else (b, a)
+
+
+def _ivl_square(iv):
+    lo, hi = iv
+    if lo <= 0 <= hi:
+        return (Fraction(0), max(lo * lo, hi * hi))
+    cands = (lo * lo, hi * hi)
+    return (min(cands), max(cands))
+
+
+def _coord(main, c, m2, o2):
+    """Range of ``main * (1 - 4 s) + c * t - 1/2`` over ``s`` in m2, ``t`` in o2."""
+    lo, hi = _ivl_scale(main, (1 - 4 * m2[1], 1 - 4 * m2[0]))
+    clo, chi = _ivl_scale(c, o2)
+    return (lo + clo - HALF, hi + chi - HALF)
+
+
+def _image(p, cell):
+    x2, y2 = _ivl_square(cell[0]), _ivl_square(cell[1])
+    return (_coord(p.a, p.c, x2, y2), _coord(p.b, p.c, y2, x2))
+
+
+def reference_options(cell, step, depth):
+    """Sign words touched by the first ``depth`` iterates of a cell.
+
+    Iterate ``k`` is ``step`` applied to iterate ``k - 1`` clipped to
+    ``[-1/2, 1/2]`` in each coordinate; its word lists, in
+    ``itertools.product`` order, every choice of ``P`` (the coordinate
+    reaches ``>= 0``) or ``N`` (``<= 0``) per coordinate.  The list stops
+    at the first iterate that misses the square, so a cell whose first
+    ``n`` iterates stay in it has at least ``n`` entries.
+    """
+    options = []
+    while len(options) < depth:
+        if options:
+            cell = step(cell)
+        cell = tuple(_ivl_intersect(iv, (-HALF, HALF)) for iv in cell)
+        if None in cell:
+            break
+        contacts = [[s for s, hit in (("P", hi >= 0), ("N", lo <= 0)) if hit] for lo, hi in cell]
+        options.append(["".join(word) for word in product(*contacts)])
+    return options
+
+
+def reference_cell_options(p, depth, resolution):
+    """Every grid cell with its :func:`reference_options` under the coupled map."""
+    step = partial(_image, p)
+    return [(box, reference_options((box.x, box.y), step, depth)) for box in dyadic_grid(resolution)]
+
+
+def reference_cell_options_1d(alpha, depth, resolution):
+    """Every grid interval with its :func:`reference_options` under ``t -> a(1-4t^2) - 1/2``,
+
+    the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.
+    """
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
+
+    def step(cell):
+        sq = _ivl_square(cell[0])
+        return (_coord(alpha, 0, sq, sq),)
+
+    return [(iv, reference_options((iv,), step, depth)) for iv in _grid(resolution)]
+
+
+def as_reference(cells, resolution):
+    """Integer-path ``(grid index, options)`` pairs as reference ``(box or interval, options)``."""
+    ivs = _grid(resolution)
+    return [
+        (Box(*(ivs[i] for i in cell)) if len(cell) == 2 else ivs[cell[0]], [list(w) for w in options])
+        for cell, options in cells
+    ]
+
+
+def sweep_universe():
+    """The coupled-sweep grid: a, b, c in k/8; c = 0 only with a = b, else in_domain()."""
+    grid = [Fraction(k, 8) for k in range(1, 8)]
+    for a, b, c in product(grid, grid, [Fraction(0), *grid]):
+        if (c == 0 and a == b) or (c > 0 and CouplingParams.make(a, b, c).in_domain()):
+            yield a, b, c
+
+
+def test_cell_options_match_fraction_reference_on_sweep_universe():
+    points = list(sweep_universe())
+    assert len(points) == 298  # the 290 benchmark draws and the 8 it leaves out
+    for abc in points:
+        p = CouplingParams.make(*abc)
+        assert as_reference(_cell_options(p, 3, 4), 4) == reference_cell_options(p, 3, 4), abc
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_cell_options_match_fraction_reference(abc):
+    p = CouplingParams.make(*abc)
+    for resolution in range(1, 6):
+        for depth in range(1, 5):
+            got = as_reference(_cell_options(p, depth, resolution), resolution)
+            assert got == reference_cell_options(p, depth, resolution), (resolution, depth)
+
+
+@pytest.mark.parametrize("alpha", sorted({Fraction(a) for a, _, _ in ORACLE_PARAMS}))
+def test_cell_options_1d_match_fraction_reference(alpha):
+    for resolution in range(1, 6):
+        for depth in range(1, 5):
+            got = as_reference(_cell_options_1d(alpha, depth, resolution), resolution)
+            assert got == reference_cell_options_1d(alpha, depth, resolution), (resolution, depth)
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_image_box_matches_fraction_reference(abc):
+    # Odd and mixed denominators: the box's common denominator need not be even.
+    p = CouplingParams.make(*abc)
+    rng = random.Random(f"image:{abc}")
+
+    def interval():
+        return sorted(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+
+    for _ in range(200):
+        box = Box(interval(), interval())
+        assert image_box(p, box) == Box(*_image(p, (box.x, box.y))), box
+        x, y = box.x[0], box.y[1]
+        assert p.apply(x, y) == tuple(iv[0] for iv in _image(p, ((x, x), (y, y))))
+
+
+# -- components and estimators against the Box loop ----------------------------
+
+
+def reference_build(covers, depth, gap):
+    """Levels 1..depth of ``(label, itinerary, boxes)`` from ``covers[n] =
+    reference_covers(p, n, resolution)``: the boxes whose first ``depth`` iterates
+    stay in the square, grouped per cover by the public
+    :func:`almost_connected_components`."""
+    survivors = {b for boxes in covers[depth].values() for b in boxes}
+    levels = []
+    for n in range(1, depth + 1):
+        level = []
+        for itin, boxes in covers[n].items():
+            kept = [b for b in boxes if b in survivors]
+            if kept:
+                for ci, comp in enumerate(almost_connected_components(kept, gap)):
+                    level.append(("-".join(itin) + f"/{ci}", itin, comp))
+        levels.append(level)
+    return levels
+
+
+def reference_boundary(p, n_range, resolution):
+    edges = boundary_pieces()
+    return [
+        sum(
+            any(b.touches(e) for b in boxes for e in edges)
+            for boxes in reference_covers(p, n, resolution).values()
+        )
+        for n in n_range
+    ]
+
+
+def reference_multiplicity(p, n_range, resolution):
+    out = {}
+    for n in n_range:
+        incidence = {}
+        for itin, boxes in reference_covers(p, n, resolution).items():
+            for box in boxes:
+                for corner in box.corners():
+                    incidence.setdefault(corner, set()).add(itin)
+        out[n] = max((len(s) for s in incidence.values()), default=0)
+    return out
+
+
+def pairwise_components(boxes, gap):
+    """Components of the graph "distance < gap" by flood fill over all pairs,
+    ordered as :func:`almost_connected_components` promises."""
+    comps, left = [], list(boxes)
+    while left:
+        comp = [left.pop(0)]
+        for box in comp:  # grows while it is read
+            near = [other for other in left if box.distance(other) < gap]
+            left = [other for other in left if other not in near]
+            comp.extend(near)
+        comps.append(tuple(sorted(comp, key=lambda b: (b.x, b.y))))
+    return sorted(comps, key=lambda comp: (comp[0].x, comp[0].y))
+
+
+def oracle_gaps(resolution):
+    """The default gap, gaps off the grid's spacing, and 1/n, 2/n, at which
+    cells of one cover often sit exactly one gap apart."""
+    n = 2**resolution
+    return [default_gap(resolution), Fraction(3, 7), Fraction(1, 3 * n), Fraction(1),
+            Fraction(1, n), Fraction(2, n)]
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_build_puzzle_matches_box_loop_reference(abc):
+    p = CouplingParams.make(*abc)
+    for resolution in (2, 3, 4):
+        covers = {n: reference_covers(p, n, resolution) for n in (1, 2, 3)}
+        for gap in oracle_gaps(resolution):
+            for depth in (1, 2, 3):
+                build = build_puzzle(p, depth, resolution, gap)
+                label = build.puzzle.label
+                got = [
+                    [(q.label, q.itinerary, q.boxes)
+                     for q in (build.pieces[label(v)] for v in build.puzzle.level(n))]
+                    for n in range(1, depth + 1)
+                ]
+                assert got == reference_build(covers, depth, gap), (resolution, gap, depth)
+
+
+def test_components_of_sparse_grid_cells_match_pairwise_grouping():
+    # Random cell sets put many pairs exactly one gap apart, in x and in y.
+    rng = random.Random("sparse-cells")
+    for resolution in (3, 4):
+        grid = dyadic_grid(resolution)
+        for gap in oracle_gaps(resolution):
+            for density in (0.05, 0.15, 0.3):
+                boxes = [b for b in grid if rng.random() < density]
+                rng.shuffle(boxes)
+                assert almost_connected_components(boxes, gap) == pairwise_components(boxes, gap), gap
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_components_match_pairwise_grouping(abc):
+    p = CouplingParams.make(*abc)
+    for resolution in (3, 4):
+        for gap in oracle_gaps(resolution):
+            for boxes in refine_cylinders(p, 2, resolution).values():
+                assert almost_connected_components(boxes, gap) == pairwise_components(boxes, gap), gap
+            want = [
+                sum(len(pairwise_components([Box(iv, (0, 0)) for iv in ivs], gap))
+                    for ivs in refine_cylinders_1d(p.a, n, resolution).values())
+                for n in (1, 2)
+            ]
+            assert component_counts_1d(p.a, 2, resolution, gap) == want, gap
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_estimators_match_box_loop_reference(abc):
+    p = CouplingParams.make(*abc)
+    n_range = [1, 2, 3]
+    for resolution in (1, 2, 3, 4):
+        boundary = boundary_entropy_estimate(p, n_range, resolution)
+        assert [r.count for r in boundary.rows] == reference_boundary(p, n_range, resolution)
+        want = reference_multiplicity(p, n_range, resolution)
+        assert multiplicity_estimate(p, n_range, resolution) == want
 
 
 def test_escape_rule_refine_versus_build():
@@ -322,6 +580,40 @@ def test_bad_inputs():
     with pytest.raises(CoupledError):
         Box((H, Fraction(0)), (Fraction(0), H))
 
+
+
+def test_box_and_params_store_fractions():
+    box = Box((0, "1/4"), (Fraction(-1, 2), 1))
+    assert box == Box((Fraction(0), Fraction(1, 4)), (-H, Fraction(1)))
+    assert all(type(v) is Fraction for v in (*box.x, *box.y))
+    assert type(box.area()) is Fraction
+    assert almost_connected_components([box], 1) == [(box,)]
+    p = CouplingParams(1, "9/10", Fraction(1, 20))
+    assert all(type(v) is Fraction for v in (p.a, p.b, p.c))
+    assert p == CouplingParams.make(Fraction(1), Fraction(9, 10), Fraction(1, 20))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Box((0.25, 0.5), (0, 1)),
+        lambda: Box((0, 1), (Fraction(0), 0.5)),
+        lambda: CouplingParams.make(0.9, 0.9, 0.05),
+        lambda: CouplingParams(Fraction(1, 2), Fraction(1, 2), 0.25),
+        lambda: refine_cylinders_1d(0.5, 1, 2),
+        lambda: component_counts_1d(0.5, 1, 2),
+        lambda: component_counts_1d(Fraction(1, 2), 1, 2, gap=0.5),
+        lambda: almost_connected_components([UNIT_SQUARE], 0.5),
+        lambda: build_puzzle(DECOUPLED, 1, 2, gap=0.5),
+        lambda: boundary_return_counts(DECOUPLED, 0.0, 0, 2),
+        lambda: boundary_return_counts(DECOUPLED, 0, 0.125, 2),
+    ],
+    ids=["box-x", "box-y", "make", "init", "refine-1d", "counts-1d", "counts-1d-gap",
+         "components-gap", "build-gap", "return-x", "return-y"],
+)
+def test_floats_are_refused(call):
+    with pytest.raises(CoupledError, match="float"):
+        call()
 
 @pytest.mark.parametrize("depth, resolution", [(0, 4), (-1, 4), (2, 0), (2, -1)])
 def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
