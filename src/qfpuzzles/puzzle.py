@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -119,46 +120,44 @@ class Puzzle:
             raise PuzzleError("a puzzle needs at least levels V_0 and V_1")
         if len(levels) < 2:
             raise PuzzleError("depth must be >= 1 (supply V_0 and V_1)")
-        self.name = name
-        self.depth = len(levels) - 1
-        labels: list[str] = []
-        level_of: list[int] = []
-        self._label_to_id: dict[str, int] = {}
-        level_ids: list[tuple[int, ...]] = []
-        for n, level in enumerate(levels):
-            ids = []
+        label_to_id: dict[str, int] = {}
+        for level in levels:
             for label in level:
-                if label in self._label_to_id:
+                if label in label_to_id:
                     raise PuzzleError(f"duplicate label {label!r}")
-                pid = len(labels)
-                self._label_to_id[label] = pid
-                labels.append(label)
-                level_of.append(n)
-                ids.append(pid)
-            level_ids.append(tuple(ids))
-        self._labels = tuple(labels)
-        self._level_of = tuple(level_of)
-        self.levels = tuple(level_ids)
+                label_to_id[label] = len(label_to_id)
 
         def resolve(mapping: Mapping[str, str], which: str) -> dict[int, int]:
             out = {}
             for src, dst in mapping.items():
-                if src not in self._label_to_id:
+                if src not in label_to_id:
                     raise PuzzleError(f"{which}-map source {src!r} is not a piece")
-                if dst not in self._label_to_id:
+                if dst not in label_to_id:
                     raise PuzzleError(f"{which}-map target {dst!r} is not a piece")
-                out[self._label_to_id[src]] = self._label_to_id[dst]
+                out[label_to_id[src]] = label_to_id[dst]
             return out
 
-        self._i = resolve(i_map, "i")
-        self._f = resolve(f_map, "f")
+        self._assemble(levels, label_to_id, resolve(i_map, "i"), resolve(f_map, "f"), name)
 
-        self._i_preimages: dict[int, tuple[int, ...]] = {}
+    def _assemble(self, levels: Sequence[Sequence], label_to_id: dict[str, int],
+                  i: dict[int, int], f: dict[int, int], name: str) -> "Puzzle":
+        """Set up from ids: level ``n`` holds the next ``len(levels[n])`` ids,
+        and ``label_to_id`` lists the labels in id order."""
+        self.name = name
+        self.depth = len(levels) - 1
+        self._label_to_id = label_to_id
+        self._labels = tuple(label_to_id)
+        sizes = [len(level) for level in levels]
+        bounds = [0, *accumulate(sizes)]
+        self.levels = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+        self._level_of = tuple(n for n, size in enumerate(sizes) for _ in range(size))
+        self._i, self._f = i, f
+        self._report: ValidationReport | None = None
         buckets: dict[int, list[int]] = {}
-        for src in sorted(self._i):
-            buckets.setdefault(self._i[src], []).append(src)
-        for tgt, srcs in buckets.items():
-            self._i_preimages[tgt] = tuple(srcs)
+        for src in sorted(i):
+            buckets.setdefault(i[src], []).append(src)
+        self._i_preimages = {tgt: tuple(srcs) for tgt, srcs in buckets.items()}
+        return self
 
     # -- piece accessors -------------------------------------------------
 
@@ -229,7 +228,12 @@ class Puzzle:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check every axiom; violations are returned, never raised."""
+        """Check every axiom; violations are returned, never raised.
+
+        The puzzle is immutable, so the report is computed once and kept.
+        """
+        if self._report is not None:
+            return self._report
         out: list[Violation] = []
         if len(self.levels[0]) != 1:
             out.append(
@@ -273,7 +277,8 @@ class Puzzle:
                     out.append(
                         Violation("level-skip", self.label(piece), "maps defined on the root")
                     )
-        return ValidationReport(tuple(out))
+        self._report = ValidationReport(tuple(out))
+        return self._report
 
     # -- serialization -----------------------------------------------------
 
@@ -335,12 +340,6 @@ class Puzzle:
 ROOT_LABEL = "ε"
 
 
-def _as_word(w) -> tuple[str, ...]:
-    if isinstance(w, str):
-        return tuple(w)
-    return tuple(str(s) for s in w)
-
-
 def word_label(word: Sequence[str]) -> str:
     return "".join(word) if word else ROOT_LABEL
 
@@ -354,7 +353,7 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
     """
     if depth < 1:
         raise PuzzleError("depth must be >= 1")
-    wordset = {_as_word(w) for w in words}
+    wordset = {tuple(map(str, w)) for w in words}
     wordset.add(())
     by_len: dict[int, list[tuple[str, ...]]] = {}
     for w in wordset:
@@ -365,19 +364,22 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
                 raise PuzzleError(f"word set not prefix-closed: {word_label(w)!r} lacks its prefix")
             if w[1:] not in wordset:
                 raise PuzzleError(f"word set not suffix-closed: {word_label(w)!r} lacks its suffix")
-    levels = [[ROOT_LABEL]]
-    for n in range(1, depth + 1):
-        level = sorted(by_len.get(n, []))
+    levels = [sorted(by_len.get(n, [])) for n in range(depth + 1)]
+    for n, level in enumerate(levels):
         if not level:
             raise PuzzleError(f"no words of length {n}; depth {depth} unreachable")
-        levels.append([word_label(w) for w in level])
-    i_map: dict[str, str] = {}
-    f_map: dict[str, str] = {}
-    for n in range(1, depth + 1):
-        for w in by_len.get(n, []):
-            i_map[word_label(w)] = word_label(w[:-1])
-            f_map[word_label(w)] = word_label(w[1:])
-    return Puzzle(levels, i_map, f_map, name=name)
+    # ids level by level; i and f read the ids of the already numbered shorter words
+    id_of: dict[tuple[str, ...], int] = {}
+    label_to_id, i_map, f_map = {}, {}, {}
+    for level in levels:
+        for w in level:
+            label = word_label(w)
+            if label in label_to_id:
+                raise PuzzleError(f"duplicate label {label!r}")
+            v = id_of[w] = label_to_id[label] = len(label_to_id)
+            if w:
+                i_map[v], f_map[v] = id_of[w[:-1]], id_of[w[1:]]
+    return Puzzle.__new__(Puzzle)._assemble(levels, label_to_id, i_map, f_map, name)
 
 
 def from_refinement(

@@ -247,12 +247,14 @@ class ReducibilityAnalyzer:
         """
         p = self.puzzle
         top = p.depth - 1
+        first: dict[int, int] = {}  # order-1 ancestors, filled level by level
         for n in range(1, top + 1):
             by_target: dict[tuple[int, int], list[int]] = {}
             for piece in sorted(p.level(n), key=p.label):
+                first[piece] = piece if n == 1 else first[p.i(piece)]
                 if not self.verdict(piece).is_reducible:
                     continue
-                key = (p.f(piece), p.project(piece, 1))
+                key = (p.f(piece), first[piece])
                 by_target.setdefault(key, []).append(piece)
             pairs = [
                 tuple(group[:2]) for group in by_target.values() if len(group) > 1

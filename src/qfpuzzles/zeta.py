@@ -324,13 +324,18 @@ def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]
 # -- puzzle-level zeta ----------------------------------------------------------
 
 
+# Window and word statuses in puzzle_zeta_n: a word's status is the max over its windows.
+_LOW, _HIGH, _AMBIG, _DEAD = range(4)
+_TAGS = ("liftable-with-low-return", "liftable-high", None, "unliftable-at-depth")
+
+
 @dataclass(frozen=True)
 class PeriodicClass:
     """One n-periodic sequence of the level-N graph with its lift record."""
 
     word: tuple[str, ...]
     certified: bool
-    tag: str  # liftable-with-low-return | liftable-high | unliftable-at-depth
+    tag: str  # liftable-{with-low-return,high,unknown-beyond-depth} | unliftable-at-depth
 
 
 @dataclass(frozen=True)
@@ -354,47 +359,38 @@ def puzzle_zeta_n(
 ) -> PuzzleZetaResult:
     """Periodic points of the level-N transition graph, certified by lifting.
 
-    For each n <= order, enumerates the n-periodic vertex sequences of
-    the level-``level`` transition graph, then tries to lift each one
-    through levels ``level+1 .. cert_depth`` by choosing, position by
-    position, pieces whose i-parent matches the current lift and whose
-    f-image matches its successor (the edge's fibre in
-    :meth:`Puzzle.fibres`).  A sequence is certified when a consistent
-    periodic lift chain reaches ``cert_depth``.
+    One depth-first search lists the n-periodic vertex sequences of the
+    level-``level`` graph for every ``n <= order``, each period in label
+    order.  A sequence is certified when it lifts to a periodic chain at
+    ``cert_depth``: level by level, position ``j`` takes a piece in the
+    fibre (:meth:`Puzzle.fibres`) of the edge from lift ``j`` to ``j + 1``.
+    As ``f`` and ``i`` commute, that lift at level ``level + t`` depends
+    only on letters ``j .. j + t`` read cyclically: a sliding block code.
+    With ``m = cert_depth - level`` each window of ``m + 1`` letters maps
+    once to its forced top lift, to DEAD when a fibre over forced pieces
+    is empty (the sequence does not lift), or to AMBIG when a fibre has
+    several pieces.  Sequences with an AMBIG window and no DEAD one go to
+    the product search, trying candidates level by level in
+    ``itertools.product`` order over piece ids.
 
-    Certified sequences are tagged by the reduction chains of the first
-    lift found, with candidates tried level by level in
-    ``itertools.product`` order over piece ids: if every chain ends at
-    order <= level the class echoes a low first-return loop, otherwise a
-    high one.  Enumeration is exponential in ``order``; this is a
-    desk-scale instrument.
+    A certified class is tagged by the reduction chains of its first lift:
+    low when all end at order <= level, else high; unknown at ``cert_depth
+    == p.depth``, where no level lies below the lift.  Enumeration is
+    exponential in ``order``; this is a desk-scale instrument.
     """
     if not level < cert_depth <= p.depth:
         raise ValueError("need level < cert_depth <= depth")
     an = analyzer or ReducibilityAnalyzer(p)
     graph = gamma_n(p, level)
     id_of = {p.label(v): v for v in p.level(level)}
+    succ = {id_of[u]: [(id_of[e.dst], e.dst) for e in es] for u, es in graph.adjacency.items()}
+    reach = {s: _walk_lengths_to(graph, s) for s in graph.vertices}
     # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
     lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-
-    def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
-        """Return a lift of beta at cert_depth, or None.  Failures are
-
-        memoized; they recur across periodic words sharing a stretch.
-        """
-        if at_level == cert_depth:
-            return beta
-        if (at_level, beta) in failed:
-            return None
-        fibre = lifts[at_level]
-        nxt = beta[1:] + beta[:1]
-        for candidate in product(*(fibre.get(edge, ()) for edge in zip(beta, nxt))):
-            lifted = certify(candidate, at_level + 1)
-            if lifted is not None:
-                return lifted
-        failed.add((at_level, beta))
-        return None
+    # steps[t][edge]: the one piece over a level-(level+t) edge, or -1 for several
+    steps = [{e: ps[0] if len(ps) == 1 else -1 for e, ps in f.items()} for f in lifts.values()]
+    m, beyond = cert_depth - level, cert_depth == p.depth
+    memo: dict[tuple[int, ...], int] = {}
 
     @cache
     def high(piece: int) -> bool:
@@ -403,51 +399,91 @@ def puzzle_zeta_n(
             chain.kind == "irreducible" and p.order(chain.terminal) > level
         )
 
-    totals, certs, classes = [], [], []
-    for n in range(1, order + 1):
-        words = _periodic_words(graph, n)
-        cert_count = 0
-        for word in words:
-            top = certify(tuple(id_of[w] for w in word), level)
-            tag = "unliftable-at-depth"
-            if top is not None:
-                cert_count += 1
-                tag = "liftable-high" if any(high(v) for v in top) else "liftable-with-low-return"
-            classes.append(PeriodicClass(word, top is not None, tag))
-        totals.append(len(words))
-        certs.append(cert_count)
-    uncert = [t - c for t, c in zip(totals, certs)]
+    def top_status(top: Sequence[int]) -> int:
+        return _LOW if beyond or not any(map(high, top)) else _HIGH
+
+    def status(key: tuple[int, ...]) -> int:
+        """The max of the (m+1)-block map over the windows of ``key``."""
+        if key not in memo:
+            if len(key) > m + 1:
+                memo[key] = max(status(key[k:k + m + 1]) for k in range(len(key) - m))
+                return memo[key]
+            row = key  # -1 marks a piece that is not forced, None an empty fibre
+            for step in steps:
+                row = [-1 if -1 in e else step.get(e) for e in zip(row, row[1:])]
+                if None in row:
+                    break
+            memo[key] = _DEAD if None in row else _AMBIG if row[0] == -1 else top_status(row)
+        return memo[key]
+
+    def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
+        """Return the first lift of beta at cert_depth, or None."""
+        if at_level == cert_depth:
+            return beta
+        fibre = lifts[at_level]
+        nxt = beta[1:] + beta[:1]
+        for candidate in product(*(fibre.get(edge, ()) for edge in zip(beta, nxt))):
+            lifted = certify(candidate, at_level + 1)
+            if lifted is not None:
+                return lifted
+        return None
+
+    classes: list[list[PeriodicClass]] = [[] for _ in range(order)]
+    certs, ids, labels = [0] * order, [], []  # ids and labels: the current path
+
+    def close(n: int, word_status: int) -> None:
+        """Record ``labels`` as a word of period n, given the status of its inner windows."""
+        if word_status != _DEAD:
+            # the windows that wrap round lie in the last m letters and the first m ones
+            ring = ids * (m // n + 2)
+            word_status = max(word_status, status(tuple(ring[max(0, n - m):n + m])))
+        if word_status == _AMBIG:
+            top = certify(tuple(ids), level)
+            word_status = _DEAD if top is None else top_status(top)
+        certified = word_status != _DEAD
+        certs[n - 1] += certified
+        tag = "liftable-unknown-beyond-depth" if beyond and certified else _TAGS[word_status]
+        classes[n - 1].append(PeriodicClass(tuple(labels), certified, tag))
+
+    def visit(v: int, label: str, word_status: int, to_start: dict[str, int]) -> None:
+        ids.append(v)
+        labels.append(label)
+        n = len(ids)
+        if n > m and word_status != _DEAD:
+            word_status = max(word_status, status(tuple(ids[-m - 1:])))
+        for w, w_label in succ[v]:
+            if w == ids[0]:
+                close(n, word_status)
+            if n + to_start.get(w_label, order) <= order:
+                visit(w, w_label, word_status, to_start)
+        ids.pop()
+        labels.pop()
+
+    if order > 0:
+        for label in sorted(graph.vertices):
+            visit(id_of[label], label, _LOW, reach[label])
+    totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
         cert_depth,
         order,
         tuple(totals),
         tuple(certs),
-        tuple(uncert),
-        tuple(classes),
+        tuple(t - c for t, c in zip(totals, certs)),
+        tuple(c for period in classes for c in period),
         zeta_from_counts(certs, order=order),
     )
 
 
-def _periodic_words(g: GraphTruncation, n: int) -> list[tuple[str, ...]]:
-    """All n-periodic vertex sequences (x_0 .. x_{n-1}) along plain edges."""
-    outs = g.adjacency
-    out: list[tuple[str, ...]] = []
-
-    def extend(word: list[str]):
-        if len(word) == n:
-            for e in outs[word[-1]]:
-                if e.dst == word[0]:
-                    out.append(tuple(word))
-            return
-        for e in outs[word[-1]]:
-            word.append(e.dst)
-            extend(word)
-            word.pop()
-
-    for v in sorted(g.vertices):
-        extend([v])
-    return out
+def _walk_lengths_to(g: GraphTruncation, target: str) -> dict[str, int]:
+    """Edges on a shortest path to ``target`` from each vertex that has one,
+    by breadth-first search; ``target`` gets 1, as a closed walk needs an edge."""
+    dist, frontier, d = {target: 1}, {target}, 0
+    while frontier:
+        d += 1
+        frontier = {e.src for e in g.edges if e.dst in frontier and e.src not in dist}
+        dist.update(dict.fromkeys(frontier, d))
+    return dist
 
 
 def periodic_empirical_measure(g: GraphTruncation, n: int) -> dict[str, Fraction]:

@@ -106,6 +106,18 @@ def test_verdict_unknown_piece_is_input_error(capsys, fullshift_file):
     assert "no piece labeled '2'" in err
 
 
+def test_puzzle_zeta_trunc_zero_prints_no_counts(capsys, tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(golden_mean_puzzle(5).dumps())
+    status, out, err = run(
+        capsys, ["puzzle", "zeta", "--in", str(path), "--level", "2", "--cert", "4", "--trunc", "0"]
+    )
+    assert status == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("# manifest:") and '"trunc": 0' in lines[0]
+    assert lines[1:] == ["n,count,certified,coeff_num,coeff_den"]
+
+
 K3 = {"kind": "complete", "d": 3}
 DIRECTORY = object()
 

@@ -7,9 +7,11 @@ the analyzer claims about such puzzles must hold without exception.
 """
 
 import random
+from itertools import product
 
 import pytest
 
+import qfpuzzles.zeta as zeta_module
 from qfpuzzles.constructions import (
     full_shift_puzzle,
     golden_mean_puzzle,
@@ -19,13 +21,17 @@ from qfpuzzles.constructions import (
     words_avoiding,
 )
 from qfpuzzles.diagram import DiagramError, build_diagram, path_to_piece, scc_decomposition
-from qfpuzzles.graphs import Edge, gamma_n
+from qfpuzzles.graphs import Edge, GraphTruncation, gamma_n
 from qfpuzzles.puzzle import Puzzle, PuzzleError, distance, dual, from_subshift
-from qfpuzzles.reducibility import ReducibilityAnalyzer, ReducibilityVerdict, Status
+from qfpuzzles.reducibility import (
+    DeterminacyResult,
+    ReducibilityAnalyzer,
+    ReducibilityVerdict,
+    Status,
+)
 from qfpuzzles.zeta import (
     PeriodicClass,
     PuzzleZetaResult,
-    _periodic_words,
     puzzle_zeta_n,
     zeta_from_counts,
 )
@@ -226,6 +232,37 @@ def test_analyzer_refuses_invalid_puzzles():
             ReducibilityAnalyzer(broken)
 
 
+def reference_is_determined(an: ReducibilityAnalyzer) -> DeterminacyResult:
+    """``is_determined`` as first written: each reducible piece walks up
+    to its order-1 ancestor with ``project``."""
+    p = an.puzzle
+    top = p.depth - 1
+    for n in range(1, top + 1):
+        by_target: dict[tuple[int, int], list[int]] = {}
+        for piece in sorted(p.level(n), key=p.label):
+            if an.verdict(piece).is_reducible:
+                by_target.setdefault((p.f(piece), p.project(piece, 1)), []).append(piece)
+        pairs = [tuple(group[:2]) for group in by_target.values() if len(group) > 1]
+        if pairs:
+            u, v = min(pairs, key=lambda uv: (p.label(uv[0]), p.label(uv[1])))
+            return DeterminacyResult(False, (u, v), n)
+    return DeterminacyResult(True, None, top)
+
+
+def test_is_determined_matches_project_walk():
+    rng = random.Random(5000)
+    puzzles = [undetermined_puzzle(), periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5)]
+    puzzles += [random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)) for _ in range(60)]
+    outcomes = set()
+    for p in puzzles:
+        for q in (p, dual(p)):
+            an = ReducibilityAnalyzer(q)
+            result = an.is_determined()
+            assert result == reference_is_determined(an)
+            outcomes.add(result.determined)
+    assert outcomes == {True, False}
+
+
 def reference_puzzle_zeta(
     p: Puzzle,
     level: int,
@@ -233,10 +270,11 @@ def reference_puzzle_zeta(
     cert_depth: int,
     analyzer: ReducibilityAnalyzer | None = None,
 ) -> PuzzleZetaResult:
-    """The lift search as first written: per-position ``lift_options``
-
-    scans of ``i_preimages``, a hand-written ``_product``, and the tag
-    test repeated for every piece of every certified word.
+    """The lift search as first written: one enumeration per period,
+    per-position ``lift_options`` scans of ``i_preimages``, a hand-written
+    ``_product``, and the tag test repeated for every piece of every
+    certified word.  At ``cert_depth == depth`` certified words carry the
+    unknown tag, as in :func:`puzzle_zeta_n`.
     """
     if not level < cert_depth <= p.depth:
         raise ValueError("need level < cert_depth <= depth")
@@ -288,6 +326,8 @@ def reference_puzzle_zeta(
                     ):
                         tag = "liftable-high"
                         break
+                if cert_depth == p.depth:
+                    tag = "liftable-unknown-beyond-depth"
             classes.append(PeriodicClass(word, certified, tag))
         totals.append(len(words))
         certs.append(cert_count)
@@ -302,6 +342,27 @@ def reference_puzzle_zeta(
         tuple(classes),
         zeta_from_counts(certs, order=order),
     )
+
+
+def _periodic_words(g: GraphTruncation, n: int) -> list[tuple[str, ...]]:
+    """All n-periodic vertex sequences (x_0 .. x_{n-1}) along plain edges."""
+    outs = g.adjacency
+    out: list[tuple[str, ...]] = []
+
+    def extend(word: list[str]):
+        if len(word) == n:
+            for e in outs[word[-1]]:
+                if e.dst == word[0]:
+                    out.append(tuple(word))
+            return
+        for e in outs[word[-1]]:
+            word.append(e.dst)
+            extend(word)
+            word.pop()
+
+    for v in sorted(g.vertices):
+        extend([v])
+    return out
 
 
 def _product(options: list[list[int]]):
@@ -356,3 +417,75 @@ def test_puzzle_zeta_matches_reference_on_fuzz_puzzles(block):
         p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6))
         assert_zeta_matches_reference(p, 6)
         assert_zeta_matches_reference(dual(p), 6)
+
+
+def window_kind(p: Puzzle, level: int, cert_depth: int, word: tuple[str, ...]) -> str:
+    """How a word's cyclic windows of ``cert_depth - level + 1`` letters lift,
+
+    read off the lift triangles with ``i_preimages`` scans: "dead" when a
+    forced pair of pieces has no lift, "ambig" when a window without such
+    a pair has a top that is not forced, "dead+ambig" for both, "forced"
+    otherwise.
+    """
+    ids = [p.id_of(x) for x in word]
+    m, n = cert_depth - level, len(ids)
+    dead = ambig = False
+    for j in range(n):
+        row = [ids[(j + t) % n] for t in range(m + 1)]
+        window_dead = False
+        for _ in range(m):
+            nxt = []
+            for a, b in zip(row, row[1:]):
+                options = [] if None in (a, b) else [w for w in p.i_preimages(a) if p.f(w) == b]
+                window_dead = window_dead or (None not in (a, b) and not options)
+                nxt.append(options[0] if len(options) == 1 else None)
+            row = nxt
+        dead = dead or window_dead
+        ambig = ambig or (not window_dead and row[0] is None)
+    return {(False, False): "forced", (True, False): "dead", (False, True): "ambig"}.get(
+        (dead, ambig), "dead+ambig"
+    )
+
+
+def test_puzzle_zeta_block_map_branches_match_reference(monkeypatch):
+    searches = []
+
+    def counting_product(*options):
+        searches.append(options)
+        return product(*options)
+
+    monkeypatch.setattr(zeta_module, "product", counting_product)
+    cases = [
+        (layered_full_shifts_puzzle(3, 5), 1, 6, 4),  # ambiguous windows
+        (from_subshift(words_avoiding("01", [("1", "1", "1")], 6), 6), 1, 6, 3),  # dead windows
+        (random_puzzle(random.Random(4), 4, max_width=3), 1, 5, 4),  # both, in one word too
+        (golden_mean_puzzle(8), 1, 6, 8),  # every period <= m = 7
+    ]
+    seen = set()
+    for p, level, order, cert in cases:
+        searches.clear()
+        result = puzzle_zeta_n(p, level, order, cert)
+        assert result == reference_puzzle_zeta(p, level, order, cert)
+        kinds = [window_kind(p, level, cert, c.word) for c in result.classes]
+        # only words with an ambiguous window and no dead one go to the product search
+        assert bool(searches) == ("ambig" in kinds)
+        for c, kind in zip(result.classes, kinds):
+            assert kind == "forced" or "dead" not in kind or not c.certified
+            assert kind != "forced" or c.certified
+            seen.add(kind)
+            if len(c.word) < cert - level:
+                seen.add("wraps more than once")
+    assert seen == {"forced", "dead", "ambig", "dead+ambig", "wraps more than once"}
+
+
+def test_puzzle_zeta_matches_reference_on_golden_mean_14():
+    p = golden_mean_puzzle(14)
+    assert puzzle_zeta_n(p, 2, 12, 8) == reference_puzzle_zeta(p, 2, 12, 8)
+
+
+def test_puzzle_zeta_order_zero_is_empty():
+    for p, level, cert in ((golden_mean_puzzle(5), 2, 4), (layered_full_shifts_puzzle(3, 5), 1, 5)):
+        result = puzzle_zeta_n(p, level, 0, cert)
+        assert result == reference_puzzle_zeta(p, level, 0, cert)
+        assert result.counts_total == result.counts_certified == result.classes == ()
+        assert result.zeta == zeta_from_counts([], order=0)

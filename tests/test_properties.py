@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from qfpuzzles.constructions import (
     full_shift_puzzle,
     full_shift_words,
@@ -14,7 +16,10 @@ from qfpuzzles.constructions import (
 from qfpuzzles.diagram import build_diagram
 from qfpuzzles.graphs import loop_graph, periodic_point_counts, sft_graph, two_hub_graph
 from qfpuzzles.puzzle import (
+    ROOT_LABEL,
     DyadicDistance,
+    Puzzle,
+    PuzzleError,
     covering_number,
     distance,
     dual,
@@ -83,6 +88,93 @@ def test_random_subshift_puzzles_validate():
         p = from_subshift(words, 4)
         assert p.validate().ok
         built += 1
+
+
+def reference_from_subshift(words, depth, name="subshift"):
+    """``from_subshift`` as first written: labels joined for every map
+    entry, then the label constructor ``Puzzle(levels, i_map, f_map)``."""
+
+    def as_word(w):
+        return tuple(w) if isinstance(w, str) else tuple(str(s) for s in w)
+
+    def label(w):
+        return "".join(w) if w else ROOT_LABEL
+
+    if depth < 1:
+        raise PuzzleError("depth must be >= 1")
+    wordset = {as_word(w) for w in words} | {()}
+    by_len = {}
+    for w in wordset:
+        by_len.setdefault(len(w), []).append(w)
+    for n in range(1, depth + 1):
+        for w in by_len.get(n, []):
+            if w[:-1] not in wordset:
+                raise PuzzleError(f"word set not prefix-closed: {label(w)!r} lacks its prefix")
+            if w[1:] not in wordset:
+                raise PuzzleError(f"word set not suffix-closed: {label(w)!r} lacks its suffix")
+    levels = [[ROOT_LABEL]]
+    for n in range(1, depth + 1):
+        level = sorted(by_len.get(n, []))
+        if not level:
+            raise PuzzleError(f"no words of length {n}; depth {depth} unreachable")
+        levels.append([label(w) for w in level])
+    i_map = {label(w): label(w[:-1]) for n in range(1, depth + 1) for w in by_len.get(n, [])}
+    f_map = {label(w): label(w[1:]) for n in range(1, depth + 1) for w in by_len.get(n, [])}
+    return Puzzle(levels, i_map, f_map, name=name)
+
+
+def assert_same_puzzle(p, q):
+    assert (p.name, p.depth, p.levels) == (q.name, q.depth, q.levels)
+    assert [p.label(v) for v in p.pieces()] == [q.label(v) for v in q.pieces()]
+    assert p.to_json() == q.to_json()
+    for v in p.pieces():
+        assert p.i_preimages(v) == q.i_preimages(v)
+        assert p.id_of(p.label(v)) == v
+        if p.order(v):
+            assert (p.i(v), p.f(v)) == (q.i(v), q.f(v))
+
+
+def test_from_subshift_matches_label_route():
+    rng = random.Random(43)
+    built = 0
+    while built < 40:
+        depth = rng.randint(1, 6)
+        words = random_factor_language(rng, depth)
+        if words is None:
+            continue
+        # words beyond the depth are ignored; letters are coerced with str
+        words = set(words) | {w + w for w in words if len(w) == depth}
+        assert_same_puzzle(from_subshift(words, depth, "w"), reference_from_subshift(words, depth, "w"))
+        built += 1
+    ints = [(), (0,), (1,), (0, 1), (1, 0), (1, 1), (1, 0, 1)]
+    assert_same_puzzle(from_subshift(ints, 2), reference_from_subshift(ints, 2))
+    assert_same_puzzle(from_subshift(["", "a", "aa"], 2), reference_from_subshift(["", "a", "aa"], 2))
+
+
+@pytest.mark.parametrize(
+    "words, depth, message",
+    [
+        ({"", "0", "00", "10"}, 2, "word set not prefix-closed: '10' lacks its prefix"),
+        ({"", "1", "10"}, 2, "word set not suffix-closed: '10' lacks its suffix"),
+        ({"", "0"}, 2, "no words of length 2; depth 2 unreachable"),
+        (["", "0", "1", ("01",), ("0", "1")], 2, "duplicate label '01'"),
+        (["", "0", ("ε",)], 1, "duplicate label 'ε'"),
+        (["", "0"], 0, "depth must be >= 1"),
+    ],
+    ids=["prefix", "suffix", "empty-level", "duplicate", "duplicate-root", "depth"],
+)
+def test_from_subshift_errors_match_label_route(words, depth, message):
+    for build in (from_subshift, reference_from_subshift):
+        with pytest.raises(PuzzleError) as info:
+            build(words, depth)
+        assert str(info.value) == message
+
+
+def test_validate_report_is_computed_once():
+    for p in (golden_mean_puzzle(4), full_shift_puzzle(3).with_f_override({"01": "ε"})):
+        report = p.validate()
+        assert p.validate() is report
+        assert report == Puzzle.from_json(p.to_json()).validate()
 
 
 def test_dual_involution_across_examples():

@@ -254,6 +254,17 @@ def test_puzzle_zeta_golden_mean_matches_trace_oracle():
     assert res.counts_uncertified == (0,) * 8
 
 
+def test_puzzle_zeta_tags_lifts_at_full_depth_as_unknown():
+    # pieces of order depth have no level below them, so their chains say nothing
+    p = golden_mean_puzzle(5)
+    for level in (1, 2):
+        at_depth = puzzle_zeta_n(p, level, 8, 5)
+        assert {c.tag for c in at_depth.classes} == {"liftable-unknown-beyond-depth"}
+        below = puzzle_zeta_n(p, level, 8, 4)
+        assert {c.tag for c in below.classes} == {"liftable-with-low-return"}
+        assert at_depth.counts_certified == below.counts_certified
+
+
 def test_puzzle_zeta_orbit_tower_counts_stay_finite():
     p = periodic_orbit_tower_puzzle([2, 3, 2, 2], 4)
     res = puzzle_zeta_n(p, 1, 4, 3)
