@@ -120,12 +120,7 @@ class Puzzle:
             raise PuzzleError("a puzzle needs at least levels V_0 and V_1")
         if len(levels) < 2:
             raise PuzzleError("depth must be >= 1 (supply V_0 and V_1)")
-        label_to_id: dict[str, int] = {}
-        for level in levels:
-            for label in level:
-                if label in label_to_id:
-                    raise PuzzleError(f"duplicate label {label!r}")
-                label_to_id[label] = len(label_to_id)
+        label_to_id = _number_labels(levels)
 
         def resolve(mapping: Mapping[str, str], which: str) -> dict[int, int]:
             out = {}
@@ -139,8 +134,15 @@ class Puzzle:
 
         self._assemble(levels, label_to_id, resolve(i_map, "i"), resolve(f_map, "f"), name)
 
-    def _assemble(self, levels: Sequence[Sequence], label_to_id: dict[str, int],
-                  i: dict[int, int], f: dict[int, int], name: str) -> "Puzzle":
+    @classmethod
+    def _from_ids(cls, levels: Sequence[Sequence[str]], i: dict, f: dict, name: str) -> "Puzzle":
+        """A puzzle whose ``i`` and ``f`` are given on ids: the labels, numbered level by level."""
+        puzzle = cls.__new__(cls)
+        puzzle._assemble(levels, _number_labels(levels), i, f, name)
+        return puzzle
+
+    def _assemble(self, levels: Sequence[Sequence[str]], label_to_id: dict[str, int],
+                  i: dict[int, int], f: dict[int, int], name: str) -> None:
         """Set up from ids: level ``n`` holds the next ``len(levels[n])`` ids,
         and ``label_to_id`` lists the labels in id order."""
         self.name = name
@@ -152,12 +154,10 @@ class Puzzle:
         self.levels = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
         self._level_of = tuple(n for n, size in enumerate(sizes) for _ in range(size))
         self._i, self._f = i, f
-        self._report: ValidationReport | None = None
         buckets: dict[int, list[int]] = {}
         for src in sorted(i):
             buckets.setdefault(i[src], []).append(src)
         self._i_preimages = {tgt: tuple(srcs) for tgt, srcs in buckets.items()}
-        return self
 
     # -- piece accessors -------------------------------------------------
 
@@ -228,12 +228,7 @@ class Puzzle:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check every axiom; violations are returned, never raised.
-
-        The puzzle is immutable, so the report is computed once and kept.
-        """
-        if self._report is not None:
-            return self._report
+        """Check every axiom; violations are returned, never raised."""
         out: list[Violation] = []
         if len(self.levels[0]) != 1:
             out.append(
@@ -277,8 +272,7 @@ class Puzzle:
                     out.append(
                         Violation("level-skip", self.label(piece), "maps defined on the root")
                     )
-        self._report = ValidationReport(tuple(out))
-        return self._report
+        return ValidationReport(tuple(out))
 
     # -- serialization -----------------------------------------------------
 
@@ -340,6 +334,17 @@ class Puzzle:
 ROOT_LABEL = "ε"
 
 
+def _number_labels(levels: Iterable[Iterable[str]]) -> dict[str, int]:
+    """Ids for the labels, level by level; a repeated label is an error."""
+    label_to_id: dict[str, int] = {}
+    for level in levels:
+        for label in level:
+            if label in label_to_id:
+                raise PuzzleError(f"duplicate label {label!r}")
+            label_to_id[label] = len(label_to_id)
+    return label_to_id
+
+
 def word_label(word: Sequence[str]) -> str:
     return "".join(word) if word else ROOT_LABEL
 
@@ -368,18 +373,12 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
     for n, level in enumerate(levels):
         if not level:
             raise PuzzleError(f"no words of length {n}; depth {depth} unreachable")
-    # ids level by level; i and f read the ids of the already numbered shorter words
-    id_of: dict[tuple[str, ...], int] = {}
-    label_to_id, i_map, f_map = {}, {}, {}
-    for level in levels:
-        for w in level:
-            label = word_label(w)
-            if label in label_to_id:
-                raise PuzzleError(f"duplicate label {label!r}")
-            v = id_of[w] = label_to_id[label] = len(label_to_id)
-            if w:
-                i_map[v], f_map[v] = id_of[w[:-1]], id_of[w[1:]]
-    return Puzzle.__new__(Puzzle)._assemble(levels, label_to_id, i_map, f_map, name)
+    # ids level by level, as Puzzle numbers labels; i and f drop a letter
+    id_of = {w: v for v, w in enumerate(w for level in levels for w in level)}
+    i_map = {v: id_of[w[:-1]] for w, v in id_of.items() if w}
+    f_map = {v: id_of[w[1:]] for w, v in id_of.items() if w}
+    labels = [[word_label(w) for w in level] for level in levels]
+    return Puzzle._from_ids(labels, i_map, f_map, name)
 
 
 def from_refinement(

@@ -384,13 +384,14 @@ def puzzle_zeta_n(
     graph = gamma_n(p, level)
     id_of = {p.label(v): v for v in p.level(level)}
     succ = {id_of[u]: [(id_of[e.dst], e.dst) for e in es] for u, es in graph.adjacency.items()}
-    reach = {s: _walk_lengths_to(graph, s) for s in graph.vertices}
+    preds: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for e in graph.edges:
+        preds[e.dst].add(e.src)
     # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
     lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
     # steps[t][edge]: the one piece over a level-(level+t) edge, or -1 for several
     steps = [{e: ps[0] if len(ps) == 1 else -1 for e, ps in f.items()} for f in lifts.values()]
     m, beyond = cert_depth - level, cert_depth == p.depth
-    memo: dict[tuple[int, ...], int] = {}
 
     @cache
     def high(piece: int) -> bool:
@@ -402,19 +403,20 @@ def puzzle_zeta_n(
     def top_status(top: Sequence[int]) -> int:
         return _LOW if beyond or not any(map(high, top)) else _HIGH
 
-    def status(key: tuple[int, ...]) -> int:
-        """The max of the (m+1)-block map over the windows of ``key``."""
-        if key not in memo:
-            if len(key) > m + 1:
-                memo[key] = max(status(key[k:k + m + 1]) for k in range(len(key) - m))
-                return memo[key]
-            row = key  # -1 marks a piece that is not forced, None an empty fibre
-            for step in steps:
-                row = [-1 if -1 in e else step.get(e) for e in zip(row, row[1:])]
-                if None in row:
-                    break
-            memo[key] = _DEAD if None in row else _AMBIG if row[0] == -1 else top_status(row)
-        return memo[key]
+    @cache
+    def status(window: tuple[int, ...]) -> int:
+        """The (m+1)-block map: a window's forced top lift status, DEAD or AMBIG."""
+        row = window  # -1 marks a piece that is not forced, None an empty fibre
+        for step in steps:
+            row = [-1 if -1 in e else step.get(e) for e in zip(row, row[1:])]
+            if None in row:
+                return _DEAD
+        return _AMBIG if row[0] == -1 else top_status(row)
+
+    @cache
+    def wrap_status(key: tuple[int, ...]) -> int:
+        """The max of :func:`status` over the windows of ``key``."""
+        return max(status(key[k:k + m + 1]) for k in range(len(key) - m))
 
     def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
         """Return the first lift of beta at cert_depth, or None."""
@@ -434,9 +436,8 @@ def puzzle_zeta_n(
     def close(n: int, word_status: int) -> None:
         """Record ``labels`` as a word of period n, given the status of its inner windows."""
         if word_status != _DEAD:
-            # the windows that wrap round lie in the last m letters and the first m ones
-            ring = ids * (m // n + 2)
-            word_status = max(word_status, status(tuple(ring[max(0, n - m):n + m])))
+            ring = ids * (m // n + 2)  # the wrapping windows lie in the last m and first m letters
+            word_status = max(word_status, wrap_status(tuple(ring[max(0, n - m):n + m])))
         if word_status == _AMBIG:
             top = certify(tuple(ids), level)
             word_status = _DEAD if top is None else top_status(top)
@@ -461,7 +462,7 @@ def puzzle_zeta_n(
 
     if order > 0:
         for label in sorted(graph.vertices):
-            visit(id_of[label], label, _LOW, reach[label])
+            visit(id_of[label], label, _LOW, _walk_lengths_to(preds, label, order))
     totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
@@ -475,13 +476,13 @@ def puzzle_zeta_n(
     )
 
 
-def _walk_lengths_to(g: GraphTruncation, target: str) -> dict[str, int]:
-    """Edges on a shortest path to ``target`` from each vertex that has one,
-    by breadth-first search; ``target`` gets 1, as a closed walk needs an edge."""
-    dist, frontier, d = {target: 1}, {target}, 0
-    while frontier:
-        d += 1
-        frontier = {e.src for e in g.edges if e.dst in frontier and e.src not in dist}
+def _walk_lengths_to(preds: Mapping[str, set[str]], target: str, bound: int) -> dict[str, int]:
+    """Edges on a shortest path to ``target`` from each vertex with one
+    shorter than ``bound``, by breadth-first search over the predecessor
+    sets ``preds``; ``target`` gets 1, as a closed walk needs an edge."""
+    dist, frontier = {target: 1}, {target}
+    for d in range(1, bound):
+        frontier = {u for v in frontier for u in preds[v] if u not in dist}
         dist.update(dict.fromkeys(frontier, d))
     return dist
 

@@ -478,9 +478,24 @@ def test_puzzle_zeta_block_map_branches_match_reference(monkeypatch):
     assert seen == {"forced", "dead", "ambig", "dead+ambig", "wraps more than once"}
 
 
-def test_puzzle_zeta_matches_reference_on_golden_mean_14():
-    p = golden_mean_puzzle(14)
-    assert puzzle_zeta_n(p, 2, 12, 8) == reference_puzzle_zeta(p, 2, 12, 8)
+def test_puzzle_zeta_matches_reference_on_large_inputs():
+    # golden_mean_puzzle(14) to order 12, and a 1,281-vertex level graph at
+    # order 2, where the return distances kept reach only a few vertices
+    for p, level, order, cert in (
+        (golden_mean_puzzle(14), 2, 12, 8),
+        (layered_full_shifts_puzzle(5, 10), 8, 2, 9),
+    ):
+        assert puzzle_zeta_n(p, level, order, cert) == reference_puzzle_zeta(p, level, order, cert)
+
+
+def test_return_distances_stop_below_the_bound():
+    # the 6-cycle 0 -> 1 -> ... -> 5 -> 0 with a loop at 3
+    preds = {str(k): {str((k - 1) % 6)} for k in range(6)}
+    preds["3"].add("3")
+    assert zeta_module._walk_lengths_to(preds, "0", 3) == {"0": 1, "5": 1, "4": 2}
+    full = {"0": 1, "5": 1, "4": 2, "3": 3, "2": 4, "1": 5}
+    assert zeta_module._walk_lengths_to(preds, "0", 9) == full
+    assert zeta_module._walk_lengths_to(preds, "3", 9) == {"3": 1, "2": 1, "1": 2, "0": 3, "5": 4, "4": 5}
 
 
 def test_puzzle_zeta_order_zero_is_empty():

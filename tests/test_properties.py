@@ -170,13 +170,6 @@ def test_from_subshift_errors_match_label_route(words, depth, message):
         assert str(info.value) == message
 
 
-def test_validate_report_is_computed_once():
-    for p in (golden_mean_puzzle(4), full_shift_puzzle(3).with_f_override({"01": "ε"})):
-        report = p.validate()
-        assert p.validate() is report
-        assert report == Puzzle.from_json(p.to_json()).validate()
-
-
 def test_dual_involution_across_examples():
     for p in (
         full_shift_puzzle(4),
