@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from qfpuzzles.puzzle import Puzzle, PuzzleError, word_label
+from qfpuzzles.puzzle import Puzzle, PuzzleError, from_subshift, word_label
 
 
 def full_shift_words(alphabet: Sequence[str], depth: int) -> set[tuple[str, ...]]:
@@ -50,14 +50,10 @@ def golden_mean_words(depth: int) -> set[tuple[str, ...]]:
 
 
 def full_shift_puzzle(depth: int, alphabet: Sequence[str] = "01") -> Puzzle:
-    from qfpuzzles.puzzle import from_subshift
-
     return from_subshift(full_shift_words(alphabet, depth), depth, name="full-shift")
 
 
 def golden_mean_puzzle(depth: int) -> Puzzle:
-    from qfpuzzles.puzzle import from_subshift
-
     return from_subshift(golden_mean_words(depth), depth, name="golden-mean")
 
 

@@ -384,9 +384,7 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
     common denominator.  Components come sorted by their first box, and
     each lists its boxes in ``(x, y)`` order.
     """
-    gap = _exact(gap)
-    if gap <= 0:
-        raise CoupledError("gap must be positive")
+    gap = _positive_gap(gap)
     (rho, *coords), _ = _common([gap, *(v for b in boxes for v in (*b.x, *b.y))])
     rects = [tuple(coords[4 * k : 4 * k + 4]) for k in range(len(boxes))]
     return [tuple(boxes[k] for k in comp) for comp in _components(rects, rho)]
@@ -404,6 +402,14 @@ def _grid_components(
 
 def default_gap(resolution: int) -> Fraction:
     return Fraction(1, 2 ** (resolution - 2)) if resolution >= 2 else Fraction(1)
+
+
+def _positive_gap(gap, resolution: int | None = None) -> Fraction:
+    """``gap`` as an exact positive value; ``None`` stands for :func:`default_gap`."""
+    gap = default_gap(resolution) if gap is None else _exact(gap)
+    if gap <= 0:
+        raise CoupledError("gap must be positive")
+    return gap
 
 
 @dataclass(frozen=True)
@@ -446,7 +452,7 @@ def build_puzzle(
     """
     if depth < 1:
         raise CoupledError("depth must be >= 1")
-    gap = default_gap(resolution) if gap is None else _exact(gap)
+    gap = _positive_gap(gap, resolution)
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
     box_of = _grid_boxes(resolution)
 
@@ -622,7 +628,7 @@ def component_counts_1d(
     alpha: Fraction, depth: int, resolution: int, gap: Fraction | None = None
 ) -> list[int]:
     """Component counts per level 1..depth of the 1d pipeline."""
-    gap = default_gap(resolution) if gap is None else _exact(gap)
+    gap = _positive_gap(gap, resolution)
     cells = _cell_options_1d(alpha, depth, resolution)
     # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
     return [

@@ -263,11 +263,15 @@ def gamma_n(p: Puzzle, n: int) -> GraphTruncation:
     order n+1 has i-parent u and f-image v.  Needs level n+1, so
     ``n <= depth - 1``.
     """
-    if not 1 <= n <= p.depth - 1:
-        raise PuzzleError(f"level {n} needs pieces of order {n + 1}; depth is {p.depth}")
+    _check_gamma_level(p, n)
     names = tuple(p.label(v) for v in p.level(n))
     edges = tuple(Edge(*e) for e in sorted((p.label(u), p.label(v)) for u, v in p.fibres(n + 1)))
     return GraphTruncation(names, edges, name=f"{p.name}-gamma{n}")
+
+
+def _check_gamma_level(p: Puzzle, n: int) -> None:
+    if not 1 <= n <= p.depth - 1:
+        raise PuzzleError(f"level {n} needs pieces of order {n + 1}; depth is {p.depth}")
 
 
 def from_spec(data: Mapping) -> GraphTruncation:
@@ -377,8 +381,7 @@ def based_loop_counts(g: GraphTruncation, base: str, max_length: int) -> list[in
     """Loops (closed walks) of each length 1..max_length based at a vertex."""
     if base not in g.vertices:
         raise GraphError(f"unknown base vertex {base!r}")
-    table = path_count_table(g, max_length)
-    return [table[n][base][base] for n in range(1, max_length + 1)]
+    return avoiding_path_counts(g, base, (), max(max_length, 0))[base]
 
 
 def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:

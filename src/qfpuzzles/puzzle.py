@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -104,9 +105,9 @@ class DyadicDistance:
 class Puzzle:
     """Immutable leveled piece structure with maps ``i`` and ``f``.
 
-    The constructor interns pieces and indexes preimages but does not
-    enforce the axioms; :meth:`validate` reports violations as data so
-    that deliberately broken puzzles can be built for testing.
+    The constructor interns pieces and tabulates maps, children and
+    fibres but does not enforce the axioms; :meth:`validate` reports
+    violations as data, so broken puzzles can be built for testing.
     """
 
     def __init__(
@@ -144,7 +145,8 @@ class Puzzle:
     def _assemble(self, levels: Sequence[Sequence[str]], label_to_id: dict[str, int],
                   i: dict[int, int], f: dict[int, int], name: str) -> None:
         """Set up from ids: level ``n`` holds the next ``len(levels[n])`` ids,
-        and ``label_to_id`` lists the labels in id order."""
+        and ``label_to_id`` lists the labels in id order.  Every table is
+        built here, once; ``_i`` and ``_f`` hold ``None`` where undefined."""
         self.name = name
         self.depth = len(levels) - 1
         self._label_to_id = label_to_id
@@ -153,11 +155,23 @@ class Puzzle:
         bounds = [0, *accumulate(sizes)]
         self.levels = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
         self._level_of = tuple(n for n, size in enumerate(sizes) for _ in range(size))
-        self._i, self._f = i, f
-        buckets: dict[int, list[int]] = {}
-        for src in sorted(i):
-            buckets.setdefault(i[src], []).append(src)
-        self._i_preimages = {tgt: tuple(srcs) for tgt, srcs in buckets.items()}
+        ids = range(len(self._labels))
+        self._i, self._f = tuple(map(i.get, ids)), tuple(map(f.get, ids))
+        children: list[list[int]] = [[] for _ in ids]
+        for src, tgt in enumerate(self._i):
+            if tgt is not None:
+                children[tgt].append(src)
+        self._children = tuple(map(tuple, children))
+        self._fibres = tuple(map(self._group, self.levels))
+
+    def _group(self, level: tuple[int, ...]) -> Mapping[tuple[int, int], tuple[int, ...]] | str:
+        out: dict[tuple[int, int], list[int]] = {}
+        try:
+            for v in level:
+                out.setdefault((self.i(v), self.f(v)), []).append(v)
+        except PuzzleError as exc:  # kept, for fibres(n) to raise on every call
+            return str(exc)
+        return MappingProxyType({key: tuple(group) for key, group in out.items()})
 
     # -- piece accessors -------------------------------------------------
 
@@ -184,16 +198,16 @@ class Puzzle:
         return self.levels[0][0]
 
     def i(self, piece: int) -> int:
-        try:
-            return self._i[piece]
-        except KeyError:
-            raise PuzzleError(f"i undefined on {self.label(piece)!r}") from None
+        target = self._i[piece]
+        if target is None:
+            raise PuzzleError(f"i undefined on {self.label(piece)!r}")
+        return target
 
     def f(self, piece: int) -> int:
-        try:
-            return self._f[piece]
-        except KeyError:
-            raise PuzzleError(f"f undefined on {self.label(piece)!r}") from None
+        target = self._f[piece]
+        if target is None:
+            raise PuzzleError(f"f undefined on {self.label(piece)!r}")
+        return target
 
     def i_iter(self, piece: int, k: int) -> int:
         for _ in range(k):
@@ -206,19 +220,19 @@ class Puzzle:
         return piece
 
     def i_preimages(self, piece: int) -> tuple[int, ...]:
-        return self._i_preimages.get(piece, ())
+        return self._children[piece]
 
-    def fibres(self, n: int) -> dict[tuple[int, int], list[int]]:
+    def fibres(self, n: int) -> Mapping[tuple[int, int], tuple[int, ...]]:
         """The order-``n`` pieces grouped by ``(i(v), f(v))``, in id order.
 
         Each key is an edge ``u -> v`` of the level-``n - 1`` transition
         graph; its fibre holds the pieces lifting that edge, which are
-        each other's (R2) rivals.
+        each other's (R2) rivals.  Built once, when the puzzle is assembled.
         """
-        out: dict[tuple[int, int], list[int]] = {}
-        for v in self.levels[n]:
-            out.setdefault((self.i(v), self.f(v)), []).append(v)
-        return out
+        fibres = self._fibres[n]
+        if isinstance(fibres, str):
+            raise PuzzleError(fibres)
+        return fibres
 
     def project(self, piece: int, n: int) -> int:
         """``i_n``: the order-``min(|v|, n)`` ancestor of a piece."""
@@ -230,48 +244,31 @@ class Puzzle:
     def validate(self) -> ValidationReport:
         """Check every axiom; violations are returned, never raised."""
         out: list[Violation] = []
+        i, f, level_of, label = self._i, self._f, self._level_of, self.label
+
+        def flag(kind: str, piece: int, detail: str) -> None:
+            out.append(Violation(kind, label(piece), detail))
+
         if len(self.levels[0]) != 1:
             out.append(
                 Violation("multi-root", "V_0", f"V_0 has {len(self.levels[0])} elements, expected 1")
             )
         for n in range(1, self.depth + 1):
             for piece in self.levels[n]:
-                for which, mapping in (("i", self._i), ("f", self._f)):
-                    if piece not in mapping:
-                        out.append(
-                            Violation("missing-map", self.label(piece), f"{which} is undefined")
-                        )
-                        continue
-                    tgt = mapping[piece]
-                    if self.order(tgt) != n - 1:
-                        out.append(
-                            Violation(
-                                "level-skip",
-                                self.label(piece),
-                                f"{which} maps order {n} to order {self.order(tgt)}",
-                            )
-                        )
-        for piece in sorted(self._i):
-            if self.order(piece) < 2 or piece not in self._f:
+                for which, to in (("i", i[piece]), ("f", f[piece])):
+                    if to is None:
+                        flag("missing-map", piece, f"{which} is undefined")
+                    elif level_of[to] != n - 1:
+                        flag("level-skip", piece, f"{which} maps order {n} to order {level_of[to]}")
+        for piece in (v for level in self.levels[2:] for v in level):
+            if i[piece] is None or f[piece] is None:
                 continue
-            fi = self._i.get(self._f[piece])
-            if_ = self._f.get(self._i[piece])
-            if fi is None or if_ is None:
-                continue
-            if fi != if_:
-                out.append(
-                    Violation(
-                        "commutation",
-                        self.label(piece),
-                        f"i(f(v))={self.label(fi)!r} != f(i(v))={self.label(if_)!r}",
-                    )
-                )
-        for piece in self.pieces():
-            if self.order(piece) == 0:
-                if piece in self._i or piece in self._f:
-                    out.append(
-                        Violation("level-skip", self.label(piece), "maps defined on the root")
-                    )
+            fi, if_ = i[f[piece]], f[i[piece]]
+            if fi is not None and if_ is not None and fi != if_:
+                flag("commutation", piece, f"i(f(v))={label(fi)!r} != f(i(v))={label(if_)!r}")
+        for piece in self.levels[0]:
+            if i[piece] is not None or f[piece] is not None:
+                flag("level-skip", piece, "maps defined on the root")
         return ValidationReport(tuple(out))
 
     # -- serialization -----------------------------------------------------
@@ -280,8 +277,8 @@ class Puzzle:
         return {
             "depth": self.depth,
             "levels": [[self.label(p) for p in level] for level in self.levels],
-            "i": {self.label(p): self.label(t) for p, t in sorted(self._i.items())},
-            "f": {self.label(p): self.label(t) for p, t in sorted(self._f.items())},
+            "i": {self.label(p): self.label(t) for p, t in enumerate(self._i) if t is not None},
+            "f": {self.label(p): self.label(t) for p, t in enumerate(self._f) if t is not None},
         }
 
     def dumps(self) -> str:
@@ -319,14 +316,9 @@ class Puzzle:
 
     def with_f_override(self, overrides: Mapping[str, str]) -> "Puzzle":
         """Copy with some f-images replaced (test helper for broken puzzles)."""
-        f_map = {self.label(p): self.label(t) for p, t in self._f.items()}
-        f_map.update(overrides)
-        return Puzzle(
-            [[self.label(p) for p in level] for level in self.levels],
-            {self.label(p): self.label(t) for p, t in self._i.items()},
-            f_map,
-            name=self.name + "+override",
-        )
+        data = self.to_json()
+        data["f"].update(overrides)
+        return Puzzle(data["levels"], data["i"], data["f"], name=self.name + "+override")
 
 
 # -- constructors ------------------------------------------------------------

@@ -104,7 +104,7 @@ class DeterminacyResult:
 
 
 class ReducibilityAnalyzer:
-    """Per-puzzle verdict engine; all verdicts are computed on the first query.
+    """Per-puzzle verdict engine; all verdicts are computed on construction.
 
     Raises :class:`PuzzleError` listing the violations when the puzzle
     fails :meth:`Puzzle.validate`: the one-pass rule needs commutation.
@@ -114,25 +114,10 @@ class ReducibilityAnalyzer:
         report = puzzle.validate()
         if not report.ok:
             raise PuzzleError(f"{puzzle.name} fails validation:\n{report}")
-        self.puzzle = puzzle
-        self._table: list[ReducibilityVerdict | None] | None = None
-
-    # -- verdicts ------------------------------------------------------------
-
-    def verdict(self, piece: int) -> ReducibilityVerdict:
-        if self.puzzle.order(piece) == 0:
-            raise ValueError("reducibility is defined for pieces of order >= 1")
-        if self._table is None:
-            self._table = self._verdict_table()
-        return self._table[piece]
-
-    def _verdict_table(self) -> list[ReducibilityVerdict | None]:
-        """Verdicts of every piece, deepest level first.
-
-        ``r1_fail[v]`` is the first tree level below ``v`` where (R1)
-        fails, ``None`` when it holds on every materialized level.
-        """
-        p = self.puzzle
+        self.puzzle = p = puzzle
+        # The verdicts of every piece, deepest level first.  r1_fail[v] is the
+        # first tree level below v where (R1) fails, None when it holds on
+        # every materialized level.
         f, children = p.f, p.i_preimages
         table: list[ReducibilityVerdict | None] = [None] * len(p.pieces())
         r1_fail: list[int | None] = [None] * len(p.pieces())
@@ -162,7 +147,14 @@ class ReducibilityAnalyzer:
                         )
                     else:
                         table[piece] = settled
-        return table
+        self._table = table
+
+    # -- verdicts ------------------------------------------------------------
+
+    def verdict(self, piece: int) -> ReducibilityVerdict:
+        if self.puzzle.order(piece) == 0:
+            raise ValueError("reducibility is defined for pieces of order >= 1")
+        return self._table[piece]
 
     # -- derived notions -----------------------------------------------------
 

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 from qfpuzzles.graphs import (
     GraphTruncation,
+    _check_gamma_level,
     avoiding_path_counts,
-    gamma_n,
     path_count_table,
     periodic_point_counts,
 )
@@ -381,14 +381,16 @@ def puzzle_zeta_n(
     if not level < cert_depth <= p.depth:
         raise ValueError("need level < cert_depth <= depth")
     an = analyzer or ReducibilityAnalyzer(p)
-    graph = gamma_n(p, level)
-    id_of = {p.label(v): v for v in p.level(level)}
-    succ = {id_of[u]: [(id_of[e.dst], e.dst) for e in es] for u, es in graph.adjacency.items()}
-    preds: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for e in graph.edges:
-        preds[e.dst].add(e.src)
+    _check_gamma_level(p, level)
     # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
     lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
+    # the level graph gamma_n(p, level) on ids: successors in label order
+    names = {v: p.label(v) for v in p.level(level)}
+    succ: dict[int, list[int]] = {v: [] for v in names}
+    preds: dict[int, set[int]] = {v: set() for v in names}
+    for u, v in sorted(lifts[level], key=lambda e: names[e[1]]):
+        succ[u].append(v)
+        preds[v].add(u)
     # steps[t][edge]: the one piece over a level-(level+t) edge, or -1 for several
     steps = [{e: ps[0] if len(ps) == 1 else -1 for e, ps in f.items()} for f in lifts.values()]
     m, beyond = cert_depth - level, cert_depth == p.depth
@@ -431,10 +433,10 @@ def puzzle_zeta_n(
         return None
 
     classes: list[list[PeriodicClass]] = [[] for _ in range(order)]
-    certs, ids, labels = [0] * order, [], []  # ids and labels: the current path
+    certs, ids = [0] * order, []  # ids: the current path
 
     def close(n: int, word_status: int) -> None:
-        """Record ``labels`` as a word of period n, given the status of its inner windows."""
+        """Record ``ids`` as a word of period n, given the status of its inner windows."""
         if word_status != _DEAD:
             ring = ids * (m // n + 2)  # the wrapping windows lie in the last m and first m letters
             word_status = max(word_status, wrap_status(tuple(ring[max(0, n - m):n + m])))
@@ -444,25 +446,23 @@ def puzzle_zeta_n(
         certified = word_status != _DEAD
         certs[n - 1] += certified
         tag = "liftable-unknown-beyond-depth" if beyond and certified else _TAGS[word_status]
-        classes[n - 1].append(PeriodicClass(tuple(labels), certified, tag))
+        classes[n - 1].append(PeriodicClass(tuple(map(names.__getitem__, ids)), certified, tag))
 
-    def visit(v: int, label: str, word_status: int, to_start: dict[str, int]) -> None:
+    def visit(v: int, word_status: int, to_start: dict[int, int]) -> None:
         ids.append(v)
-        labels.append(label)
         n = len(ids)
         if n > m and word_status != _DEAD:
             word_status = max(word_status, status(tuple(ids[-m - 1:])))
-        for w, w_label in succ[v]:
+        for w in succ[v]:
             if w == ids[0]:
                 close(n, word_status)
-            if n + to_start.get(w_label, order) <= order:
-                visit(w, w_label, word_status, to_start)
+            if n + to_start.get(w, order) <= order:
+                visit(w, word_status, to_start)
         ids.pop()
-        labels.pop()
 
     if order > 0:
-        for label in sorted(graph.vertices):
-            visit(id_of[label], label, _LOW, _walk_lengths_to(preds, label, order))
+        for v in sorted(names, key=names.__getitem__):
+            visit(v, _LOW, _walk_lengths_to(preds, v, order))
     totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
@@ -476,7 +476,7 @@ def puzzle_zeta_n(
     )
 
 
-def _walk_lengths_to(preds: Mapping[str, set[str]], target: str, bound: int) -> dict[str, int]:
+def _walk_lengths_to(preds: Mapping[int, set[int]], target: int, bound: int) -> dict[int, int]:
     """Edges on a shortest path to ``target`` from each vertex with one
     shorter than ``bound``, by breadth-first search over the predecessor
     sets ``preds``; ``target`` gets 1, as a closed walk needs an edge."""

@@ -298,6 +298,20 @@ def test_coupled_build_cli(capsys, tmp_path):
     assert len(payload["result"]["levels"][1]) == 4
 
 
+@pytest.mark.parametrize("gap", ["0", "0/5", "-1", "--gap=-1/4"])
+def test_coupled_build_refuses_a_gap_that_is_not_positive(capsys, tmp_path, gap):
+    out_path = tmp_path / "puzzle.json"
+    flags = [gap] if gap.startswith("--") else ["--gap", gap]
+    status, out, err = run(
+        capsys,
+        ["coupled", "build", "--a", "9/10", "--b", "9/10", "--c", "1/20",
+         "--depth", "2", "--res", "3", *flags, "--out", str(out_path)],
+    )
+    assert (status, out) == (2, "")
+    assert err == "precondition violation: gap must be positive\n"
+    assert not out_path.exists()
+
+
 def test_graph_build_dot(capsys, k3_spec, tmp_path):
     dot_path = tmp_path / "k3.dot"
     status = main(

@@ -628,6 +628,17 @@ def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
         build_puzzle(DECOUPLED, depth, resolution)
 
 
+@pytest.mark.parametrize("gap", [0, Fraction(0), "-1/8", Fraction(-1, 2)])
+def test_every_entry_point_refuses_a_gap_that_is_not_positive(gap):
+    # a gap <= 0 would make every cell its own component
+    with pytest.raises(CoupledError, match="^gap must be positive$"):
+        almost_connected_components([UNIT_SQUARE], gap)
+    with pytest.raises(CoupledError, match="^gap must be positive$"):
+        component_counts_1d(Fraction(9, 10), 2, 3, gap=gap)
+    with pytest.raises(CoupledError, match="^gap must be positive$"):
+        build_puzzle(CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20)), 2, 3, gap)
+
+
 def test_default_gap_tracks_resolution():
     assert default_gap(6) == Fraction(1, 16)
     assert default_gap(2) == Fraction(1)

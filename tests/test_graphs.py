@@ -174,6 +174,30 @@ def random_bundle_graph(rng, names):
     return GraphTruncation(tuple(names), tuple(edges.values()))
 
 
+def test_based_loop_counts_match_the_path_count_table():
+    """The one-source excursion pass against the diagonal of the all-pairs table."""
+    rng = random.Random(5)
+    for _ in range(10):
+        d = rng.randint(1, 4)
+        graphs = [
+            sft_graph([[rng.randint(0, 2) for _ in range(d)] for _ in range(d)]),
+            random_bundle_graph(rng, ["a", "b", "c"][: rng.randint(1, 3)]),
+        ]
+        for g in graphs:
+            table = path_count_table(g, 7)
+            for v in g.vertices:
+                expected = [table[n][v][v] for n in range(1, 8)]
+                assert based_loop_counts(g, v, 7) == expected
+
+
+def test_based_loop_counts_edge_cases():
+    g = complete_graph(2)
+    assert based_loop_counts(g, "0", 0) == []
+    assert based_loop_counts(g, "0", -3) == []
+    with pytest.raises(GraphError, match="unknown base vertex 'x'"):
+        based_loop_counts(g, "x", 4)
+
+
 def test_avoiding_path_counts_brute_cross_check():
     """Every (source, target) pair against DFS on the materialized graph,
 

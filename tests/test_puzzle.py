@@ -9,12 +9,18 @@ from qfpuzzles.constructions import (
     full_shift_words,
     golden_mean_puzzle,
     golden_mean_words,
+    layered_full_shifts_puzzle,
     periodic_orbit_tower_puzzle,
+    undetermined_puzzle,
+    words_avoiding,
 )
+from qfpuzzles.graphs import gamma_n
 from qfpuzzles.puzzle import (
     DyadicDistance,
     Puzzle,
     PuzzleError,
+    ValidationReport,
+    Violation,
     bowen_ball,
     covering_number,
     distance,
@@ -23,6 +29,8 @@ from qfpuzzles.puzzle import (
     from_subshift,
     sequence_entropy,
 )
+
+from test_fuzz import random_puzzle
 
 
 def all_binary_words(n):
@@ -253,3 +261,212 @@ def test_project_to_level():
     assert p.label(p.project(v, 1)) == "0"
     assert p.label(p.project(v, 3)) == "010"
     assert p.project(p.id_of("0"), 3) == p.id_of("0")
+
+
+# -- the id-indexed tables against the pre-table routines ----------------------
+
+
+def reference_validate(p: Puzzle) -> ValidationReport:
+    """``Puzzle.validate`` as it was before the id tables: ``i`` and ``f``
+    as dicts on ids (read back from :meth:`Puzzle.to_json`), every level
+    test through :meth:`Puzzle.order`."""
+    data = p.to_json()
+    i_map, f_map = ({p.id_of(s): p.id_of(t) for s, t in data[key].items()} for key in "if")
+    out: list[Violation] = []
+    if len(p.levels[0]) != 1:
+        out.append(
+            Violation("multi-root", "V_0", f"V_0 has {len(p.levels[0])} elements, expected 1")
+        )
+    for n in range(1, p.depth + 1):
+        for piece in p.levels[n]:
+            for which, mapping in (("i", i_map), ("f", f_map)):
+                if piece not in mapping:
+                    out.append(Violation("missing-map", p.label(piece), f"{which} is undefined"))
+                    continue
+                tgt = mapping[piece]
+                if p.order(tgt) != n - 1:
+                    out.append(
+                        Violation(
+                            "level-skip",
+                            p.label(piece),
+                            f"{which} maps order {n} to order {p.order(tgt)}",
+                        )
+                    )
+    for piece in sorted(i_map):
+        if p.order(piece) < 2 or piece not in f_map:
+            continue
+        fi = i_map.get(f_map[piece])
+        if_ = f_map.get(i_map[piece])
+        if fi is None or if_ is None:
+            continue
+        if fi != if_:
+            out.append(
+                Violation(
+                    "commutation",
+                    p.label(piece),
+                    f"i(f(v))={p.label(fi)!r} != f(i(v))={p.label(if_)!r}",
+                )
+            )
+    for piece in p.pieces():
+        if p.order(piece) == 0:
+            if piece in i_map or piece in f_map:
+                out.append(Violation("level-skip", p.label(piece), "maps defined on the root"))
+    return ValidationReport(tuple(out))
+
+
+def reference_fibres(p: Puzzle, n: int) -> dict[tuple[int, int], list[int]]:
+    """The per-call regrouping that :meth:`Puzzle.fibres` replaced."""
+    out: dict[tuple[int, int], list[int]] = {}
+    for v in p.levels[n]:
+        out.setdefault((p.i(v), p.f(v)), []).append(v)
+    return out
+
+
+CONSTRUCTIONS = [
+    full_shift_puzzle(5),
+    full_shift_puzzle(3, alphabet="012"),
+    golden_mean_puzzle(6),
+    from_subshift(words_avoiding("01", [("1", "1", "1")], 6), 6),
+    from_subshift(words_avoiding("01", [("1", "0", "1"), ("0", "0", "0")], 6), 6),
+    periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5),
+    layered_full_shifts_puzzle(3, 5),
+    undetermined_puzzle(),
+]
+
+
+def broken_puzzles() -> dict[str, Puzzle]:
+    """Variants of ``full_shift_puzzle(3)``, one or more per way to fail
+    :meth:`Puzzle.validate`."""
+    base = full_shift_puzzle(3).to_json()
+    levels, i_map, f_map = base["levels"], base["i"], base["f"]
+    deep = full_shift_puzzle(4).to_json()
+
+    def without(mapping, label):
+        return {k: v for k, v in mapping.items() if k != label}
+
+    return {
+        "missing i": Puzzle(levels, without(i_map, "01"), f_map),
+        "missing f": Puzzle(levels, i_map, without(f_map, "10")),
+        "missing both": Puzzle(levels, without(i_map, "110"), without(f_map, "110")),
+        "skip through i": Puzzle(levels, {**i_map, "010": "0"}, f_map),
+        "skip through f": Puzzle(levels, i_map, {**f_map, "010": "ε"}),
+        "skip upward": Puzzle(levels, {**i_map, "0": "00"}, {**f_map, "1": "11"}),
+        "commutation": Puzzle(levels, i_map, {**f_map, "010": "00"}),
+        "commutation twice": Puzzle(levels, i_map, {**f_map, "010": "00", "110": "00"}),
+        "multi-root": Puzzle([["ε", "δ"], *levels[1:]], i_map, f_map),
+        "root i": Puzzle(levels, {**i_map, "ε": "ε"}, f_map),
+        "root f": Puzzle(levels, i_map, {**f_map, "ε": "0"}),
+        # level checks are reported before commutation, whatever the order
+        "commutation below missing": Puzzle(
+            deep["levels"], without(deep["i"], "0110"), {**deep["f"], "010": "00"}
+        ),
+    }
+
+
+def test_broken_puzzles_reach_every_violation_path():
+    swap = "i(f(v))={!r} != f(i(v))={!r}".format
+    expected = {
+        "missing i": [("missing-map", "01", "i is undefined")],
+        "missing f": [("missing-map", "10", "f is undefined")],
+        "missing both": [
+            ("missing-map", "110", "i is undefined"),
+            ("missing-map", "110", "f is undefined"),
+        ],
+        "skip through i": [
+            ("level-skip", "010", "i maps order 3 to order 1"),
+            ("commutation", "010", swap("1", "ε")),
+        ],
+        "skip through f": [("level-skip", "010", "f maps order 3 to order 0")],
+        "skip upward": [
+            ("level-skip", "0", "i maps order 1 to order 2"),
+            ("level-skip", "1", "f maps order 1 to order 2"),
+            ("commutation", "00", swap("00", "ε")),
+            ("commutation", "10", swap("00", "11")),
+            ("commutation", "11", swap("ε", "11")),
+        ],
+        "commutation": [("commutation", "010", swap("0", "1"))],
+        "commutation twice": [
+            ("commutation", "010", swap("0", "1")),
+            ("commutation", "110", swap("0", "1")),
+        ],
+        "multi-root": [("multi-root", "V_0", "V_0 has 2 elements, expected 1")],
+        "root i": [("level-skip", "ε", "maps defined on the root")],
+        "root f": [("level-skip", "ε", "maps defined on the root")],
+        "commutation below missing": [
+            ("missing-map", "0110", "i is undefined"),
+            ("commutation", "010", swap("0", "1")),
+            ("commutation", "0100", swap("10", "00")),
+            ("commutation", "0101", swap("10", "00")),
+        ],
+    }
+    broken = broken_puzzles()
+    assert list(broken) == list(expected)
+    for name, p in broken.items():
+        assert [(v.kind, v.piece, v.detail) for v in p.validate().violations] == expected[name], name
+
+
+def test_validate_matches_reference_on_broken_puzzles():
+    for name, p in broken_puzzles().items():
+        assert p.validate() == reference_validate(p), name
+        try:
+            q = dual(p)
+        except PuzzleError:
+            continue  # the dual needs i and f on every piece of positive order
+        assert q.validate() == reference_validate(q), name
+
+
+def test_validate_matches_reference_on_valid_puzzles():
+    rng = random.Random(6000)
+    fuzz = [random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)) for _ in range(60)]
+    for p in CONSTRUCTIONS + fuzz:
+        for q in (p, dual(p)):
+            assert q.validate() == reference_validate(q) == ValidationReport(())
+
+
+def test_fibres_and_children_match_regrouping():
+    rng = random.Random(6100)
+    fuzz = [random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)) for _ in range(40)]
+    valid = [q for p in CONSTRUCTIONS + fuzz for q in (p, dual(p))]
+    for q in valid:
+        for n in range(1, q.depth + 1):
+            fibres = q.fibres(n)
+            assert {key: list(group) for key, group in fibres.items()} == reference_fibres(q, n)
+            assert list(fibres) == list(reference_fibres(q, n))  # keys in first-piece order
+            assert all(type(group) is tuple for group in fibres.values())
+            assert q.fibres(n) is fibres  # built at assembly, not per call
+    for q in valid + list(broken_puzzles().values()):
+        parent_of = q.to_json()["i"]
+        for v in q.pieces():
+            kids = tuple(w for w in q.pieces() if parent_of.get(q.label(w)) == q.label(v))
+            assert q.i_preimages(v) == kids
+
+
+def test_fibres_are_read_only():
+    fibres = full_shift_puzzle(3).fibres(2)
+    with pytest.raises(TypeError):
+        fibres[(0, 0)] = (1,)
+
+
+@pytest.mark.parametrize(
+    "name, n, message",
+    [
+        ("missing i", 2, "i undefined on '01'"),
+        ("missing f", 2, "f undefined on '10'"),
+        ("missing both", 3, "i undefined on '110'"),
+    ],
+)
+def test_fibres_and_gamma_raise_on_undefined_maps(name, n, message):
+    p = broken_puzzles()[name]
+    with pytest.raises(PuzzleError, match=f"^{message}$"):
+        p.fibres(n)
+    with pytest.raises(PuzzleError, match=f"^{message}$"):
+        gamma_n(p, n - 1)
+    assert {key: list(group) for key, group in p.fibres(n - 1).items()} == reference_fibres(p, n - 1)
+
+
+def test_root_level_fibres_raise_like_the_maps():
+    p = full_shift_puzzle(3)
+    with pytest.raises(PuzzleError, match="^i undefined on 'ε'$"):
+        p.fibres(0)
+    with pytest.raises(IndexError):
+        p.fibres(4)

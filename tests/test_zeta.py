@@ -13,11 +13,13 @@ from qfpuzzles.constructions import (
 from qfpuzzles.graphs import (
     based_loop_counts,
     complete_graph,
+    gamma_n,
     loop_graph,
     periodic_point_counts,
     sft_graph,
     two_hub_graph,
 )
+from qfpuzzles.puzzle import PuzzleError
 from qfpuzzles.series import PowerSeries, SeriesError, geometric
 from qfpuzzles.zeta import (
     NotRationalError,
@@ -279,6 +281,17 @@ def test_puzzle_zeta_precondition():
     p = full_shift_puzzle(3)
     with pytest.raises(ValueError):
         puzzle_zeta_n(p, 2, 4, 2)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_puzzle_zeta_refuses_levels_without_a_transition_graph(level):
+    # the level graph is gamma_n(p, level), defined for 1 <= level <= depth - 1
+    p = full_shift_puzzle(3)
+    message = f"^level {level} needs pieces of order {level + 1}; depth is 3$"
+    with pytest.raises(PuzzleError, match=message):
+        gamma_n(p, level)
+    with pytest.raises(PuzzleError, match=message):
+        puzzle_zeta_n(p, level, 4, 2)
 
 
 def test_empirical_measure_symmetric_graph():
