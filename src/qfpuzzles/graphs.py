@@ -11,9 +11,11 @@ first-return counts) finite while preserving exact path counting: interior
 vertices carry no choices, so every walk statistic reduces to big-integer
 dynamic programming over named vertices, length-aware.
 
-Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`);
-every kernel reads that index, and :func:`avoiding_path_counts` runs one
-excursion pass per source and returns the counts to every target.
+Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`).
+:func:`avoiding_path_counts` runs one excursion pass per source and
+returns the counts to every target.  Closed walks come from one pass over
+all sources at once, with the counts from every source packed into one
+big integer per vertex and length, so a step is one multiply-add per bundle.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
@@ -58,6 +60,8 @@ class GraphTruncation:
         for e in self.edges:
             if e.src not in vset or e.dst not in vset:
                 raise GraphError(f"edge {e} mentions unknown vertex")
+            if not (_is_int(e.length) and _is_int(e.multiplicity)):
+                raise GraphError(f"edge {e} needs integer length and multiplicity")
             if e.length < 1 or e.multiplicity < 1:
                 raise GraphError(f"edge {e} needs length >= 1 and multiplicity >= 1")
             key = (e.src, e.dst, e.length)
@@ -352,31 +356,6 @@ def loads(text: str) -> GraphTruncation:
 # -- exact counting ----------------------------------------------------------
 
 
-def path_count_table(g: GraphTruncation, max_length: int) -> list[dict[str, dict[str, int]]]:
-    """``table[j][x][y]`` = number of walks x->y of total length j through
-
-    named vertices (bundle interiors contribute length, not choices).
-    """
-    verts = g.vertices
-    table: list[dict[str, dict[str, int]]] = []
-    ident = {x: {y: (1 if x == y else 0) for y in verts} for x in verts}
-    table.append(ident)
-    outs = g.adjacency
-    for j in range(1, max_length + 1):
-        row = {x: {y: 0 for y in verts} for x in verts}
-        for x in verts:
-            for e in outs[x]:
-                if e.length > j:
-                    continue
-                prev = table[j - e.length][e.dst]
-                for y in verts:
-                    c = prev[y]
-                    if c:
-                        row[x][y] += e.multiplicity * c
-        table.append(row)
-    return table
-
-
 def based_loop_counts(g: GraphTruncation, base: str, max_length: int) -> list[int]:
     """Loops (closed walks) of each length 1..max_length based at a vertex."""
     if base not in g.vertices:
@@ -388,19 +367,38 @@ def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
     """Number of n-periodic sequences of the shift on the graph's paths,
 
     for n = 1..max_length.  Counted as sequences (points), not orbits;
-    equals the trace of the n-th adjacency power of the explicit graph.
+    equals the trace of the n-th adjacency power of the explicit graph:
+    a closed walk that ends on a bundle of length L gives L sequences.
     """
-    table = path_count_table(g, max_length)
-    outs = g.adjacency
-    out = []
-    for n in range(1, max_length + 1):
-        total = 0
-        for v in g.vertices:
-            for e in outs[v]:
-                if e.length <= n:
-                    total += e.length * e.multiplicity * table[n - e.length][e.dst][v]
-        out.append(total)
-    return out
+    walks = _walk_counter(g, max(max_length - 1, 0))
+    return [sum(e.length * e.multiplicity * walks(n - e.length, e.dst, e.src) for e in g.edges if e.length <= n)
+            for n in range(1, max_length + 1)]
+
+
+def _walk_counter(g: GraphTruncation, max_length: int):
+    """``walks(j, x, y)``: the walks ``x -> y`` of total length ``j <= max_length``.
+
+    One pass serves every source.  ``ends[j][y]`` is one integer that holds
+    the count from each named vertex ``x`` in its own ``width``-bit slot;
+    step ``j`` is one multiply-add per bundle ``u -> y`` of length ``L`` and
+    multiplicity ``m``: ``ends[j][y] += m * ends[j - L][u]``.  With ``D`` the
+    largest weighted out-degree (at least 1) and ``width`` the bit length
+    of ``D ** max_length``, induction on ``j`` bounds the walks of length
+    ``j`` from ``x`` by ``sum_e m_e D^(j - L_e) <= D^j`` over its out-bundles
+    ``e``, so no slot carries into the next, and every partial sum is
+    non-negative and below its final value.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    degree = max((sum(e.multiplicity for e in es) for es in g.adjacency.values()), default=0)
+    width = (max(1, degree) ** max_length).bit_length()
+    ins: dict[str, list[tuple[str, int, int]]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ins[e.dst].append((e.src, e.length, e.multiplicity))
+    ends = [{v: 1 << width * k for v, k in index.items()}]
+    for j in range(1, max_length + 1):
+        ends.append({y: sum(m * ends[j - L][u] for u, L, m in into if L <= j) for y, into in ins.items()})
+    mask = (1 << width) - 1
+    return lambda j, x, y: ends[j][y] >> width * index[x] & mask
 
 
 def avoiding_path_counts(

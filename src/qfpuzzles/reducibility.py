@@ -167,7 +167,7 @@ class ReducibilityAnalyzer:
             raise ValueError(f"order {n} outside 1..{self.puzzle.depth}")
         certified, unknown = [], []
         for piece in self.puzzle.level(n):
-            v = self.verdict(piece)
+            v = self._table[piece]
             if v.is_irreducible:
                 certified.append(piece)
             elif v.is_unknown:

@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Sequence
 from qfpuzzles.graphs import (
     GraphTruncation,
     _check_gamma_level,
+    _walk_counter,
     avoiding_path_counts,
-    path_count_table,
     periodic_point_counts,
 )
 from qfpuzzles.polys import RationalPolynomial, _gauss_jordan, _primitive_ints, poly_gcd, rational_roots
@@ -499,8 +499,9 @@ def periodic_empirical_measure(g: GraphTruncation, n: int) -> dict[str, Fraction
     if n < 1:
         raise ValueError("the period must be >= 1")
     # on a plain graph, n-periodic sequences at v are the closed n-walks at v
-    loops = path_count_table(g, n)[n]
-    total = sum(loops[v][v] for v in g.vertices)
+    walks = _walk_counter(g, n)
+    loops = {v: walks(n, v, v) for v in g.vertices}
+    total = sum(loops.values())
     if total == 0:
         raise ValueError(f"no {n}-periodic sequences")
-    return {v: Fraction(loops[v][v], total) for v in g.vertices}
+    return {v: Fraction(c, total) for v, c in loops.items()}

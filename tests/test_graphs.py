@@ -1,4 +1,6 @@
 import random
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -12,13 +14,58 @@ from qfpuzzles.graphs import (
     complete_graph,
     from_spec,
     gamma_n,
+    _walk_counter,
     loop_graph,
-    path_count_table,
     periodic_point_counts,
     sft_graph,
     two_hub_graph,
 )
 from qfpuzzles.puzzle import PuzzleError
+from qfpuzzles.zeta import TruncationWarning, periodic_empirical_measure, semi_local_zeta_brute, zeta_from_counts
+
+
+def path_count_table(g: GraphTruncation, max_length: int) -> list[dict[str, dict[str, int]]]:
+    """``table[j][x][y]`` = number of walks x->y of total length j through
+
+    named vertices (bundle interiors contribute length, not choices).
+    """
+    verts = g.vertices
+    table: list[dict[str, dict[str, int]]] = []
+    ident = {x: {y: (1 if x == y else 0) for y in verts} for x in verts}
+    table.append(ident)
+    outs = g.adjacency
+    for j in range(1, max_length + 1):
+        row = {x: {y: 0 for y in verts} for x in verts}
+        for x in verts:
+            for e in outs[x]:
+                if e.length > j:
+                    continue
+                prev = table[j - e.length][e.dst]
+                for y in verts:
+                    c = prev[y]
+                    if c:
+                        row[x][y] += e.multiplicity * c
+        table.append(row)
+    return table
+
+
+def table_periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
+    """Number of n-periodic sequences of the shift on the graph's paths,
+
+    for n = 1..max_length.  Counted as sequences (points), not orbits;
+    equals the trace of the n-th adjacency power of the explicit graph.
+    """
+    table = path_count_table(g, max_length)
+    outs = g.adjacency
+    out = []
+    for n in range(1, max_length + 1):
+        total = 0
+        for v in g.vertices:
+            for e in outs[v]:
+                if e.length <= n:
+                    total += e.length * e.multiplicity * table[n - e.length][e.dst][v]
+        out.append(total)
+    return out
 
 
 def matrix_power_traces(matrix, n_max):
@@ -277,3 +324,96 @@ def test_path_count_table_identity_row():
     table = path_count_table(k2, 3)
     assert table[0]["0"]["0"] == 1 and table[0]["0"]["1"] == 0
     assert table[3]["0"]["1"] == 4
+
+
+def test_non_integer_bundles_rejected():
+    for length, multiplicity in [(1, 1.5), (1.0, 1), (2, 2.0), (True, 1), (1, True), (1, "2")]:
+        with pytest.raises(GraphError, match="integer length and multiplicity"):
+            GraphTruncation(("a", "b"), (Edge("a", "b", length, multiplicity),))
+    with pytest.raises(GraphError):
+        loop_graph([1, 1.5])
+
+
+def kernel_oracle_graphs(rng):
+    """Random bundle graphs (lengths 1..4, multiplicities up to 10**6), the
+    loop and two-hub builders, F-deleted subgraphs and edgeless graphs."""
+    graphs = []
+    for _ in range(12):
+        names = [f"v{k}" for k in range(rng.randint(1, 6))]
+        edges = {}
+        for _ in range(rng.randint(0, 3 * len(names))):
+            key = (rng.choice(names), rng.choice(names), rng.randint(1, 4))
+            edges[key] = Edge(*key, rng.choice([1, 2, rng.randint(1, 10**6)]))
+        g = GraphTruncation(tuple(names), tuple(edges.values()))
+        graphs += [g, g.without(rng.sample(names, rng.randint(1, len(names))))]
+    graphs += [
+        loop_graph([0, 3, 1, 0, 10**6]),
+        loop_graph([1]),
+        two_hub_graph([1, 1], [0, 2], [0, 1], [0, 0, 0, 1], 10),
+        two_hub_graph([0, 5], [1], [2], [3, 0, 10**6]).without(["b"]),
+        GraphTruncation(("a", "b", "c"), ()),
+        GraphTruncation((), ()),
+    ]
+    return graphs
+
+
+def test_packed_walk_counts_match_the_path_count_table():
+    """Every walk count of the packed all-sources pass against the table."""
+    rng = random.Random(11)
+    N = 12
+    for g in kernel_oracle_graphs(rng):
+        table = path_count_table(g, N)
+        walks = _walk_counter(g, N)
+        for j in range(N + 1):
+            for x in g.vertices:
+                for y in g.vertices:
+                    assert walks(j, x, y) == table[j][x][y], (g.edges, j, x, y)
+
+
+def test_periodic_point_counts_match_the_table_route():
+    """The packed route against the parent's table route at orders 0..24,
+
+    and the brute semi-local zeta against the table's counts."""
+    rng = random.Random(7)
+    for g in kernel_oracle_graphs(rng):
+        expected = table_periodic_point_counts(g, 24)
+        for order in range(25):
+            assert periodic_point_counts(g, order) == expected[:order], (g.edges, order)
+        if g.vertices:
+            F = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+            meeting = [t - r for t, r in zip(expected, table_periodic_point_counts(g.without(F), 24))]
+            with warnings.catch_warnings():  # the builders' graphs are faithful to short cycles only
+                warnings.simplefilter("ignore", TruncationWarning)
+                assert semi_local_zeta_brute(g, F, 24) == zeta_from_counts(meeting, order=24)
+
+
+def test_packed_slots_do_not_carry_at_the_degree_bound():
+    """A slot that holds exactly D**N, with the next source's slot above it.
+
+    Vertex ``a`` has D = 2 self-loops, so walks a -> a of length j number
+    2**j, the largest count the slot width allows; ``b -> a`` gives the
+    slot above a nonzero count, which a carry would corrupt.
+    """
+    g = GraphTruncation(("a", "b"), (Edge("a", "a", 1, 2), Edge("b", "a")))
+    for N in (1, 2, 7, 24):
+        walks = _walk_counter(g, N)
+        assert walks(N, "a", "a") == 2**N
+        assert walks(N, "b", "a") == 2 ** (N - 1)
+        assert walks(N, "a", "b") == walks(N, "b", "b") == 0
+        assert periodic_point_counts(g, N) == [2**n for n in range(1, N + 1)]
+
+
+def test_periodic_empirical_measure_matches_the_table():
+    rng = random.Random(13)
+    for _ in range(15):
+        d = rng.randint(1, 5)
+        g = sft_graph([[rng.randint(0, 1) for _ in range(d)] for _ in range(d)])
+        for n in range(1, 10):
+            loops = path_count_table(g, n)[n]
+            total = sum(loops[v][v] for v in g.vertices)
+            if total == 0:
+                with pytest.raises(ValueError, match="periodic sequences"):
+                    periodic_empirical_measure(g, n)
+                continue
+            expected = {v: Fraction(loops[v][v], total) for v in g.vertices}
+            assert periodic_empirical_measure(g, n) == expected
