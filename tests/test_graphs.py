@@ -9,12 +9,12 @@ from qfpuzzles.graphs import (
     Edge,
     GraphError,
     GraphTruncation,
+    _walk_counter,
     avoiding_path_counts,
     based_loop_counts,
     complete_graph,
     from_spec,
     gamma_n,
-    _walk_counter,
     loop_graph,
     periodic_point_counts,
     sft_graph,
@@ -24,6 +24,8 @@ from qfpuzzles.puzzle import PuzzleError
 from qfpuzzles.zeta import TruncationWarning, periodic_empirical_measure, semi_local_zeta_brute, zeta_from_counts
 
 
+# Reference route for the packed closed-walk pass: the all-pairs walk table
+# and periodic counts read from it.
 def path_count_table(g: GraphTruncation, max_length: int) -> list[dict[str, dict[str, int]]]:
     """``table[j][x][y]`` = number of walks x->y of total length j through
 
