@@ -179,31 +179,6 @@ def image_box(p: CouplingParams, box: Box) -> Box:
     return Box(*((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in (x, y)))
 
 
-_SIGN = {"P": (Fraction(0), HALF), "N": (-HALF, Fraction(0))}
-
-
-def sign_partition() -> dict[str, Box]:
-    """The four closed quadrant boxes of the square, keyed PP/PN/NP/NN
-
-    by the signs of x and y.  Their union covers the square; overlaps
-    sit on the axes (outer approximation of the open quadrants).
-    """
-    return {f"{sx}{sy}": Box(_SIGN[sx], _SIGN[sy]) for sx in "PN" for sy in "PN"}
-
-
-def boundary_pieces() -> list[Box]:
-    """The partition boundary: both axes and the square's edge."""
-    z = (Fraction(0), Fraction(0))
-    return [
-        Box((-HALF, HALF), z),
-        Box(z, (-HALF, HALF)),
-        Box((-HALF, HALF), (-HALF, -HALF)),
-        Box((-HALF, HALF), (HALF, HALF)),
-        Box((-HALF, -HALF), (-HALF, HALF)),
-        Box((HALF, HALF), (-HALF, HALF)),
-    ]
-
-
 def on_boundary(x: Fraction, y: Fraction) -> bool:
     return x == 0 or y == 0 or abs(x) == HALF or abs(y) == HALF
 

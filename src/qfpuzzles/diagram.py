@@ -412,10 +412,6 @@ class RecurrenceEvidence:
     excursions: RateTable
     gap: float | None
 
-    @property
-    def suggests_strict_inequality(self) -> bool:
-        return self.gap is not None and self.gap > 0
-
 
 def recurrence_evidence(
     g: GraphTruncation | MarkovDiagram,

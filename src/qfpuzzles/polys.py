@@ -113,12 +113,6 @@ class RationalPolynomial:
             acc = acc * v + c
         return acc
 
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        acc = RationalPolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPolynomial([c])
-        return acc
-
     def divmod(self, other: "RationalPolynomial") -> tuple["RationalPolynomial", "RationalPolynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

@@ -47,9 +47,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def by_kind(self, kind: str) -> list[Violation]:
-        return [v for v in self.violations if v.kind == kind]
-
     def __str__(self) -> str:
         if self.ok:
             return "valid puzzle"
@@ -83,9 +80,6 @@ class DyadicDistance:
         if self.exponent is None:
             return Fraction(0)
         return Fraction(1, 2**self.exponent)
-
-    def doubled(self) -> Fraction:
-        return 2 * self.value()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DyadicDistance):

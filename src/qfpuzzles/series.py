@@ -9,9 +9,13 @@ The preconditions follow the classical ones for the series ring:
 ``reciprocal`` needs ``c_0 != 0``, ``log`` needs ``c_0 == 1`` and ``exp``
 needs ``c_0 == 0``.  Violations raise :class:`SeriesError`.
 
-Series over the integers, which is what the zeta layer mostly handles,
-also have a private kernel on plain ``int`` lists ``[c_0, ..., c_K]``
-(``_int_*`` below); callers convert to :class:`PowerSeries` at their
+The product, reciprocal, ``exp`` and ``log`` have one implementation
+each, a private kernel on coefficient lists of ``int`` or ``Fraction``
+values (``_mul``, ``_reciprocal``, ``_exp_counts``, ``_log_counts``
+below).  :class:`PowerSeries` hands integral coefficients to it as
+``int``, so series over the integers, which is what the zeta layer
+mostly handles, are computed in ``int``; the zeta layer calls the kernel
+on ``int`` lists directly and converts to :class:`PowerSeries` at its
 boundary.
 """
 
@@ -145,33 +149,13 @@ class PowerSeries:
             c = Fraction(other)
             return PowerSeries([c * x for x in self.coeffs])
         k = self._common(other)
-        out = [Fraction(0)] * (k + 1)
-        for n in range(k + 1):
-            a = self.coeffs[n]
-            if a == 0:
-                continue
-            for m in range(k + 1 - n):
-                b = other.coeffs[m]
-                if b != 0:
-                    out[n + m] += a * b
-        return PowerSeries(out)
+        return PowerSeries(_mul(_lift(self.coeffs[: k + 1]), _lift(other.coeffs[: k + 1])))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise SeriesError("reciprocal requires a nonzero constant term")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        out[0] = 1 / c0
-        for n in range(1, k + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += self.coeffs[j] * out[n - j]
-            out[n] = -acc / c0
-        return PowerSeries(out)
+        return PowerSeries(_reciprocal(_lift(self.coeffs)))
 
     def __truediv__(self, other: "PowerSeries | Coeff") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -192,30 +176,12 @@ class PowerSeries:
         """``exp`` of a series with zero constant term."""
         if self.coeffs[0] != 0:
             raise SeriesError("exp requires a zero constant term")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        out[0] = Fraction(1)
-        # e' = s' e  =>  n e_n = sum_{j=1..n} j s_j e_{n-j}
-        for n in range(1, k + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += j * self.coeffs[j] * out[n - j]
-            out[n] = acc / n
-        return PowerSeries(out)
+        return PowerSeries(_exp_counts(_lift([n * c for n, c in enumerate(self.coeffs)][1:])))
 
     def log(self) -> "PowerSeries":
         """``log`` of a series with constant term one."""
-        if self.coeffs[0] != 1:
-            raise SeriesError("log requires constant term 1")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        # l' = s'/s  =>  n s_0 l_n = n s_n - sum_{j=1..n-1} j l_j s_{n-j}
-        for n in range(1, k + 1):
-            acc = Fraction(n) * self.coeffs[n]
-            for j in range(1, n):
-                acc -= j * out[j] * self.coeffs[n - j]
-            out[n] = acc / n
-        return PowerSeries(out)
+        counts = _log_counts(_lift(self.coeffs))
+        return PowerSeries([0, *(Fraction(c, n) for n, c in enumerate(counts, start=1))])
 
     def pow(self, m: int) -> "PowerSeries":
         if m < 0:
@@ -230,63 +196,64 @@ class PowerSeries:
         return acc
 
 
-def geometric(ratio: Coeff, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """The expansion of ``1 / (1 - ratio*z)`` to the given order."""
-    r = Fraction(ratio)
-    return PowerSeries([r**n for n in range(order + 1)])
+# -- kernel ------------------------------------------------------------------
+# Series truncated at order K as lists ``[c_0, ..., c_K]``; operands of
+# one call have the same length.  ``int`` lists stay ``int`` wherever the
+# result is integral.
 
 
-# -- integer kernel ----------------------------------------------------------
-# Series over Z truncated at order K, as ``int`` lists of length K + 1.
-# Operands of one call have the same length.
+def _lift(cs: Sequence[Coeff]) -> Sequence[Coeff]:
+    """``cs`` as ``int`` numerators when every coefficient is integral."""
+    if all(c.denominator == 1 for c in cs):
+        return [c.numerator for c in cs]
+    return cs
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
     """Truncated product."""
     rb = b[::-1]
     k = len(a) - 1
     return [sum(map(mul, a, rb[k - n:])) for n in range(k + 1)]
 
 
-def _int_unit_reciprocal(a: list[int]) -> list[int]:
-    """Inverse of a unit of ``Z[[z]]``: the constant term must be +1 or -1."""
+def _reciprocal(a: Sequence[Coeff]) -> list[Coeff]:
+    """Multiplicative inverse; ``int`` in, ``int`` out when ``a_0`` is +1 or -1."""
     c0 = a[0]
-    if c0 != 1 and c0 != -1:
-        raise SeriesError(f"integer reciprocal requires constant term +1 or -1, got {c0}")
-    out = [c0]
+    if c0 == 0:
+        raise SeriesError("reciprocal requires a nonzero constant term")
+    inv = c0 if c0 == 1 or c0 == -1 else 1 / Fraction(c0)
+    out = [inv]
     rest = a[1:]
     for n in range(1, len(a)):
-        # c0 * sum_{j<=n} a_j out_{n-j} = 0 and 1/c0 == c0
-        out.append(-c0 * sum(map(mul, rest[:n], reversed(out))))
+        # sum_{j<=n} a_j out_{n-j} = 0
+        out.append(-inv * sum(map(mul, rest[:n], reversed(out))))
     return out
 
 
-def _int_exp_counts(counts: Sequence[int], order: int) -> list[int] | None:
-    """``exp(sum_n p_n z^n / n)`` from point counts ``p_1, p_2, ...``.
+def _exp_counts(p: Sequence[Coeff]) -> list[Coeff]:
+    """``exp(sum_n p_n z^n / n)`` to order ``len(p)`` from ``p_1, p_2, ...``.
 
-    Newton's identity ``n a_n = sum_{k<=n} p_k a_{n-k}``; returns ``None``
-    at the first division by ``n`` that leaves a remainder (the counts
-    are then not those of a map, and the series is not integral).
+    Newton's identity ``n a_n = sum_{k<=n} p_k a_{n-k}``.  Each ``a_n``
+    is an ``int`` while ``n`` divides the sum, and a ``Fraction`` from the
+    first ``n`` that does not (the counts are then not those of a map).
     """
-    p = list(counts[:order]) + [0] * (order - len(counts))
     out = [1]
-    for n in range(1, order + 1):
-        q, r = divmod(sum(map(mul, p[:n], reversed(out))), n)
-        if r:
-            return None
-        out.append(q)
+    for n in range(1, len(p) + 1):
+        s = sum(map(mul, p[:n], reversed(out)))
+        q, r = divmod(s, n)
+        out.append(Fraction(s, n) if r else q)
     return out
 
 
-def _int_log_counts(a: list[int]) -> list[int]:
+def _log_counts(a: Sequence[Coeff]) -> list[Coeff]:
     """Point counts ``p_1 .. p_K`` of a zeta series with ``a_0 == 1``:
 
     ``p_n = n a_n - sum_{k<n} p_k a_{n-k}``, the inverse of
-    :func:`_int_exp_counts`.
+    :func:`_exp_counts`.
     """
     if a[0] != 1:
         raise SeriesError("log requires constant term 1")
-    p: list[int] = []
+    p: list[Coeff] = []
     for n in range(1, len(a)):
         p.append(n * a[n] - sum(map(mul, p, reversed(a[1:n]))))
     return p

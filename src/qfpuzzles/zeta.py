@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from qfpuzzles.graphs import (
@@ -34,10 +35,11 @@ from qfpuzzles.reducibility import ReducibilityAnalyzer
 from qfpuzzles.series import (
     PowerSeries,
     SeriesError,
-    _int_exp_counts,
-    _int_log_counts,
-    _int_mul,
-    _int_unit_reciprocal,
+    _exp_counts,
+    _lift,
+    _log_counts,
+    _mul,
+    _reciprocal,
 )
 
 
@@ -65,35 +67,27 @@ def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSe
     """``exp(sum p_n z^n / n)`` for non-negative integer point counts.
 
     Counts of a map give an integral series, computed in ``int``; other
-    counts (from a file, or lower bounds) fall back to ``Fraction``.
+    counts (from a file, or lower bounds) continue in ``Fraction`` from
+    the first coefficient that is not integral.
     """
     if any(c < 0 for c in counts):
         raise ValueError("periodic point counts must be non-negative")
     k = order if order is not None else len(counts)
     if k < 0:
         raise SeriesError(f"order must be >= 0, got {k}")
-    if all(isinstance(c, int) for c in counts):
-        exact = _int_exp_counts(counts, k)
-        if exact is not None:
-            return PowerSeries(exact)
-    cs = [Fraction(0)] * (k + 1)
-    for n, c in enumerate(counts[:k], start=1):
-        cs[n] = Fraction(c, n)
-    return PowerSeries(cs).exp()
+    p = list(counts[:k])
+    if not all(isinstance(c, Rational) for c in p):
+        raise TypeError("periodic point counts must be int or Fraction values")
+    return PowerSeries(_exp_counts(p + [0] * (k - len(p))))
 
 
 def counts_from_zeta(zeta: PowerSeries) -> list[int]:
     """Recover p_n = n * [z^n] log(zeta); exact on genuine count data."""
-    if all(c.denominator == 1 for c in zeta.coeffs):
-        return _int_log_counts([c.numerator for c in zeta.coeffs])
-    lg = zeta.log()
-    out = []
-    for n in range(1, zeta.order + 1):
-        val = n * lg[n]
-        if val.denominator != 1:
+    counts = _log_counts(_lift(zeta.coeffs))
+    for n, c in enumerate(counts, start=1):
+        if c.denominator != 1:
             raise ValueError(f"coefficient {n} does not come from integer counts")
-        out.append(int(val))
-    return out
+    return [int(c) for c in counts]
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,10 @@ def _series_det(matrix: list[list[list[int]]]) -> list[int]:
 
     The caller passes ``Id - L(z)`` with ``L(0) = 0``.  Elimination keeps
     the constant terms equal to the identity, so every diagonal pivot is a
-    unit (``_int_unit_reciprocal`` raises :class:`SeriesError` if that
-    ever breaks).  Rows are updated right of the pivot column only; the
-    entries below the pivot are never read again.
+    unit (a pivot whose constant term is not +1 or -1 raises
+    :class:`SeriesError`, so every step stays in ``int``).  Rows are
+    updated right of the pivot column only; the entries below the pivot
+    are never read again.
     """
     n = len(matrix)
     m = [row[:] for row in matrix]
@@ -145,16 +140,18 @@ def _series_det(matrix: list[list[list[int]]]) -> list[int]:
     for col in range(n):
         pivot_row = m[col]
         pivot = pivot_row[col]
-        det = _int_mul(det, pivot)
-        inv = _int_unit_reciprocal(pivot)
+        if pivot[0] != 1 and pivot[0] != -1:
+            raise SeriesError(f"integer reciprocal requires constant term +1 or -1, got {pivot[0]}")
+        det = _mul(det, pivot)
+        inv = _reciprocal(pivot)
         for r in range(col + 1, n):
             row = m[r]
             if not any(row[col]):
                 continue
-            factor = _int_mul(row[col], inv)
+            factor = _mul(row[col], inv)
             for c in range(col + 1, n):
                 if any(pivot_row[c]):
-                    row[c] = [x - y for x, y in zip(row[c], _int_mul(factor, pivot_row[c]))]
+                    row[c] = [x - y for x, y in zip(row[c], _mul(factor, pivot_row[c]))]
     return det
 
 
@@ -167,7 +164,7 @@ def semi_local_zeta_det(g: GraphTruncation, finite_set: Iterable[str], order: in
     for u in F:
         counts = avoiding_path_counts(g, u, F, order)
         matrix.append([[int(u == v), *(-c for c in counts[v])] for v in F])
-    return PowerSeries(_int_unit_reciprocal(_series_det(matrix)))
+    return PowerSeries(_reciprocal(_series_det(matrix)))
 
 
 def semi_local_zeta_brute(g: GraphTruncation, finite_set: Iterable[str], order: int) -> PowerSeries:
@@ -197,7 +194,7 @@ def loop_graph_zeta(first_returns: PowerSeries) -> PowerSeries:
     for c in first_returns.coeffs:
         if c.denominator != 1 or c < 0:
             raise SeriesError("first-return coefficients must be non-negative integers")
-    return PowerSeries(_int_unit_reciprocal([1, *(-c.numerator for c in first_returns.coeffs[1:])]))
+    return PowerSeries(_reciprocal([1, *(-c.numerator for c in first_returns.coeffs[1:])]))
 
 
 # -- rational reconstruction ---------------------------------------------------

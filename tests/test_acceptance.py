@@ -27,7 +27,6 @@ from qfpuzzles.coupled import (
     image_box,
     iterate_polynomial,
     refine_cylinders,
-    sign_partition,
 )
 from qfpuzzles.diagram import (
     build_diagram,
@@ -48,7 +47,7 @@ from qfpuzzles.graphs import (
 from qfpuzzles.polys import RationalPolynomial, poly_gcd, sylvester_resultant
 from qfpuzzles.puzzle import from_subshift
 from qfpuzzles.reducibility import ReducibilityAnalyzer
-from qfpuzzles.series import PowerSeries, geometric
+from qfpuzzles.series import PowerSeries
 from qfpuzzles.zeta import (
     pade_pole_analysis,
     periodic_empirical_measure,
@@ -56,6 +55,9 @@ from qfpuzzles.zeta import (
     semi_local_zeta_brute,
     semi_local_zeta_det,
 )
+
+from test_coupled import sign_partition
+from test_series import geometric
 
 HALF = Fraction(1, 2)
 

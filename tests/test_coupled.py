@@ -13,7 +13,6 @@ from qfpuzzles.coupled import (
     UNIT_SQUARE,
     almost_connected_components,
     boundary_entropy_estimate,
-    boundary_pieces,
     boundary_return_counts,
     build_puzzle,
     component_counts_1d,
@@ -25,7 +24,6 @@ from qfpuzzles.coupled import (
     multiplicity_estimate,
     refine_cylinders,
     refine_cylinders_1d,
-    sign_partition,
     _cell_options,
     _cell_options_1d,
     _grid,
@@ -35,6 +33,29 @@ from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
 
 H = Fraction(1, 2)
 DECOUPLED = CouplingParams.make(1, 1, 0)
+_SIGN = {"P": (Fraction(0), H), "N": (-H, Fraction(0))}
+
+
+def sign_partition() -> dict[str, Box]:
+    """The four closed quadrant boxes of the square, keyed PP/PN/NP/NN
+
+    by the signs of x and y.  Their union covers the square; overlaps
+    sit on the axes (outer approximation of the open quadrants).
+    """
+    return {f"{sx}{sy}": Box(_SIGN[sx], _SIGN[sy]) for sx in "PN" for sy in "PN"}
+
+
+def boundary_pieces() -> list[Box]:
+    """The partition boundary: both axes and the square's edge."""
+    z = (Fraction(0), Fraction(0))
+    return [
+        Box((-H, H), z),
+        Box(z, (-H, H)),
+        Box((-H, H), (-H, -H)),
+        Box((-H, H), (H, H)),
+        Box((-H, -H), (-H, H)),
+        Box((H, H), (-H, H)),
+    ]
 
 
 def test_image_of_unit_square_is_unit_square():

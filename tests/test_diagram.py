@@ -338,7 +338,7 @@ def test_recurrence_evidence_on_two_hub():
     g = two_hub_graph([5**n - q[n] for n in range(1, L + 1)], [0, 2], [0, 1],
                       [0, 0, 0, 1], L)
     ev = recurrence_evidence(g, "a", ["a", "b"], 12)
-    assert ev.suggests_strict_inequality
+    assert ev.gap is not None and ev.gap > 0
     # loops grow like 10^n, excursions like 5^n: the sampled gap sits
     # near log 2
     assert abs(ev.gap - math.log(2)) < 0.05
@@ -349,4 +349,4 @@ def test_recurrence_evidence_on_finite_graph():
 
     k3 = complete_graph(3)
     ev = recurrence_evidence(k3, "0", k3.vertices, 8)
-    assert ev.suggests_strict_inequality  # excursions die entirely
+    assert ev.gap is not None and ev.gap > 0  # excursions die entirely

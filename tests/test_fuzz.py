@@ -144,7 +144,7 @@ def test_random_puzzle_duality(seed):
         for w in pieces[:10]:
             assert (
                 distance(q, q.i(v), q.i(w)).value()
-                <= distance(q, v, w).doubled()
+                <= 2 * distance(q, v, w).value()
             )
 
 

@@ -80,14 +80,6 @@ def test_det_fraction_singular_and_regular():
     assert det_fraction([[Fraction(0), Fraction(1)], [Fraction(3), Fraction(5)]]) == -3
 
 
-def test_compose_and_eval():
-    inner = poly(Fraction(1, 2), 0, -4)  # 1/2 - 4x^2
-    outer = poly(Fraction(1, 2), 0, -4)
-    composed = outer.compose(inner)
-    x = Fraction(1, 3)
-    assert composed(x) == outer(inner(x))
-
-
 def test_zero_polynomial_conventions():
     z = RationalPolynomial.zero()
     assert z.degree == -1

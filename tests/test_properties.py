@@ -186,7 +186,7 @@ def test_distance_contraction_under_both_maps():
         pieces = [v for v in p.pieces() if p.order(v) >= 1]
         for v in pieces:
             for w in pieces:
-                bound = distance(p, v, w).doubled()
+                bound = 2 * distance(p, v, w).value()
                 assert distance(p, p.i(v), p.i(w)).value() <= bound
                 assert distance(p, p.f(v), p.f(w)).value() <= bound
 

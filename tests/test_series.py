@@ -3,7 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from qfpuzzles.series import PowerSeries, SeriesError, geometric
+from qfpuzzles.series import PowerSeries, SeriesError
+
+
+def geometric(ratio, order):
+    """The expansion of ``1 / (1 - ratio*z)`` to the given order, term by term."""
+    r = Fraction(ratio)
+    return PowerSeries([r**n for n in range(order + 1)])
+
+
+def naive_mul(a, b):
+    """Truncated product of two coefficient sequences by the double loop."""
+    k = min(len(a), len(b)) - 1
+    out = [0] * (k + 1)
+    for n in range(k + 1):
+        if a[n] == 0:
+            continue
+        for m in range(k + 1 - n):
+            out[n + m] += a[n] * b[m]
+    return out
+
+
+def random_series(rng, order, c0):
+    """Integral and fractional coefficients, many of them zero."""
+    return PowerSeries([c0] + [
+        rng.choice([0, 0, rng.randint(-9, 9), Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    rng.randint(-10**6, 10**6)])
+        for _ in range(order)
+    ])
 
 
 def test_reciprocal_geometric():
@@ -82,3 +109,43 @@ def test_truncate_only_shrinks():
     assert s.truncate(2).order == 2
     with pytest.raises(SeriesError):
         s.truncate(9)
+
+
+def test_product_matches_naive_double_loop():
+    rng = random.Random(11)
+    for order in (0, 1, 2, 7, 24):
+        for _ in range(5):
+            a = random_series(rng, order, rng.randint(-3, 3))
+            b = random_series(rng, rng.randint(0, order), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            assert list((a * b).coeffs) == naive_mul(a.coeffs, b.coeffs)
+
+
+def test_reciprocal_times_series_is_one():
+    rng = random.Random(13)
+    for order in (0, 1, 2, 7, 24):
+        for c0 in (1, -1, 2, -3, Fraction(2, 3)):
+            a = random_series(rng, order, c0)
+            inv = a.reciprocal()
+            assert naive_mul(a.coeffs, inv.coeffs) == [1] + [0] * order
+            assert a * inv == PowerSeries.one(order)
+
+
+def test_reciprocal_of_non_unit_integer_series_has_fraction_coefficients():
+    inv = (2 - PowerSeries.z(8)).reciprocal()
+    assert inv.coeffs == tuple(Fraction(1, 2 ** (n + 1)) for n in range(9))
+
+
+def test_exp_and_log_satisfy_their_differential_equations():
+    # exp(s)' = s' exp(s) and a' = a log(a)', by the naive product; the
+    # log(exp(s)) == s round trip is test_log_exp_roundtrip_random
+    rng = random.Random(17)
+    for order in (1, 2, 7, 16):
+        for _ in range(5):
+            s = random_series(rng, order, 0)
+            e = s.exp()
+            assert e[0] == 1
+            assert list(e.derivative().coeffs) == naive_mul(s.derivative().coeffs, e.coeffs)
+            a = random_series(rng, order, 1)
+            lg = a.log()
+            assert lg[0] == 0
+            assert list(a.derivative().coeffs) == naive_mul(a.coeffs, lg.derivative().coeffs)

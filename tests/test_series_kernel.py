@@ -1,8 +1,9 @@
-"""Differential oracles for the integer series kernel of ``qfpuzzles.series``.
+"""Differential oracles for the series kernel of ``qfpuzzles.series``.
 
 The semi-local determinant, ``zeta_from_counts`` and ``counts_from_zeta``
-run on ``int`` lists; each is checked here against the ``Fraction``
-``PowerSeries`` computation it replaced.
+run on the kernel's ``int`` lists; each is checked here against a
+reference routine of its own: the naive product, the ``Fraction``
+elimination, Newton's identity and the ``Fraction`` logarithm.
 """
 
 import random
@@ -12,15 +13,10 @@ from fractions import Fraction
 import pytest
 
 from qfpuzzles.graphs import periodic_point_counts, sft_graph
-from qfpuzzles.series import (
-    PowerSeries,
-    SeriesError,
-    _int_exp_counts,
-    _int_mul,
-    _int_unit_reciprocal,
-)
+from qfpuzzles.series import PowerSeries, SeriesError, _mul, _reciprocal
 from qfpuzzles.zeta import (
     TruncationWarning,
+    _series_det,
     counts_from_zeta,
     first_return_matrix,
     semi_local_zeta_brute,
@@ -29,25 +25,27 @@ from qfpuzzles.zeta import (
 )
 
 from test_graphs import random_bundle_graph
+from test_series import naive_mul
 
 
 def reference_series_det(matrix: list[list[PowerSeries]], order: int) -> PowerSeries:
-    """Determinant by Gaussian elimination over ``Fraction`` series (the
+    """Determinant by Gaussian elimination over ``Fraction`` series with the
 
-    determinant of the semi-local zeta before the integer kernel)."""
+    naive product (the determinant of the semi-local zeta before the
+    integer kernel)."""
     n = len(matrix)
     m = [row[:] for row in matrix]
     det = PowerSeries.one(order)
     for col in range(n):
         pivot = m[col][col]
-        det = det * pivot
+        det = PowerSeries(naive_mul(det.coeffs, pivot.coeffs))
         inv = pivot.reciprocal()
         for r in range(col + 1, n):
             if m[r][col].is_zero():
                 continue
-            factor = m[r][col] * inv
+            factor = PowerSeries(naive_mul(m[r][col].coeffs, inv.coeffs))
             for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
+                m[r][c] = m[r][c] - PowerSeries(naive_mul(factor.coeffs, m[col][c].coeffs))
     return det
 
 
@@ -60,9 +58,24 @@ def reference_semi_local_zeta_det(g, finite_set, order: int) -> PowerSeries:
     return reference_series_det(matrix, order).reciprocal()
 
 
+def reference_log(coeffs) -> list[Fraction]:
+    """``log`` of a series with constant term one from ``l' = s'/s``:
+
+    ``n l_n = n s_n - sum_{j=1..n-1} j l_j s_{n-j}``, in ``Fraction``."""
+    if coeffs[0] != 1:
+        raise SeriesError("log requires constant term 1")
+    out = [Fraction(0)] * len(coeffs)
+    for n in range(1, len(coeffs)):
+        acc = Fraction(n) * coeffs[n]
+        for j in range(1, n):
+            acc -= j * out[j] * coeffs[n - j]
+        out[n] = acc / n
+    return out
+
+
 def reference_counts_from_zeta(zeta: PowerSeries) -> list[int]:
     """``counts_from_zeta`` by the ``Fraction`` logarithm alone."""
-    lg = zeta.log()
+    lg = reference_log(zeta.coeffs)
     out = []
     for n in range(1, zeta.order + 1):
         val = n * lg[n]
@@ -101,22 +114,34 @@ def test_det_kernel_matches_fraction_elimination():
                     assert det.coeffs == semi_local_zeta_brute(g, F, order).coeffs
 
 
-def test_int_mul_and_unit_reciprocal_match_power_series():
+def assert_newton_identity(zeta: PowerSeries, counts) -> None:
+    """``zeta = exp(s)`` with ``s = sum p_n z^n / n``, checked through its
+
+    defining identity ``zeta' = s' zeta`` with the naive product."""
+    K = zeta.order
+    s_prime = [*counts[:K], *[0] * (K - len(counts))]
+    assert zeta[0] == 1
+    assert list(zeta.derivative().coeffs)[:K] == naive_mul(s_prime, zeta.coeffs)
+
+
+def test_int_mul_and_unit_reciprocal_match_naive_product():
     rng = random.Random(43)
     for order in (0, 1, 2, 7, 24):
         for c0 in (1, -1):
             a = random_int_series(rng, order, c0)
             b = random_int_series(rng, order, rng.randint(-3, 3))
-            assert PowerSeries(_int_mul(a, b)).coeffs == (PowerSeries(a) * PowerSeries(b)).coeffs
-            inv = _int_unit_reciprocal(a)
-            assert PowerSeries(inv).coeffs == PowerSeries(a).reciprocal().coeffs
-            assert _int_mul(a, inv) == [1] + [0] * order
+            prod = _mul(a, b)
+            assert prod == naive_mul(a, b)
+            inv = _reciprocal(a)
+            assert naive_mul(a, inv) == [1] + [0] * order
+            assert all(type(c) is int for c in prod + inv)
 
 
 @pytest.mark.parametrize("c0", [0, 2, -2, 5])
 def test_int_unit_reciprocal_rejects_non_units(c0):
+    """A pivot of the integer elimination must be a unit of ``Z[[z]]``."""
     with pytest.raises(SeriesError, match="constant term"):
-        _int_unit_reciprocal([c0, 1, 1])
+        _series_det([[[c0, 1, 1]]])
 
 
 def test_zeta_from_counts_matches_fraction_exp_on_genuine_counts():
@@ -126,24 +151,31 @@ def test_zeta_from_counts_matches_fraction_exp_on_genuine_counts():
         g = sft_graph([[rng.randint(0, 1) for _ in range(d)] for _ in range(d)])
         K = rng.choice([0, 1, 12, 24])
         counts = periodic_point_counts(g, K)
-        expected = PowerSeries([0, *(Fraction(c, n) for n, c in enumerate(counts, 1))], order=K).exp()
-        assert _int_exp_counts(counts, K) is not None
-        assert zeta_from_counts(counts, order=K).coeffs == expected.coeffs
+        zeta = zeta_from_counts(counts, order=K)
+        assert zeta.order == K
+        assert all(c.denominator == 1 for c in zeta.coeffs)
+        assert_newton_identity(zeta, counts)
 
 
 def test_zeta_from_counts_falls_back_to_fractions_on_inexact_division():
-    assert _int_exp_counts([1, 2], 2) is None
     assert zeta_from_counts([1, 2]).coeffs == (1, 1, Fraction(3, 2))
     rng = random.Random(53)
     for K in (2, 3, 8, 24):
         g = sft_graph([[1, 1], [1, rng.randint(0, 1)]])
         counts = periodic_point_counts(g, K)
+        genuine = zeta_from_counts(counts)
         counts[-1] += 1  # K * a_K = (genuine sum) + 1: inexact first at n = K
-        assert _int_exp_counts(counts[:-1], K - 1) is not None
-        assert _int_exp_counts(counts, K) is None
-        expected = PowerSeries([0, *(Fraction(c, n) for n, c in enumerate(counts, 1))], order=K).exp()
-        assert zeta_from_counts(counts).coeffs == expected.coeffs
-        assert expected[K].denominator != 1
+        zeta = zeta_from_counts(counts)
+        assert_newton_identity(zeta, counts)
+        assert zeta.truncate(K - 1) == genuine.truncate(K - 1)
+        assert zeta[K] == genuine[K] + Fraction(1, K)
+        assert zeta[K].denominator != 1
+
+
+@pytest.mark.parametrize("counts", [[1.5, 2], [1, 2.0], [2.0], [1.0, 3.0]])
+def test_zeta_from_counts_rejects_float_counts(counts):
+    with pytest.raises(TypeError):
+        zeta_from_counts(counts)
 
 
 def test_counts_from_zeta_matches_fraction_log():

@@ -20,7 +20,7 @@ from qfpuzzles.graphs import (
     two_hub_graph,
 )
 from qfpuzzles.puzzle import PuzzleError
-from qfpuzzles.series import PowerSeries, SeriesError, geometric
+from qfpuzzles.series import PowerSeries, SeriesError
 from qfpuzzles.zeta import (
     NotRationalError,
     TruncationWarning,
@@ -36,6 +36,7 @@ from qfpuzzles.zeta import (
 )
 
 from test_graphs import matrix_power_traces
+from test_series import geometric
 
 
 def ratio_series(num, den, order):
