@@ -6,7 +6,11 @@ quadrants.  All geometry is exact: quadratic images of rational boxes
 are rational, so covers carry no rounding.  The grid pipeline carries
 each iterate as integer interval numerators over one denominator per
 iterate, and each grid cell as its grid index; ``Box`` values are built
-only for returned data.
+only for returned data.  The map is even in each coordinate, so the grid
+cells mirrored through the axes share every iterate after the first, and
+one orbit is stepped per mirror class.  Two grid cells lie within a gap
+iff their Chebyshev index distance is at most ``k = ceil(gap / cell
+width)``, so components are joined ``k x k`` block by block.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -27,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 from qfpuzzles.diagram import RateTable, _rate_table
 from qfpuzzles.polys import RationalPolynomial
 from qfpuzzles.puzzle import Puzzle
+from qfpuzzles.series import _fraction
 
 HALF = Fraction(1, 2)
 
@@ -37,14 +42,7 @@ class CoupledError(ValueError):
     pass
 
 
-def _exact(v) -> Fraction:
-    """``v`` as a ``Fraction``.  Floats are refused: their binary expansion
-    would enter exact data as a power-of-two denominator."""
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, float):
-        raise CoupledError(f"float {v!r} is not exact; pass an int, Fraction or 'p/q' string")
-    return Fraction(v)
+_exact = partial(_fraction, error=CoupledError)  # a float raises CoupledError
 
 
 def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -261,11 +259,22 @@ def _options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[st
 def _grid_options(
     step: Step, dim: int, depth: int, resolution: int
 ) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
-    """Every grid index, in ``product`` order, with the :func:`_options` of its cell."""
+    """Every grid index, in ``product`` order, with the :func:`_options` of its
+    cell: its own first word, then the iterates of its mirror image with
+    every index ``>= n/2``, stepped once per mirror class."""
     n = _grid_size(resolution)
+    h = n // 2
+    side = ["N"] * (h - 1) + ["PN"] * 2 + ["P"] * (h - 1)  # contacts of cell i's interval
+    tails = {
+        cell: _options(tuple((i - h, i + 1 - h) for i in cell), n, step, depth)[1:]
+        for cell in product(range(h, n), repeat=dim)
+    }
+    mirror = [max(i, n - 1 - i) for i in range(n)]
     return [
-        (cell, _options(tuple((i - n // 2, i + 1 - n // 2) for i in cell), n, step, depth))
-        for cell in product(range(n), repeat=dim)
+        (cell, [_WORDS[word], *tails[canonical]])
+        for cell, word, canonical in zip(
+            product(range(n), repeat=dim), product(side, repeat=dim), product(mirror, repeat=dim)
+        )
     ]
 
 
@@ -317,6 +326,14 @@ def refine_cylinders(
     return {itin: tuple(box_of[cell] for cell in cells) for itin, cells in covers.items()}
 
 
+def _find(parent, u):
+    """Root of ``u`` in the union-find forest ``parent`` (a list or dict), halving the path."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
 def _components(rects: Sequence[tuple[int, int, int, int]], rho: int) -> list[list[int]]:
     """Positions of the ``(x0, x1, y0, y1)`` integer rectangles grouped by
     union-find with adjacency "L-infinity gap ``< rho``".
@@ -327,26 +344,17 @@ def _components(rects: Sequence[tuple[int, int, int, int]], rho: int) -> list[li
     order = sorted(range(len(rects)), key=rects.__getitem__)
     ranked = [rects[k] for k in order]
     parent = list(range(len(ranked)))  # union-find over ranks
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     for a, (_, x1a, y0a, y1a) in enumerate(ranked):
-        root = find(a)
+        root = _find(parent, a)
         for b, (x0b, x1b, y0b, y1b) in enumerate(ranked[a + 1 :], a + 1):
             if x0b - x1a >= rho:
                 break  # sorted by x0, so later rectangles sit further right
             # x0a <= x0b <= x1b, so b never lies rho or more left of a
             if y0b - y1a < rho and y0a - y1b < rho and parent[b] != root:
-                rb = find(b)
-                if rb != root:
-                    parent[rb] = root
+                parent[_find(parent, b)] = root
     groups: dict[int, list[int]] = {}
     for a, k in enumerate(order):
-        groups.setdefault(find(a), []).append(k)
+        groups.setdefault(_find(parent, a), []).append(k)
     return list(groups.values())
 
 
@@ -369,10 +377,26 @@ def _grid_components(
     cells: Sequence[GridCell], resolution: int, gap: Fraction
 ) -> list[tuple[GridCell, ...]]:
     """:func:`almost_connected_components` of the 2-D grid cells at these
-    indices, on integer rectangles over ``lcm(2^resolution, den gap)``."""
+    indices.  The cells of one ``k x k`` block are always within the gap,
+    so union-find runs over blocks, and a block meets only its 4 forward
+    neighbours, in a pair test that stops at its first pair within ``k``."""
     (rho, unit), _ = _common((gap, Fraction(1, 2**resolution)))
-    rects = [(i * unit, (i + 1) * unit, j * unit, (j + 1) * unit) for i, j in cells]
-    return [tuple(cells[k] for k in comp) for comp in _components(rects, rho)]
+    k = -(-rho // unit)  # ceil(gap / cell width): cells within the gap are <= k apart
+    cells = sorted(cells)
+    blocks: dict[tuple[int, int], list[GridCell]] = {}
+    for i, j in cells:
+        blocks.setdefault((i // k, j // k), []).append((i, j))
+    parent = {b: b for b in blocks}
+    for (bi, bj), members in blocks.items():
+        for near in ((bi, bj + 1), (bi + 1, bj - 1), (bi + 1, bj), (bi + 1, bj + 1)):
+            if near in blocks and _find(parent, near) != _find(parent, (bi, bj)) and any(
+                abs(i - u) <= k and abs(j - v) <= k for i, j in members for u, v in blocks[near]
+            ):
+                parent[_find(parent, near)] = _find(parent, (bi, bj))
+    groups: dict[tuple[int, int], list[GridCell]] = {}
+    for i, j in cells:
+        groups.setdefault(_find(parent, (i // k, j // k)), []).append((i, j))
+    return [tuple(g) for g in groups.values()]
 
 
 def default_gap(resolution: int) -> Fraction:

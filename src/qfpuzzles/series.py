@@ -3,7 +3,9 @@
 A :class:`PowerSeries` stores coefficients ``c_0 .. c_K`` as
 :class:`fractions.Fraction` values.  ``K`` is the truncation order; it is a
 property of the value, never changed silently.  Binary operations between
-series of different orders truncate to the smaller order.
+series of different orders truncate to the smaller order.  A ``float``
+coefficient or scalar raises ``TypeError``: its binary expansion is not
+the value meant.
 
 The preconditions follow the classical ones for the series ring:
 ``reciprocal`` needs ``c_0 != 0``, ``log`` needs ``c_0 == 1`` and ``exp``
@@ -34,13 +36,23 @@ class SeriesError(ValueError):
     """Raised on precondition violations of series operations."""
 
 
+def _fraction(v, error: type[Exception] = TypeError) -> Fraction:
+    """``v`` as a ``Fraction``.  Floats are refused with ``error``: their binary
+    expansion would enter exact data as a power-of-two denominator."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, float):
+        raise error(f"float {v!r} is not exact; pass an int, Fraction or 'p/q' string")
+    return Fraction(v)
+
+
 class PowerSeries:
     """Formal power series truncated at order ``K`` over exact rationals."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise SeriesError("truncation order must be >= 0")
@@ -126,7 +138,7 @@ class PowerSeries:
     def __add__(self, other: "PowerSeries | Coeff") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             cs = list(self.coeffs)
-            cs[0] += Fraction(other)
+            cs[0] += _fraction(other)
             return PowerSeries(cs)
         k = self._common(other)
         return PowerSeries([self.coeffs[n] + other.coeffs[n] for n in range(k + 1)])
@@ -138,15 +150,15 @@ class PowerSeries:
 
     def __sub__(self, other: "PowerSeries | Coeff") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
-            return self + (-Fraction(other))
+            return self + (-_fraction(other))
         return self + (-other)
 
     def __rsub__(self, other: Coeff) -> "PowerSeries":
-        return (-self) + Fraction(other)
+        return (-self) + _fraction(other)
 
     def __mul__(self, other: "PowerSeries | Coeff") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
-            c = Fraction(other)
+            c = _fraction(other)
             return PowerSeries([c * x for x in self.coeffs])
         k = self._common(other)
         return PowerSeries(_mul(_lift(self.coeffs[: k + 1]), _lift(other.coeffs[: k + 1])))
@@ -159,7 +171,7 @@ class PowerSeries:
 
     def __truediv__(self, other: "PowerSeries | Coeff") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / _fraction(other))
         return self * other.reciprocal()
 
     def derivative(self) -> "PowerSeries":

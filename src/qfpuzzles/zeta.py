@@ -70,14 +70,14 @@ def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSe
     counts (from a file, or lower bounds) continue in ``Fraction`` from
     the first coefficient that is not integral.
     """
+    if not all(isinstance(c, Rational) for c in counts):
+        raise TypeError("periodic point counts must be int or Fraction values")
     if any(c < 0 for c in counts):
         raise ValueError("periodic point counts must be non-negative")
     k = order if order is not None else len(counts)
     if k < 0:
         raise SeriesError(f"order must be >= 0, got {k}")
     p = list(counts[:k])
-    if not all(isinstance(c, Rational) for c in p):
-        raise TypeError("periodic point counts must be int or Fraction values")
     return PowerSeries(_exp_counts(p + [0] * (k - len(p))))
 
 

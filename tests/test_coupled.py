@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -26,8 +26,16 @@ from qfpuzzles.coupled import (
     refine_cylinders_1d,
     _cell_options,
     _cell_options_1d,
+    _covers_by_depth,
+    _covers_from_options,
     _grid,
+    _grid_boxes,
+    _grid_components,
+    _grid_options,
+    _grid_size,
     _ivl_intersect,
+    _map_step,
+    _options,
 )
 from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
 
@@ -427,6 +435,81 @@ def test_components_match_pairwise_grouping(abc):
                 for n in (1, 2)
             ]
             assert component_counts_1d(p.a, 2, resolution, gap) == want, gap
+
+
+# -- the mirror and block fast paths against the per-cell loop and the sweep
+
+
+def per_cell_grid_options(step, dim, depth, resolution):
+    """Every grid index, in ``product`` order, with the :func:`_options` of its cell."""
+    n = _grid_size(resolution)
+    return [
+        (cell, _options(tuple((i - n // 2, i + 1 - n // 2) for i in cell), n, step, depth))
+        for cell in product(range(n), repeat=dim)
+    ]
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_mirror_cells_share_tails_and_match_per_cell_options(abc):
+    p = CouplingParams.make(*abc)
+    for dim, step in ((2, _map_step((p.a, p.b), p.c)), (1, _map_step((p.a,), Fraction(0)))):
+        for resolution in range(1, 7):
+            n = 2**resolution
+            for depth in range(1, 5):
+                got = _grid_options(step, dim, depth, resolution)
+                assert got == per_cell_grid_options(step, dim, depth, resolution), (dim, resolution, depth)
+                options = dict(got)
+                for cell, opts in got:
+                    for mirrored in product(*({i, n - 1 - i} for i in cell)):
+                        assert options[mirrored][1:] == opts[1:], (cell, mirrored)
+
+
+@cache
+def grid_box_index(resolution):
+    """Each grid cell's ``Box``, and each such box's cell by object identity."""
+    box_of = _grid_boxes(resolution)
+    return box_of, {id(box): cell for cell, box in box_of.items()}
+
+
+def sweep_grid_components(cells, resolution, gap):
+    """The grid cells grouped by the rectangle sweep of the public
+    :func:`almost_connected_components`, through their ``Box`` values."""
+    box_of, cell_of = grid_box_index(resolution)
+    comps = almost_connected_components([box_of[c] for c in cells], gap)
+    return [tuple(cell_of[id(b)] for b in comp) for comp in comps]
+
+
+def test_grid_components_match_sweep_on_sweep_universe():
+    for abc in sweep_universe():
+        p = CouplingParams.make(*abc)
+        for gap in (default_gap(4), Fraction(3, 7)):
+            for _, covers in _covers_by_depth(p, [1, 2, 3], 4):
+                for cells in covers.values():
+                    assert _grid_components(cells, 4, gap) == sweep_grid_components(cells, 4, gap), abc
+
+
+def test_grid_components_match_sweep_on_d3_r7_build():
+    p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
+    cells = [c for c in _cell_options(p, 3, 7) if len(c[1]) == 3]
+    covers = [members for n in (1, 2, 3) for members in _covers_from_options(cells, n).values()]
+    assert len(covers) == 84
+    gap = default_gap(7)
+    for members in covers:
+        assert _grid_components(members, 7, gap) == sweep_grid_components(members, 7, gap)
+
+
+def test_grid_components_of_sparse_cells_match_sweep():
+    rng = random.Random("sparse-grid-cells")
+    for resolution in (3, 4, 5):
+        n = 2**resolution
+        gaps = oracle_gaps(resolution)
+        assert {(gap * n).denominator == 1 for gap in gaps} == {True, False}  # k = rho/unit or not
+        for gap in gaps:
+            for density in (0.02, 0.1, 0.3):
+                cells = [cell for cell in product(range(n), repeat=2) if rng.random() < density]
+                rng.shuffle(cells)
+                want = sweep_grid_components(cells, resolution, gap)
+                assert _grid_components(cells, resolution, gap) == want, (resolution, gap)
 
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)

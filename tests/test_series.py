@@ -149,3 +149,37 @@ def test_exp_and_log_satisfy_their_differential_equations():
             lg = a.log()
             assert lg[0] == 0
             assert list(a.derivative().coeffs) == naive_mul(a.coeffs, lg.derivative().coeffs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: PowerSeries([1, 0.1]),
+        lambda s: PowerSeries([0.5], order=3),
+        lambda s: PowerSeries.from_counts([1.5]),
+        lambda s: PowerSeries.from_counts([1, 2.0], order=1),
+        lambda s: s + 0.5,
+        lambda s: 0.5 + s,
+        lambda s: s - 0.5,
+        lambda s: 0.5 - s,
+        lambda s: s * 0.5,
+        lambda s: 0.5 * s,
+        lambda s: s / 0.5,
+    ],
+    ids=["init", "init-order", "from-counts", "from-counts-order", "add", "radd", "sub", "rsub",
+         "mul", "rmul", "truediv"],
+)
+def test_floats_are_refused(call):
+    with pytest.raises(TypeError, match="float"):
+        call(PowerSeries([1, 2, 3]))
+
+
+def test_exact_scalars_still_accepted():
+    s = PowerSeries([1, 2, 3])
+    assert (s + Fraction(1, 2)).coeffs == (Fraction(3, 2), 2, 3)
+    assert (s - 1).coeffs == (0, 2, 3)
+    assert (1 - s).coeffs == (0, -2, -3)
+    assert (s * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+    assert (s / 2) == s * Fraction(1, 2)
+    assert PowerSeries(["1/3", 2]).coeffs == (Fraction(1, 3), 2)
+    assert all(type(c) is Fraction for c in PowerSeries.from_counts([1, 2]).coeffs)

@@ -178,6 +178,15 @@ def test_zeta_from_counts_rejects_float_counts(counts):
         zeta_from_counts(counts)
 
 
+@pytest.mark.parametrize("counts", [[1, 2.0], [1, 2, 2.5], [1, "2"], [1, None], [-1, 2.0], [1.5, -2]])
+@pytest.mark.parametrize("order", [None, 0, 1])
+def test_zeta_from_counts_checks_every_count_type_first(counts, order):
+    # Counts beyond the order, and counts that also fail the sign check,
+    # raise the same TypeError as a float below the order.
+    with pytest.raises(TypeError, match="int or Fraction"):
+        zeta_from_counts(counts, order=order)
+
+
 def test_counts_from_zeta_matches_fraction_log():
     rng = random.Random(59)
     for order in (0, 1, 5, 24):
