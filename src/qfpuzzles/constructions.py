@@ -14,35 +14,23 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from qfpuzzles.puzzle import Puzzle, PuzzleError, from_subshift, word_label
+from qfpuzzles.puzzle import Puzzle, PuzzleError, _walk, from_subshift, word_label
 
 
 def full_shift_words(alphabet: Sequence[str], depth: int) -> set[tuple[str, ...]]:
-    words: set[tuple[str, ...]] = {()}
-    for n in range(1, depth + 1):
-        words.update(product(alphabet, repeat=n))
-    return words
+    return words_avoiding(alphabet, (), depth)
 
 
 def words_avoiding(
     alphabet: Sequence[str], forbidden: Iterable[Sequence[str]], depth: int
 ) -> set[tuple[str, ...]]:
-    """All words up to the given length containing no forbidden factor.
-
-    Words grow one letter at a time from words that avoid every forbidden
-    factor, so only a factor ending at the appended letter can be new.
-    """
-    bad = [tuple(f) for f in forbidden]
-
-    def ok(w: tuple[str, ...]) -> bool:
-        return not any(len(b) <= len(w) and w[len(w) - len(b) :] == b for b in bad)
-
-    words: set[tuple[str, ...]] = {()}
-    frontier: list[tuple[str, ...]] = [()]
-    for _ in range(depth):
-        frontier = [w + (a,) for w in frontier for a in alphabet if ok(w + (a,))]
-        words.update(frontier)
-    return words
+    """All words up to the given length with no forbidden factor, as tuples of
+    the alphabet's letters, by the level walk: ``w·a`` has none when ``w`` and
+    ``f(w)·a`` have none and ``w·a`` is not forbidden (Lind & Marcus 1995, §2.1)."""
+    bad = set(map(tuple, forbidden))
+    if () in bad:  # the empty factor occurs in every word
+        depth = 0
+    return set(_walk(dict.fromkeys(alphabet), depth, forbidden=bad)[0])
 
 
 def golden_mean_words(depth: int) -> set[tuple[str, ...]]:
@@ -70,19 +58,15 @@ def _layered_levels(
     levels: list[list[str]] = [[word_label(())]]
     i_map: dict[str, str] = {}
     f_map: dict[str, str] = {}
-    zero = {n: ("0",) * n for n in range(depth + 1)}
     for n in range(1, depth + 1):
         level: list[str] = []
+        zero = word_label(("0",) * (n - 1))
         for k in sorted(layer_words):
             for w in sorted(layer_words[k].get(n, [])):
                 label = word_label(w)
                 level.append(label)
-                if k == n and n >= 1:
-                    i_map[label] = word_label(zero[n - 1])
-                    f_map[label] = word_label(zero[n - 1])
-                else:
-                    i_map[label] = word_label(w[:-1])
-                    f_map[label] = word_label(w[1:])
+                i_map[label] = zero if k == n else word_label(w[:-1])
+                f_map[label] = zero if k == n else word_label(w[1:])
         levels.append(level)
     return levels, i_map, f_map
 
@@ -97,15 +81,9 @@ def layered_full_shifts_puzzle(layers: int, depth: int) -> Puzzle:
     """
     if layers < 1 or depth < layers:
         raise PuzzleError("need 1 <= layers <= depth")
-    table: dict[int, dict[int, list[tuple[str, ...]]]] = {0: {}}
-    for n in range(1, depth + 1):
-        table[0][n] = [("0",) * n]
+    table = {0: {n: [("0",) * n] for n in range(1, depth + 1)}}
     for k in range(1, layers + 1):
-        alphabet = (f"a{k}", f"b{k}")
-        table[k] = {
-            n: [tuple(w) for w in product(alphabet, repeat=n)]
-            for n in range(k, depth + 1)
-        }
+        table[k] = {n: list(product((f"a{k}", f"b{k}"), repeat=n)) for n in range(k, depth + 1)}
     return Puzzle(*_layered_levels(table, depth), name=f"layered-{layers}")
 
 
@@ -121,18 +99,12 @@ def periodic_orbit_tower_puzzle(periods: Sequence[int], depth: int) -> Puzzle:
         raise PuzzleError("need one period per layer up to the requested depth")
     if any(p < 1 or p > 9 for p in periods[:depth]):
         raise PuzzleError("periods must lie in 1..9 (label scheme)")
-    table: dict[int, dict[int, list[tuple[str, ...]]]] = {
-        0: {n: [tuple(w) for w in product("01", repeat=n)] for n in range(1, depth + 1)}
-    }
+    table = {0: {n: list(product("01", repeat=n)) for n in range(1, depth + 1)}}
     for k in range(1, depth + 1):
         p = periods[k - 1]
         symbols = [f"w{k}.{j}" for j in range(p)]
-        table[k] = {}
-        for n in range(k, depth + 1):
-            words = {
-                tuple(symbols[(j + t) % p] for t in range(n)) for j in range(p)
-            }
-            table[k][n] = sorted(words)
+        table[k] = {n: sorted({tuple(symbols[(j + t) % p] for t in range(n)) for j in range(p)})
+                    for n in range(k, depth + 1)}
     return Puzzle(*_layered_levels(table, depth), name="orbit-tower")
 
 

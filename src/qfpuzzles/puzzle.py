@@ -335,36 +335,63 @@ def word_label(word: Sequence[str]) -> str:
     return "".join(word) if word else ROOT_LABEL
 
 
+def _walk(letters: Iterable, depth: int, words: set | None = None, forbidden: set = frozenset()):
+    """The level walk of a subshift language: level ``n + 1`` grows from
+    level ``n``, pieces in id order, then ``letters`` in order.  ``w·a`` is a
+    piece, with ``i = w``, when ``f(w)`` has an ``a``-child (its suffix link,
+    which is its ``f``) and it is in ``words`` or, without ``words``, not in
+    ``forbidden``.  Returns the words, ``i`` and ``f`` by id and the first id
+    of each level and past the last; stops after ``depth`` levels or an empty one."""
+    word, i, f, starts = [()], [None], [None], [0, 1]
+    kids = [(a, {None: 0}) for a in letters]  # kid[v]: the a-child of v; kid[f(root)]: the root
+    lengths = set(map(len, forbidden))
+    for n in range(1, depth + 1):
+        for v in range(starts[-2], starts[-1]):
+            w, fv = word[v], f[v]
+            for a, kid in kids:
+                t = kid.get(fv)
+                if t is None:
+                    continue
+                x = w + (a,)
+                if x not in words if words is not None else n in lengths and x in forbidden:
+                    continue
+                kid[v] = len(word)
+                word.append(x)
+                i.append(v)
+                f.append(t)
+        starts.append(len(word))
+        if starts[-1] == starts[-2]:
+            break
+    return word, i, f, starts
+
+
 def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle:
     """Puzzle of a subshift language: levels are the words of each length,
 
     ``i`` drops the last letter and ``f`` drops the first.  The word set
     must contain the empty word and be closed under prefix and suffix up
-    to the requested depth.
+    to the requested depth; longer words are ignored, and letters that are
+    not strings go through ``str``.
     """
     if depth < 1:
         raise PuzzleError("depth must be >= 1")
-    wordset = {tuple(map(str, w)) for w in words}
+    wordset = set(map(tuple, words))
+    letters = set().union(*wordset)
+    if not all(isinstance(a, str) for a in letters):
+        wordset, letters = {tuple(map(str, w)) for w in wordset}, set(map(str, letters))
     wordset.add(())
-    by_len: dict[int, list[tuple[str, ...]]] = {}
-    for w in wordset:
-        by_len.setdefault(len(w), []).append(w)
-    for n in range(1, depth + 1):
-        for w in by_len.get(n, []):
-            if w[:-1] not in wordset:
-                raise PuzzleError(f"word set not prefix-closed: {word_label(w)!r} lacks its prefix")
-            if w[1:] not in wordset:
-                raise PuzzleError(f"word set not suffix-closed: {word_label(w)!r} lacks its suffix")
-    levels = [sorted(by_len.get(n, [])) for n in range(depth + 1)]
-    for n, level in enumerate(levels):
-        if not level:
-            raise PuzzleError(f"no words of length {n}; depth {depth} unreachable")
-    # ids level by level, as Puzzle numbers labels; i and f drop a letter
-    id_of = {w: v for v, w in enumerate(w for level in levels for w in level)}
-    i_map = {v: id_of[w[:-1]] for w, v in id_of.items() if w}
-    f_map = {v: id_of[w[1:]] for w, v in id_of.items() if w}
-    labels = [[word_label(w) for w in level] for level in levels]
-    return Puzzle._from_ids(labels, i_map, f_map, name)
+    word, i, f, starts = _walk(sorted(letters), depth, wordset)
+    missed = wordset.difference(word) if len(word) < len(wordset) else ()
+    if faults := [(len(w), w) for w in missed if len(w) <= depth]:
+        # all words below the least missed one were reached, so it lacks its prefix or suffix
+        least = min(faults)[1]
+        kind = "prefix" if least[:-1] not in wordset else "suffix"
+        raise PuzzleError(f"word set not {kind}-closed: {word_label(least)!r} lacks its {kind}")
+    if starts[-1] == starts[-2]:
+        raise PuzzleError(f"no words of length {len(starts) - 2}; depth {depth} unreachable")
+    labels = [ROOT_LABEL, *map("".join, word[1:])]
+    levels = [labels[a:b] for a, b in zip(starts, starts[1:])]
+    return Puzzle._from_ids(levels, dict(enumerate(i)), dict(enumerate(f)), name)
 
 
 def from_refinement(

@@ -1,9 +1,16 @@
 """Randomized and exhaustive invariant checks across modules."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import qfpuzzles
 
 from qfpuzzles.constructions import (
     full_shift_puzzle,
@@ -78,6 +85,23 @@ def test_words_avoiding_matches_full_factor_scan():
         ), (alphabet, forbidden, depth)
 
 
+@pytest.mark.parametrize(
+    "alphabet", ["0101", ("b", "a", "10", "2"), (1, 0)], ids=["duplicated", "unsorted", "not-str"]
+)
+def test_words_avoiding_alphabets_match_full_factor_scan(alphabet):
+    rng = random.Random(13)
+    letters = list(dict.fromkeys(alphabet))
+    cases = [[], [()], [(), (letters[0],)], [(letters[-1],)]] + [
+        [tuple(rng.choice(letters) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        for _ in range(20)
+    ]
+    for forbidden in cases:
+        for depth in range(7):
+            words = words_avoiding(alphabet, forbidden, depth)
+            assert words == reference_words_avoiding(alphabet, forbidden, depth), (forbidden, depth)
+            assert all(a in letters for w in words for a in w)
+
+
 def test_random_subshift_puzzles_validate():
     rng = random.Random(41)
     built = 0
@@ -132,6 +156,8 @@ def assert_same_puzzle(p, q):
         assert p.id_of(p.label(v)) == v
         if p.order(v):
             assert (p.i(v), p.f(v)) == (q.i(v), q.f(v))
+    for n in range(1, p.depth + 1):
+        assert dict(p.fibres(n)) == dict(q.fibres(n))
 
 
 def test_from_subshift_matches_label_route():
@@ -151,23 +177,125 @@ def test_from_subshift_matches_label_route():
     assert_same_puzzle(from_subshift(["", "a", "aa"], 2), reference_from_subshift(["", "a", "aa"], 2))
 
 
+def assert_same_front_end(alphabet, forbidden, depth, name="subshift"):
+    """``from_subshift(words_avoiding(...))`` against the two reference routes."""
+    assert_same_puzzle(
+        from_subshift(words_avoiding(alphabet, forbidden, depth), depth, name),
+        reference_from_subshift(reference_words_avoiding(alphabet, forbidden, depth), depth, name),
+    )
+
+
+BINARY_FACTORS = [w for n in (2, 3, 4) for w in itertools.product("01", repeat=n)]
+
+
+def test_front_end_matches_references_over_the_shift_universe():
+    """Every binary set of one or two forbidden words of length 2-4, at depth 8."""
+    for forbidden in [(w,) for w in BINARY_FACTORS] + list(itertools.combinations(BINARY_FACTORS, 2)):
+        assert_same_front_end("01", forbidden, 8)
+
+
+def test_front_end_matches_references_over_three_letters():
+    pairs = list(itertools.product("012", repeat=2))
+    for forbidden in [[]] + [[w] for w in pairs] + [list(ws) for ws in itertools.combinations(pairs, 2)]:
+        assert_same_front_end("012", forbidden, 5)
+    assert_same_front_end("012", [("0", "1", "2"), ("2", "2")], 7)
+
+
 @pytest.mark.parametrize(
-    "words, depth, message",
+    "build, alphabet, forbidden, depth, name",
     [
-        ({"", "0", "00", "10"}, 2, "word set not prefix-closed: '10' lacks its prefix"),
-        ({"", "1", "10"}, 2, "word set not suffix-closed: '10' lacks its suffix"),
-        ({"", "0"}, 2, "no words of length 2; depth 2 unreachable"),
-        (["", "0", "1", ("01",), ("0", "1")], 2, "duplicate label '01'"),
-        (["", "0", ("ε",)], 1, "duplicate label 'ε'"),
-        (["", "0"], 0, "depth must be >= 1"),
+        (lambda: full_shift_puzzle(6), "01", [], 6, "full-shift"),
+        (lambda: golden_mean_puzzle(8), "01", [("1", "1")], 8, "golden-mean"),
+        (lambda: full_shift_puzzle(5, "012"), "012", [], 5, "full-shift"),
     ],
-    ids=["prefix", "suffix", "empty-level", "duplicate", "duplicate-root", "depth"],
+    ids=["full-shift", "golden-mean", "full-shift-012"],
 )
-def test_from_subshift_errors_match_label_route(words, depth, message):
-    for build in (from_subshift, reference_from_subshift):
+def test_constructions_match_references(build, alphabet, forbidden, depth, name):
+    expected = reference_from_subshift(reference_words_avoiding(alphabet, forbidden, depth), depth, name)
+    assert_same_puzzle(build(), expected)
+
+
+LABEL_ROUTE = (from_subshift, reference_from_subshift)
+
+
+@pytest.mark.parametrize(
+    "words, depth, message, builds",
+    [
+        ({"", "0", "00", "10"}, 2, "word set not prefix-closed: '10' lacks its prefix", LABEL_ROUTE),
+        ({"", "1", "10"}, 2, "word set not suffix-closed: '10' lacks its suffix", LABEL_ROUTE),
+        ({"", "0"}, 2, "no words of length 2; depth 2 unreachable", LABEL_ROUTE),
+        (["", "0", "1", ("01",), ("0", "1")], 2, "duplicate label '01'", LABEL_ROUTE),
+        (["", "0", ("ε",)], 1, "duplicate label 'ε'", LABEL_ROUTE),
+        (["", "0"], 0, "depth must be >= 1", LABEL_ROUTE),
+        # two offenders: the label route reports whichever its set order meets first
+        ({"", "0", "10", "01"}, 2, "word set not suffix-closed: '01' lacks its suffix", (from_subshift,)),
+    ],
+    ids=["prefix", "suffix", "empty-level", "duplicate", "duplicate-root", "depth", "two-offenders"],
+)
+def test_from_subshift_errors_match_label_route(words, depth, message, builds):
+    for build in builds:
         with pytest.raises(PuzzleError) as info:
             build(words, depth)
         assert str(info.value) == message
+
+
+def closure_error_by_rule(words, depth):
+    """The closure error ``from_subshift`` must raise, straight from its
+    rule: of the words up to ``depth`` lacking their prefix or suffix in the
+    set, the least word of the lowest level, by its prefix if it lacks both."""
+    wordset = {tuple(map(str, w)) for w in words} | {()}
+    faults = sorted(
+        (len(w), w) for w in wordset
+        if 0 < len(w) <= depth and (w[:-1] not in wordset or w[1:] not in wordset)
+    )
+    if not faults:
+        return None
+    w = faults[0][1]
+    kind = "prefix" if w[:-1] not in wordset else "suffix"
+    return f"word set not {kind}-closed: {''.join(w)!r} lacks its {kind}"
+
+
+def test_from_subshift_reports_least_fault_of_lowest_level():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(300):
+        depth = rng.randint(1, 5)
+        words = random_factor_language(rng, depth)
+        if words is None:
+            continue
+        words = set(words)
+        for _ in range(rng.randint(1, 4)):  # drop and add words to break closure
+            if rng.random() < 0.6 and len(words) > 1:
+                words.discard(rng.choice(sorted(w for w in words if w)))
+            else:
+                words.add(tuple(rng.choice("012") for _ in range(rng.randint(1, depth + 1))))
+        expected = closure_error_by_rule(words, depth)
+        if expected is None:
+            continue
+        with pytest.raises(PuzzleError) as info:
+            from_subshift(words, depth)
+        assert str(info.value) == expected, (sorted(words), depth)
+        seen.add(expected.split(":")[0])
+    assert seen == {"word set not prefix-closed", "word set not suffix-closed"}
+
+
+def test_from_subshift_error_does_not_depend_on_hash_seed():
+    script = (
+        "from qfpuzzles.puzzle import PuzzleError, from_subshift\n"
+        "try:\n"
+        "    from_subshift({'', '0', '10', '01'}, 2)\n"
+        "except PuzzleError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(qfpuzzles.__file__).resolve().parents[1])
+    messages = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        messages.add(run.stdout.strip())
+    assert messages == {"word set not suffix-closed: '01' lacks its suffix"}
 
 
 def test_dual_involution_across_examples():
