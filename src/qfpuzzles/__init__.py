@@ -17,9 +17,10 @@ The package is organised around a handful of small, exact data structures:
 * :mod:`qfpuzzles.coupled` -- exact box dynamics for coupled quadratic maps
   and puzzle extraction from cylinder refinements.
 
-All coefficient arithmetic is performed on :class:`fractions.Fraction`;
-no floating point enters retained data.  Estimates (entropy rates) are the
-only floats produced and are always labeled as such.
+Arithmetic is exact: integral values stay ``int`` (integer series, coupled
+iterates, orbit polynomials over one denominator), the rest is
+:class:`fractions.Fraction`, and no float enters retained data.  Estimates
+(entropy rates) are the only floats produced and are always labeled as such.
 """
 
 from qfpuzzles.puzzle import (

@@ -25,13 +25,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import product, zip_longest
 from typing import Callable, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
 from qfpuzzles.polys import RationalPolynomial
 from qfpuzzles.puzzle import Puzzle
-from qfpuzzles.series import _fraction
+from qfpuzzles.series import _fraction, _mul
 
 HALF = Fraction(1, 2)
 
@@ -204,17 +204,22 @@ def _grid_size(resolution: int) -> int:
 def _grid(resolution: int) -> list[Interval]:
     """``[-1/2, 1/2]`` cut into ``2^resolution`` dyadic intervals."""
     n = _grid_size(resolution)
-    step = Fraction(1, n)
-    return [(-HALF + k * step, -HALF + (k + 1) * step) for k in range(n)]
+    ends = [Fraction(2 * k - n, 2 * n) for k in range(n + 1)]  # -1/2 + k/n
+    return [_ivl(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
 
 
 def _grid_boxes(resolution: int) -> dict[GridCell, Box]:
-    """Every grid index ``(i, j)`` with its dyadic box, in :func:`dyadic_grid` order."""
-    ivs = _grid(resolution)
-    return {(i, j): Box(x, y) for (i, x), (j, y) in product(enumerate(ivs), repeat=2)}
+    """Every grid index ``(i, j)`` with its dyadic box, in :func:`dyadic_grid` order;
+    :func:`_grid` checked the intervals, so the boxes skip ``Box.__post_init__``."""
+    boxes = {}
+    for (i, x), (j, y) in product(enumerate(_grid(resolution)), repeat=2):
+        boxes[i, j] = box = object.__new__(Box)
+        object.__setattr__(box, "x", x)
+        object.__setattr__(box, "y", y)
+    return boxes
 
 
 def dyadic_grid(resolution: int) -> list[Box]:
@@ -393,9 +398,10 @@ def _grid_components(
                 abs(i - u) <= k and abs(j - v) <= k for i, j in members for u, v in blocks[near]
             ):
                 parent[_find(parent, near)] = _find(parent, (bi, bj))
+    root = {b: _find(parent, b) for b in blocks}
     groups: dict[tuple[int, int], list[GridCell]] = {}
     for i, j in cells:
-        groups.setdefault(_find(parent, (i // k, j // k)), []).append((i, j))
+        groups.setdefault(root[i // k, j // k], []).append((i, j))
     return [tuple(g) for g in groups.values()]
 
 
@@ -585,18 +591,27 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
     """The polynomial whose roots are the x with the x-coordinate of the
 
     k-th image of (x, 0) equal to zero; built by exact coordinate
-    iteration.
+    iteration on ``int`` coefficient lists over one denominator, as in :func:`_step`.
     """
     if k < 1:
         raise CoupledError("k must be >= 1")
-    X = RationalPolynomial.x()
-    Y = RationalPolynomial.zero()
+    (a, b, c, half), lcd = _common((p.a, p.b, p.c, HALF))
+    X, Y, denom = [0, 1], [0], 1
     for _ in range(k):
-        X, Y = (
-            (1 - X * X * 4) * p.a + Y * Y * p.c - HALF,
-            (1 - Y * Y * 4) * p.b + X * X * p.c - HALF,
-        )
-    return X
+        X2, Y2 = (_mul(*[P + [0] * (len(P) - 1)] * 2) for P in (X, Y))  # untruncated squares
+        d2 = denom * denom
+        X, Y = _quadratic(a, X2, c, Y2, (a - half) * d2), _quadratic(b, Y2, c, X2, (b - half) * d2)
+        denom = lcd * d2
+    return RationalPolynomial([Fraction(x, denom) for x in X])
+
+
+def _quadratic(main: int, S2: list[int], c: int, T2: list[int], constant: int) -> list[int]:
+    """``constant - 4 main S2 + c T2``, without trailing zeros."""
+    out = [c * t - 4 * main * s for s, t in zip_longest(S2, T2, fillvalue=0)]
+    out[0] += constant
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 # -- 1d reference pipeline (product checks) -------------------------------------

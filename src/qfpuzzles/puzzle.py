@@ -160,11 +160,14 @@ class Puzzle:
 
     def _group(self, level: tuple[int, ...]) -> Mapping[tuple[int, int], tuple[int, ...]] | str:
         out: dict[tuple[int, int], list[int]] = {}
-        try:
-            for v in level:
-                out.setdefault((self.i(v), self.f(v)), []).append(v)
-        except PuzzleError as exc:  # kept, for fibres(n) to raise on every call
-            return str(exc)
+        i, f = self._i, self._f
+        for v in level:
+            if i[v] is None or f[v] is None:
+                try:  # the accessors raise the error, i first
+                    self.i(v), self.f(v)
+                except PuzzleError as exc:  # kept, for fibres(n) to raise on every call
+                    return str(exc)
+            out.setdefault((i[v], f[v]), []).append(v)
         return MappingProxyType({key: tuple(group) for key, group in out.items()})
 
     # -- piece accessors -------------------------------------------------

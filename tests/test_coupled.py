@@ -464,6 +464,17 @@ def test_mirror_cells_share_tails_and_match_per_cell_options(abc):
                         assert options[mirrored][1:] == opts[1:], (cell, mirrored)
 
 
+def test_grid_boxes_match_validating_constructor():
+    for resolution in range(1, 7):
+        ivs = _grid(resolution)
+        want = {(i, j): Box(x, y) for (i, x), (j, y) in product(enumerate(ivs), repeat=2)}
+        got = _grid_boxes(resolution)
+        assert got == want and list(got) == list(want), resolution
+        assert all(type(v) is Fraction for box in got.values() for v in (*box.x, *box.y))
+        assert {hash(box) for box in got.values()} == {hash(box) for box in want.values()}
+    assert _grid(2) == [(-H, Fraction(-1, 4)), (Fraction(-1, 4), 0), (0, Fraction(1, 4)), (Fraction(1, 4), H)]
+
+
 @cache
 def grid_box_index(resolution):
     """Each grid cell's ``Box``, and each such box's cell by object identity."""
@@ -648,6 +659,41 @@ def test_iterate_polynomial_known_forms():
     p2 = iterate_polynomial(DECOUPLED, 2)
     assert p2 == RationalPolynomial([H]) - (p1 * p1) * 4
     assert p2 == RationalPolynomial([-H, 0, 16, 0, -64])
+
+
+def reference_iterate_polynomial(p, k):
+    """The parent's ``Fraction`` recursion on :class:`RationalPolynomial` values."""
+    X = RationalPolynomial.x()
+    Y = RationalPolynomial.zero()
+    for _ in range(k):
+        X, Y = (
+            (1 - X * X * 4) * p.a + Y * Y * p.c - H,
+            (1 - Y * Y * 4) * p.b + X * X * p.c - H,
+        )
+    return X
+
+
+def test_iterate_polynomial_matches_fraction_reference_on_eighths():
+    eighths = [Fraction(k, 8) for k in range(1, 8)]
+    for abc in product(eighths, repeat=3):
+        p = CouplingParams.make(*abc)
+        for k in (1, 2, 3):
+            assert iterate_polynomial(p, k) == reference_iterate_polynomial(p, k), (abc, k)
+
+
+@pytest.mark.parametrize("abc", [
+    (Fraction(1, 3), Fraction(2, 7), Fraction(5, 9)),
+    (Fraction(9, 10), Fraction(9, 10), Fraction(1, 20)),
+    (1, 1, 0),
+    (Fraction(1, 3), Fraction(3, 4), 0),
+    (0, Fraction(1, 2), Fraction(-2, 7)),  # a = 0: X drops to the degree of c Y^2
+])
+def test_iterate_polynomial_matches_fraction_reference_off_the_dyadics(abc):
+    p = CouplingParams.make(*abc)
+    for k in range(1, 6):
+        got, want = iterate_polynomial(p, k), reference_iterate_polynomial(p, k)
+        assert got == want and repr(got) == repr(want), k
+        assert all(type(v) is Fraction for v in got.coeffs)
 
 
 def test_iterate_polynomial_degrees_double_when_decoupled():
