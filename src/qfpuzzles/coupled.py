@@ -15,7 +15,9 @@ width)``, so components are joined ``k x k`` block by block.
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
 touch.  Pieces may merge under this approximation but never split, so
-extracted puzzles are sound in the merge direction.
+extracted puzzles are sound in the merge direction.  Covers and pieces
+grow by one level walk, each level cut from the one before, so a piece
+lies inside one parent piece: its ``i`` in :func:`build_puzzle`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product, zip_longest
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
 from qfpuzzles.polys import RationalPolynomial
@@ -290,28 +292,49 @@ def _cell_options(
     return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
 
 
-def _covers_from_options(cells: list[tuple], n: int) -> dict[Itinerary, tuple]:
-    """Covers of the depth-``n`` cylinders by the cells with >= n options."""
-    covers: dict[Itinerary, list] = {}
-    for cell, options in cells:
-        if len(options) >= n:
-            for itin in product(*options[:n]):
-                covers.setdefault(itin, []).append(cell)
-    return {itin: tuple(members) for itin, members in sorted(covers.items())}
+def _level_walk(
+    cells: Sequence[tuple[GridCell, Sequence[tuple[str, ...]]]], depth: int,
+    split: Callable[[list[GridCell]], Iterable[Sequence[GridCell]]],
+) -> Iterator[list[tuple[Itinerary, Sequence[GridCell], int]]]:
+    """Levels 1..``depth`` of the cylinder covers by the ``(grid index,
+    options)`` pairs ``cells``, as lists of ``(itinerary, part, position of
+    the parent part in the level before)``.
+
+    Level ``n`` cuts each part of level ``n - 1`` (level 0: every cell) by
+    the cells' ``n``-th sign word, and ``split`` divides each group into
+    parts; a cell with fewer than ``n`` options drops out.  As
+    ``cover(w·a)`` lies inside ``cover(w)``, a component of a child cover
+    lies inside one component of its parent.  Parts come in itinerary
+    order, then by first cell.
+    """
+    options = dict(cells)
+    level = [((), list(options), None)]
+    for n in range(depth):
+        cut = []
+        for at, (itin, part, _) in enumerate(level):
+            groups: dict[str, list[GridCell]] = {}
+            for cell in part:
+                if len(options[cell]) > n:
+                    for word in options[cell][n]:
+                        groups.setdefault(word, []).append(cell)
+            cut.extend((itin + (word,), piece, at)
+                       for word, group in groups.items() for piece in split(group))
+        level = sorted(cut, key=lambda t: (t[0], t[1][0]))
+        yield level
 
 
 def _covers_by_depth(
     p: CouplingParams, n_range: Sequence[int], resolution: int
-) -> list[tuple[int, dict[Itinerary, tuple[GridCell, ...]]]]:
-    """``(n, covers)`` for n in sorted(n_range), from one pass; the covers
+) -> list[tuple[int, dict[Itinerary, Sequence[GridCell]]]]:
+    """``(n, covers)`` for n in sorted(n_range), from one walk; the covers
     are those of ``refine_cylinders(p, n, resolution)`` by grid index."""
     ns = sorted(n_range)
     if not ns:
         return []
     if ns[0] < 1:
         raise CoupledError("depth must be >= 1")
-    cells = _cell_options(p, ns[-1], resolution)
-    return [(n, _covers_from_options(cells, n)) for n in ns]
+    levels = list(_level_walk(_cell_options(p, ns[-1], resolution), ns[-1], lambda cells: [cells]))
+    return [(n, {itin: cells for itin, cells, _ in levels[n - 1]}) for n in ns]
 
 
 def refine_cylinders(
@@ -434,10 +457,6 @@ class PuzzleBuild:
 ROOT = "Q"
 
 
-def _piece_label(itin: Itinerary, comp_index: int) -> str:
-    return "-".join(itin) + f"/{comp_index}"
-
-
 def build_puzzle(
     p: CouplingParams,
     depth: int,
@@ -446,10 +465,13 @@ def build_puzzle(
 ) -> PuzzleBuild:
     """Extract the puzzle of almost connected cylinder components.
 
-    Levels are the components of the cylinder covers; ``i`` follows
-    containment one level up, ``f`` the component containing the image
-    cover, resolved by maximal overlap when the outer approximation is
-    ambiguous.  Unresolvable assignments (exact overlap ties) raise.
+    Level ``n`` holds the components of the depth-``n`` cylinder covers,
+    grown from level ``n - 1`` by one level walk: each component of
+    ``cover(w·a)`` lies inside one component of ``cover(w)``, and ``i`` is
+    that parent component by construction.  ``f`` is the component among
+    those carrying the shifted itinerary that holds the image cover,
+    resolved by maximal overlap when the outer approximation is ambiguous.
+    Only a piece with no image cylinder and an exact overlap tie raise.
 
     Escape rule: a grid box is dropped from every level when one of its
     first ``depth`` iterates misses the square, so level ``n`` can hold
@@ -461,49 +483,29 @@ def build_puzzle(
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
     box_of = _grid_boxes(resolution)
 
-    # Per level, the pieces of each itinerary with the grid cells of their
-    # boxes, in label order; the root holds every cell.
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
-    by_level: list[dict[Itinerary, list[tuple[ExtractedPiece, tuple[GridCell, ...]]]]] = [
-        {(): [(root, tuple(cell for cell, _ in cells))]}
-    ]
-    for n in range(1, depth + 1):
-        by_level.append({
-            itin: [
-                (ExtractedPiece(_piece_label(itin, ci), itin, tuple(box_of[c] for c in comp)), comp)
-                for ci, comp in enumerate(_grid_components(members, resolution, gap))
-            ]
-            for itin, members in _covers_from_options(cells, n).items()
-        })
-    levels = [[q.label for group in level.values() for q, _ in group] for level in by_level]
-    pieces = {q.label: q for level in by_level for group in level.values() for q, _ in group}
-
-    i_map: dict[str, str] = {}
-    f_map: dict[str, str] = {}
+    pieces, ids, levels = {ROOT: root}, {ROOT: 0}, [[ROOT]]
+    by_itin = {(): [root]}  # the last level's pieces per itinerary, in label order
+    i_map: dict[int, int] = {}
+    f_map: dict[int, int] = {}
     ambiguous: list[str] = []
-    for parents, level in zip(by_level, by_level[1:]):
-        home_of = {
-            (itin, c): q.label for itin, group in parents.items() for q, comp in group for c in comp
-        }
-        for itin, group in level.items():
-            candidates = [q for q, _ in parents.get(itin[1:], ())]
-            for piece, comp in group:
-                i_map[piece.label] = _containing_piece(piece, comp, home_of)
-                f_map[piece.label], flagged = _image_piece(p, piece, candidates)
-                if flagged:
-                    ambiguous.append(piece.label)
-    puzzle = Puzzle(levels, i_map, f_map, name="coupled")
-    return PuzzleBuild(puzzle, pieces, tuple(ambiguous))
-
-
-def _containing_piece(piece: ExtractedPiece, cells: tuple[GridCell, ...], home_of: Mapping) -> str:
-    want = piece.itinerary[:-1]
-    homes = {home_of.get((want, cell)) for cell in cells}
-    if len(homes) != 1 or None in homes:
-        raise CoupledError(
-            f"unresolvable containment for {piece.label!r}: candidates {sorted(filter(None, homes))}"
-        )
-    return homes.pop()
+    split = partial(_grid_components, resolution=resolution, gap=gap)
+    for level in _level_walk(cells, depth, split):
+        parents, by_itin = by_itin, {}
+        levels.append([])
+        for itin, part, at in level:
+            group = by_itin.setdefault(itin, [])
+            piece = ExtractedPiece("-".join(itin) + f"/{len(group)}", itin, tuple(box_of[c] for c in part))
+            group.append(piece)
+            levels[-1].append(piece.label)
+            v = ids[piece.label] = len(pieces)
+            pieces[piece.label] = piece
+            i_map[v] = ids[levels[-2][at]]
+            target, flagged = _image_piece(p, piece, parents.get(itin[1:], []))
+            f_map[v] = ids[target]
+            if flagged:
+                ambiguous.append(piece.label)
+    return PuzzleBuild(Puzzle._from_ids(levels, i_map, f_map, "coupled"), pieces, tuple(ambiguous))
 
 
 def _image_piece(
@@ -633,9 +635,9 @@ def refine_cylinders_1d(
     alpha: Fraction, depth: int, resolution: int
 ) -> dict[Itinerary, tuple[Interval, ...]]:
     """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
-    covers = _covers_from_options(_cell_options_1d(alpha, depth, resolution), depth)
+    *_, covers = _level_walk(_cell_options_1d(alpha, depth, resolution), depth, lambda cells: [cells])
     ivs = _grid(resolution)
-    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells in covers.items()}
+    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells, _ in covers}
 
 
 def component_counts_1d(
@@ -643,13 +645,10 @@ def component_counts_1d(
 ) -> list[int]:
     """Component counts per level 1..depth of the 1d pipeline."""
     gap = _positive_gap(gap, resolution)
-    cells = _cell_options_1d(alpha, depth, resolution)
     # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
-    return [
-        sum(len(_grid_components([(i, 0) for (i,) in members], resolution, gap))
-            for members in _covers_from_options(cells, n).values())
-        for n in range(1, depth + 1)
-    ]
+    cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
+    split = partial(_grid_components, resolution=resolution, gap=gap)
+    return [len(level) for level in _level_walk(cells, depth, split)]
 
 
 def component_counts_2d(build: PuzzleBuild) -> list[int]:

@@ -5,11 +5,15 @@ from itertools import product
 
 import pytest
 
+from qfpuzzles.cli import main
 from qfpuzzles.coupled import (
     HALF,
+    ROOT,
     Box,
     CoupledError,
     CouplingParams,
+    ExtractedPiece,
+    PuzzleBuild,
     UNIT_SQUARE,
     almost_connected_components,
     boundary_entropy_estimate,
@@ -26,18 +30,19 @@ from qfpuzzles.coupled import (
     refine_cylinders_1d,
     _cell_options,
     _cell_options_1d,
-    _covers_by_depth,
-    _covers_from_options,
     _grid,
     _grid_boxes,
     _grid_components,
     _grid_options,
     _grid_size,
+    _image_piece,
     _ivl_intersect,
     _map_step,
     _options,
+    _positive_gap,
 )
 from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
+from qfpuzzles.puzzle import Puzzle
 
 H = Fraction(1, 2)
 DECOUPLED = CouplingParams.make(1, 1, 0)
@@ -437,6 +442,156 @@ def test_components_match_pairwise_grouping(abc):
             assert component_counts_1d(p.a, 2, resolution, gap) == want, gap
 
 
+# -- the level walk against the label-resolving build it replaced ----------------
+
+
+def reference_covers_from_options(cells, n):
+    """Covers of the depth-``n`` cylinders by the cells with >= n options,
+    each cell under every itinerary of its first ``n`` option lists."""
+    covers = {}
+    for cell, options in cells:
+        if len(options) >= n:
+            for itin in product(*options[:n]):
+                covers.setdefault(itin, []).append(cell)
+    return {itin: tuple(members) for itin, members in sorted(covers.items())}
+
+
+def reference_containing_piece(piece, cells, home_of):
+    want = piece.itinerary[:-1]
+    homes = {home_of.get((want, cell)) for cell in cells}
+    if len(homes) != 1 or None in homes:
+        raise CoupledError(
+            f"unresolvable containment for {piece.label!r}: candidates {sorted(filter(None, homes))}"
+        )
+    return homes.pop()
+
+
+def reference_build_puzzle(p, depth, resolution, gap=None):
+    """:func:`build_puzzle` as first written: every level rebuilt from the
+    cover expansion, ``i`` searched for by containment, labels resolved by
+    the public :class:`Puzzle` constructor."""
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
+    gap = _positive_gap(gap, resolution)
+    cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
+    box_of = _grid_boxes(resolution)
+    root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
+    by_level = [{(): [(root, tuple(cell for cell, _ in cells))]}]
+    for n in range(1, depth + 1):
+        by_level.append({
+            itin: [
+                (ExtractedPiece("-".join(itin) + f"/{ci}", itin, tuple(box_of[c] for c in comp)), comp)
+                for ci, comp in enumerate(_grid_components(members, resolution, gap))
+            ]
+            for itin, members in reference_covers_from_options(cells, n).items()
+        })
+    levels = [[q.label for group in level.values() for q, _ in group] for level in by_level]
+    pieces = {q.label: q for level in by_level for group in level.values() for q, _ in group}
+    i_map, f_map, ambiguous = {}, {}, []
+    for parents, level in zip(by_level, by_level[1:]):
+        home_of = {
+            (itin, c): q.label for itin, group in parents.items() for q, comp in group for c in comp
+        }
+        for itin, group in level.items():
+            candidates = [q for q, _ in parents.get(itin[1:], ())]
+            for piece, comp in group:
+                i_map[piece.label] = reference_containing_piece(piece, comp, home_of)
+                f_map[piece.label], flagged = _image_piece(p, piece, candidates)
+                if flagged:
+                    ambiguous.append(piece.label)
+    return PuzzleBuild(Puzzle(levels, i_map, f_map, name="coupled"), pieces, tuple(ambiguous))
+
+
+def build_outcome(build, *args):
+    """What a build shows: the puzzle's JSON, the flagged pieces and every
+    piece in order, or the text of the :class:`CoupledError` it raises."""
+    try:
+        got = build(*args)
+    except CoupledError as exc:
+        return str(exc)
+    pieces = [(q.label, q.itinerary, q.boxes) for q in got.pieces.values()]
+    return got.puzzle.to_json(), got.ambiguous, pieces
+
+
+# The sweep-universe points where build_puzzle(depth 3, res 4) finds no
+# image cylinder; the coupled-sweep benchmark leaves them out.
+COUPLED_UNRESOLVED = {
+    (Fraction(a), Fraction(b), Fraction(c)) for a, b, c in [
+        ("3/8", "5/8", "7/8"), ("3/8", "3/4", "5/8"), ("3/8", "3/4", "3/4"), ("3/8", "3/4", "7/8"),
+        ("5/8", "3/8", "7/8"), ("3/4", "3/8", "5/8"), ("3/4", "3/8", "3/4"), ("3/4", "3/8", "7/8"),
+    ]
+}
+
+
+def test_build_puzzle_matches_reference_build_puzzle_on_sweep_universe():
+    raised = set()
+    for abc in sweep_universe():
+        p = CouplingParams.make(*abc)
+        got = build_outcome(build_puzzle, p, 3, 4)
+        assert got == build_outcome(reference_build_puzzle, p, 3, 4), abc
+        if isinstance(got, str):
+            assert got.startswith("no image cylinder for "), abc
+            raised.add(abc)
+    assert raised == COUPLED_UNRESOLVED
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_build_puzzle_matches_reference_build_puzzle_on_oracle_params(abc):
+    p = CouplingParams.make(*abc)
+    for resolution in (2, 3, 4):
+        for gap in oracle_gaps(resolution):
+            for depth in (1, 2, 3):
+                args = (p, depth, resolution, gap)
+                assert build_outcome(build_puzzle, *args) == build_outcome(reference_build_puzzle, *args), args
+
+
+def test_build_puzzle_matches_reference_build_puzzle_at_d3_r7():
+    p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
+    got = build_outcome(build_puzzle, p, 3, 7)
+    assert got == build_outcome(reference_build_puzzle, p, 3, 7)
+    assert [len(level) for level in got[0]["levels"]] == [1, 4, 16, 64]
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 4), Fraction(7, 8)])
+def test_build_puzzle_matches_reference_build_puzzle_where_components_interleave(c):
+    # Here a cover has a component whose first cell comes before another's
+    # and whose last cell comes after it: labels follow the first cell.
+    p = CouplingParams.make(Fraction(1, 8), Fraction(3, 4), c)
+    for gap in (Fraction(1, 8), Fraction(1, 24)):
+        for depth in (1, 2, 3):
+            assert build_outcome(build_puzzle, p, depth, 3, gap) == build_outcome(
+                reference_build_puzzle, p, depth, 3, gap), (gap, depth)
+
+
+def test_flagged_image_assignments_are_pinned():
+    # Out of the domain, the outer slop of every level-2 piece touches a
+    # second image component; the maximal overlap picks its f.
+    p = CouplingParams.make(Fraction(3, 2), Fraction(1, 2), Fraction(1, 4))
+    build = build_puzzle(p, 3, 4, Fraction(1, 16))
+    image = {"NN": "NN/1", "NP": "NP/1", "PN": "PN/0", "PP": "PP/0"}  # f by the second word
+    want = {f"{s}-{t}/0": image[t] for s in image for t in image}
+    assert build.ambiguous == tuple(want)
+    puzzle = build.puzzle
+    assert {label: puzzle.label(puzzle.f(puzzle.id_of(label))) for label in build.ambiguous} == want
+
+
+def test_no_image_cylinder_at_res_4_and_a_valid_build_at_res_5(capsys):
+    # ``NN-NN-PP/0`` needs an image in a depth-2 cylinder that no res-4
+    # grid cell realizes; at res 5 the same point builds.
+    p = CouplingParams.make(Fraction(3, 8), Fraction(5, 8), Fraction(7, 8))
+    with pytest.raises(CoupledError, match=r"^no image cylinder for 'NN-NN-PP/0'$"):
+        build_puzzle(p, 3, 4)
+    status = main(["coupled", "build", "--a", "3/8", "--b", "5/8", "--c", "7/8",
+                   "--depth", "3", "--res", "4"])
+    out = capsys.readouterr()
+    assert (status, out.out) == (2, "")
+    assert out.err == "precondition violation: no image cylinder for 'NN-NN-PP/0'\n"
+    build = build_puzzle(p, 3, 5)
+    assert build.puzzle.validate().ok
+    assert [len(build.puzzle.level(n)) for n in range(4)] == [1, 4, 12, 28]
+    assert len(build.pieces) == 45 and build.ambiguous == ()
+
+
 # -- the mirror and block fast paths against the per-cell loop and the sweep
 
 
@@ -492,17 +647,17 @@ def sweep_grid_components(cells, resolution, gap):
 
 def test_grid_components_match_sweep_on_sweep_universe():
     for abc in sweep_universe():
-        p = CouplingParams.make(*abc)
+        cells = _cell_options(CouplingParams.make(*abc), 3, 4)
+        covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
         for gap in (default_gap(4), Fraction(3, 7)):
-            for _, covers in _covers_by_depth(p, [1, 2, 3], 4):
-                for cells in covers.values():
-                    assert _grid_components(cells, 4, gap) == sweep_grid_components(cells, 4, gap), abc
+            for members in covers:
+                assert _grid_components(members, 4, gap) == sweep_grid_components(members, 4, gap), abc
 
 
 def test_grid_components_match_sweep_on_d3_r7_build():
     p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
     cells = [c for c in _cell_options(p, 3, 7) if len(c[1]) == 3]
-    covers = [members for n in (1, 2, 3) for members in _covers_from_options(cells, n).values()]
+    covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
     assert len(covers) == 84
     gap = default_gap(7)
     for members in covers:
