@@ -401,15 +401,17 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
     return [tuple(boxes[k] for k in comp) for comp in _components(rects, rho)]
 
 
-def _grid_components(
-    cells: Sequence[GridCell], resolution: int, gap: Fraction
-) -> list[tuple[GridCell, ...]]:
+def _block_size(resolution: int, gap: Fraction) -> int:
+    """``ceil(gap / cell width)``: grid cells within the gap are at most this many cells apart."""
+    return math.ceil(gap * 2**resolution)
+
+
+def _grid_components(cells: Sequence[GridCell], k: int) -> list[tuple[GridCell, ...]]:
     """:func:`almost_connected_components` of the 2-D grid cells at these
-    indices.  The cells of one ``k x k`` block are always within the gap,
-    so union-find runs over blocks, and a block meets only its 4 forward
-    neighbours, in a pair test that stops at its first pair within ``k``."""
-    (rho, unit), _ = _common((gap, Fraction(1, 2**resolution)))
-    k = -(-rho // unit)  # ceil(gap / cell width): cells within the gap are <= k apart
+    indices, for the block size ``k`` of :func:`_block_size`.  The cells of
+    one ``k x k`` block are always within the gap, so union-find runs over
+    blocks, and a block meets only its 4 forward neighbours, in a pair test
+    that stops at its first pair within ``k``."""
     cells = sorted(cells)
     blocks: dict[tuple[int, int], list[GridCell]] = {}
     for i, j in cells:
@@ -489,7 +491,7 @@ def build_puzzle(
     i_map: dict[int, int] = {}
     f_map: dict[int, int] = {}
     ambiguous: list[str] = []
-    split = partial(_grid_components, resolution=resolution, gap=gap)
+    split = partial(_grid_components, k=_block_size(resolution, gap))
     for level in _level_walk(cells, depth, split):
         parents, by_itin = by_itin, {}
         levels.append([])
@@ -647,7 +649,7 @@ def component_counts_1d(
     gap = _positive_gap(gap, resolution)
     # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
     cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
-    split = partial(_grid_components, resolution=resolution, gap=gap)
+    split = partial(_grid_components, k=_block_size(resolution, gap))
     return [len(level) for level in _level_walk(cells, depth, split)]
 
 

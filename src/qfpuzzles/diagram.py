@@ -29,7 +29,7 @@ class DiagramError(ValueError):
 
 
 class DepthExhausted(DiagramError):
-    """A pullback or witness search left the puzzle truncation."""
+    """A path walk or witness search left the puzzle truncation."""
 
 
 @dataclass(frozen=True)
@@ -167,38 +167,41 @@ def _validate_path(d: MarkovDiagram, path: Sequence[int]) -> list[Arrow]:
 def path_to_piece(d: MarkovDiagram, path: Sequence[int]) -> int:
     """The unique piece encoding a diagram path of length n.
 
-    Runs the inductive pullback construction: starting from the last
-    vertex, each arrow's witness tree is used to pull the partial piece
-    back through the chain isomorphism.  The returned piece ``w`` has
-    order ``|v_0| + n`` and satisfies ``i^n(w) = v_0`` and, for every k,
-    ``i^k(w)`` reduces onto ``v_{n-k}``; both are asserted, with reduction
-    verdicts consulted wherever the truncation certifies them.
+    One forward walk from ``v_0``: each arrow leads to the one child of the
+    current piece ``w`` whose ``f^t``-image, ``t = |w| - |source|``, is the
+    arrow's witness (a reducible piece maps its i-tree isomorphically).
+    The returned piece ``w`` has order ``|v_0| + n`` and satisfies
+    ``i^n(w) = v_0`` and, for every k, ``i^k(w)`` reduces onto ``v_{n-k}``;
+    both are asserted, with reduction verdicts consulted wherever the
+    truncation certifies them.
     """
     p = d.puzzle
     hops = _validate_path(d, path)
     n = len(path) - 1
     if p.order(path[0]) + n > p.depth:
-        raise DepthExhausted(
-            f"piece of order {p.order(path[0]) + n} exceeds depth {p.depth}"
-        )
-    w = path[-1]
-    for j, arrow in enumerate(reversed(hops), start=1):
-        u, steps = arrow.witness, arrow.steps
-        # Candidates are the level-(j-1) nodes of the tree below u; the
-        # chain isomorphism sends exactly one of them to the current w.
-        frontier = [u]
-        for _ in range(j - 1):
-            frontier = [x for q in frontier for x in p.i_preimages(q)]
-        matches = [x for x in frontier if p.f_iter(x, steps) == w]
+        raise DepthExhausted(f"piece of order {p.order(path[0]) + n} exceeds depth {p.depth}")
+    return _path_pieces(d, path, hops)[-1]
+
+
+def _path_pieces(d: MarkovDiagram, path: Sequence[int], hops: Sequence[Arrow]) -> list[int]:
+    """The pieces of every prefix of a valid path, by one forward walk; each is
+    an i-ancestor of the last, so one :func:`_assert_path_piece` checks them all."""
+    p = d.puzzle
+    w = path[0]
+    pieces = [w]
+    for arrow in hops:
+        if p.order(w) == p.depth:  # w has no children; name the depth, not an empty match
+            raise DepthExhausted(f"piece of order {p.depth + 1} exceeds depth {p.depth}")
+        t = p.order(w) - p.order(arrow.source)
+        matches = [x for x in p.i_preimages(w) if p.f_iter(x, t) == arrow.witness]
         if len(matches) != 1:
             raise DepthExhausted(
-                f"pullback through witness {p.label(u)!r} found {len(matches)} preimages"
+                f"pullback through witness {p.label(arrow.witness)!r} found {len(matches)} preimages"
             )
         w = matches[0]
-        if p.order(w) != p.order(arrow.source) + j:
-            raise DiagramError("pullback produced a piece at the wrong order")
+        pieces.append(w)
     _assert_path_piece(d, path, w)
-    return w
+    return pieces
 
 
 def _assert_path_piece(d: MarkovDiagram, path: Sequence[int], w: int) -> None:
@@ -229,15 +232,9 @@ def project_path(d: MarkovDiagram, path: Sequence[int]) -> tuple[list[str], list
     f-image of each coordinate).
     """
     p = d.puzzle
-    _validate_path(d, path)
+    pieces = _path_pieces(d, path, _validate_path(d, path))
     shift = p.order(path[0])
-    xs: list[str] = []
-    pis: list[str] = []
-    for j in range(len(path)):
-        wj = path_to_piece(d, path[: j + 1])
-        xs.append(p.label(wj))
-        pis.append(p.label(p.f_iter(wj, shift)))
-    return xs, pis
+    return [p.label(w) for w in pieces], [p.label(p.f_iter(w, shift)) for w in pieces]
 
 
 # -- SCCs and entropy estimators ----------------------------------------------

@@ -64,7 +64,7 @@ class DyadicDistance:
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: int | None):
-        if exponent is not None and exponent < 0:
+        if exponent is not None and not (type(exponent) is int and exponent >= 0):  # bool is refused
             raise ValueError("exponent must be a non-negative integer")
         self.exponent = exponent
 
@@ -158,15 +158,12 @@ class Puzzle:
         self._children = tuple(map(tuple, children))
         self._fibres = tuple(map(self._group, self.levels))
 
-    def _group(self, level: tuple[int, ...]) -> Mapping[tuple[int, int], tuple[int, ...]] | str:
+    def _group(self, level: tuple[int, ...]) -> Mapping[tuple[int, int], tuple[int, ...]] | None:
         out: dict[tuple[int, int], list[int]] = {}
         i, f = self._i, self._f
         for v in level:
             if i[v] is None or f[v] is None:
-                try:  # the accessors raise the error, i first
-                    self.i(v), self.f(v)
-                except PuzzleError as exc:  # kept, for fibres(n) to raise on every call
-                    return str(exc)
+                return None  # fibres(n) lets the accessors raise
             out.setdefault((i[v], f[v]), []).append(v)
         return MappingProxyType({key: tuple(group) for key, group in out.items()})
 
@@ -227,8 +224,9 @@ class Puzzle:
         each other's (R2) rivals.  Built once, when the puzzle is assembled.
         """
         fibres = self._fibres[n]
-        if isinstance(fibres, str):
-            raise PuzzleError(fibres)
+        if fibres is None:
+            for v in self.levels[n]:  # the accessors raise the error, i first
+                self.i(v), self.f(v)
         return fibres
 
     def project(self, piece: int, n: int) -> int:

@@ -16,10 +16,12 @@ could not carry the dynamics, so sibling competition alone blocks
 reducibility here.
 
 Under the commutation axiom ``f`` maps the children of ``v`` into the
-children of ``f(v)``, so (R1) holds at ``v`` exactly when ``f`` is a
-bijection between those two child sets and (R1) holds at every child.
-The analyzer therefore computes all verdicts in one bottom-up pass, and
-it refuses puzzles that fail :meth:`Puzzle.validate`.
+children of ``f(v)``, and two children share an image exactly when they
+share an ``(i, f)``-fibre.  So (R1) holds at ``v`` exactly when ``v`` and
+``f(v)`` have equally many children, no child of ``v`` shares its fibre,
+and (R1) holds at every child.  The analyzer computes all verdicts by
+these counts in one bottom-up pass, and it refuses puzzles that fail
+:meth:`Puzzle.validate`.
 
 Truncation semantics: bijectivity can only be checked on materialized
 tree levels.  A failure at any materialized level is definitive; success
@@ -117,21 +119,22 @@ class ReducibilityAnalyzer:
         self.puzzle = p = puzzle
         # The verdicts of every piece, deepest level first.  r1_fail[v] is the
         # first tree level below v where (R1) fails, None when it holds on
-        # every materialized level.
-        f, children = p.f, p.i_preimages
+        # every materialized level.  shared[v] tells that v shares its fibre;
+        # level n + 1 sets it before level n reads it.
+        children = p.i_preimages
         table: list[ReducibilityVerdict | None] = [None] * len(p.pieces())
         r1_fail: list[int | None] = [None] * len(p.pieces())
+        shared = [False] * len(p.pieces())
         for n in range(p.depth, 0, -1):
             d_avail = p.depth - n
             settled = ReducibilityVerdict(Status.REDUCIBLE if d_avail else Status.UNKNOWN, d_avail)
             # the members of a fibre are each other's (R2) rivals
             for (_, fv), group in p.fibres(n).items():
-                target = set(children(fv)) if d_avail else None
                 for piece in group:
+                    shared[piece] = len(group) > 1
                     if d_avail:
                         kids = children(piece)
-                        images = {f(w) for w in kids}
-                        if len(images) != len(kids) or images != target:
+                        if len(kids) != len(children(fv)) or any(shared[w] for w in kids):
                             r1_fail[piece] = 1
                         else:
                             below = [r1_fail[w] for w in kids if r1_fail[w] is not None]
@@ -140,7 +143,7 @@ class ReducibilityAnalyzer:
                         table[piece] = ReducibilityVerdict(
                             Status.IRREDUCIBLE_R1, d_avail, witness_level=r1_fail[piece]
                         )
-                    elif len(group) > 1:
+                    elif shared[piece]:
                         rival = group[1] if group[0] == piece else group[0]
                         table[piece] = ReducibilityVerdict(
                             Status.IRREDUCIBLE_R2, d_avail, witness_piece=rival
@@ -242,16 +245,13 @@ class ReducibilityAnalyzer:
         first: dict[int, int] = {}  # order-1 ancestors, filled level by level
         for n in range(1, top + 1):
             by_target: dict[tuple[int, int], list[int]] = {}
-            for piece in sorted(p.level(n), key=p.label):
+            for piece in p.level(n):
                 first[piece] = piece if n == 1 else first[p.i(piece)]
-                if not self.verdict(piece).is_reducible:
-                    continue
-                key = (p.f(piece), first[piece])
-                by_target.setdefault(key, []).append(piece)
-            pairs = [
-                tuple(group[:2]) for group in by_target.values() if len(group) > 1
-            ]
+                if self._table[piece].is_reducible:
+                    by_target.setdefault((p.f(piece), first[piece]), []).append(piece)
+            # each group's two least labels; groups are disjoint, so the least first label decides
+            pairs = [sorted(group, key=p.label)[:2] for group in by_target.values() if len(group) > 1]
             if pairs:
-                u, v = min(pairs, key=lambda uv: (p.label(uv[0]), p.label(uv[1])))
+                u, v = min(pairs, key=lambda uv: p.label(uv[0]))
                 return DeterminacyResult(False, (u, v), n)
         return DeterminacyResult(True, None, top)

@@ -123,8 +123,8 @@ class PowerSeries:
         return f"PowerSeries({body}; K={self.order})"
 
     def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise SeriesError(f"cannot extend truncation {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise SeriesError(f"cannot truncate order {self.order} to {order}")
         return PowerSeries(self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:

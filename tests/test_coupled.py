@@ -28,6 +28,7 @@ from qfpuzzles.coupled import (
     multiplicity_estimate,
     refine_cylinders,
     refine_cylinders_1d,
+    _block_size,
     _cell_options,
     _cell_options_1d,
     _grid,
@@ -481,7 +482,7 @@ def reference_build_puzzle(p, depth, resolution, gap=None):
         by_level.append({
             itin: [
                 (ExtractedPiece("-".join(itin) + f"/{ci}", itin, tuple(box_of[c] for c in comp)), comp)
-                for ci, comp in enumerate(_grid_components(members, resolution, gap))
+                for ci, comp in enumerate(_grid_components(members, _block_size(resolution, gap)))
             ]
             for itin, members in reference_covers_from_options(cells, n).items()
         })
@@ -651,7 +652,7 @@ def test_grid_components_match_sweep_on_sweep_universe():
         covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
         for gap in (default_gap(4), Fraction(3, 7)):
             for members in covers:
-                assert _grid_components(members, 4, gap) == sweep_grid_components(members, 4, gap), abc
+                assert _grid_components(members, _block_size(4, gap)) == sweep_grid_components(members, 4, gap), abc
 
 
 def test_grid_components_match_sweep_on_d3_r7_build():
@@ -661,7 +662,7 @@ def test_grid_components_match_sweep_on_d3_r7_build():
     assert len(covers) == 84
     gap = default_gap(7)
     for members in covers:
-        assert _grid_components(members, 7, gap) == sweep_grid_components(members, 7, gap)
+        assert _grid_components(members, _block_size(7, gap)) == sweep_grid_components(members, 7, gap)
 
 
 def test_grid_components_of_sparse_cells_match_sweep():
@@ -675,7 +676,7 @@ def test_grid_components_of_sparse_cells_match_sweep():
                 cells = [cell for cell in product(range(n), repeat=2) if rng.random() < density]
                 rng.shuffle(cells)
                 want = sweep_grid_components(cells, resolution, gap)
-                assert _grid_components(cells, resolution, gap) == want, (resolution, gap)
+                assert _grid_components(cells, _block_size(resolution, gap)) == want, (resolution, gap)
 
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)

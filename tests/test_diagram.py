@@ -6,12 +6,17 @@ import pytest
 from qfpuzzles.constructions import (
     full_shift_puzzle,
     golden_mean_puzzle,
+    layered_full_shifts_puzzle,
+    periodic_orbit_tower_puzzle,
+    undetermined_puzzle,
     words_avoiding,
 )
 from qfpuzzles.diagram import (
     DepthExhausted,
     DiagramError,
     MarkovDiagram,
+    _assert_path_piece,
+    _validate_path,
     build_diagram,
     entropy_at_infinity_estimate,
     gurevich_entropy_estimate,
@@ -20,9 +25,10 @@ from qfpuzzles.diagram import (
     scc_decomposition,
 )
 from qfpuzzles.graphs import Edge, GraphTruncation, complete_graph, loop_graph, sft_graph
-from qfpuzzles.puzzle import from_subshift
+from qfpuzzles.puzzle import dual, from_subshift
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 
+from test_fuzz import random_puzzle
 from test_graphs import matrix_power_traces
 
 
@@ -196,6 +202,106 @@ def test_distinct_paths_have_distinct_coordinates():
                 key = tuple(xs)
                 assert key not in seen or seen[key] == tuple(path)
                 seen[key] = tuple(path)
+
+
+def reference_path_to_piece(d, path):
+    """:func:`path_to_piece` as first written: starting from the last vertex,
+    each hop pulls the piece back through the whole i-tree below the arrow's
+    witness, ``j - 1`` levels deep for hop ``j``."""
+    p = d.puzzle
+    hops = _validate_path(d, path)
+    n = len(path) - 1
+    if p.order(path[0]) + n > p.depth:
+        raise DepthExhausted(f"piece of order {p.order(path[0]) + n} exceeds depth {p.depth}")
+    w = path[-1]
+    for j, arrow in enumerate(reversed(hops), start=1):
+        frontier = [arrow.witness]
+        for _ in range(j - 1):
+            frontier = [x for q in frontier for x in p.i_preimages(q)]
+        matches = [x for x in frontier if p.f_iter(x, arrow.steps) == w]
+        if len(matches) != 1:
+            raise DepthExhausted(
+                f"pullback through witness {p.label(arrow.witness)!r} found {len(matches)} preimages"
+            )
+        w = matches[0]
+        if p.order(w) != p.order(arrow.source) + j:
+            raise DiagramError("pullback produced a piece at the wrong order")
+    _assert_path_piece(d, path, w)
+    return w
+
+
+def reference_project_path(d, path):
+    """:func:`project_path` as first written: one pullback per prefix."""
+    p = d.puzzle
+    _validate_path(d, path)
+    shift = p.order(path[0])
+    pieces = [reference_path_to_piece(d, path[: j + 1]) for j in range(len(path))]
+    return [p.label(w) for w in pieces], [p.label(p.f_iter(w, shift)) for w in pieces]
+
+
+def path_outcome(fn, d, path):
+    try:
+        return fn(d, path)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def random_paths(rng, d, count):
+    """The empty path, then random walks in the diagram that may run past the
+    depth; about one in eight ends at a random vertex, arrow or not."""
+    p = d.puzzle
+    yield []
+    for _ in range(count):
+        path = [rng.choice(d.vertices)]
+        length = rng.randint(0, p.depth - p.order(path[0]) + 2)
+        while len(path) <= length and d.successors(path[-1]):
+            path.append(rng.choice(d.successors(path[-1])))
+        if len(path) > 1 and rng.random() < 1 / 8:
+            path[-1] = rng.choice(d.vertices)
+        yield path
+
+
+def assert_paths_match_pullback_reference(p, rng, kinds):
+    for q in (p, dual(p)):
+        an = ReducibilityAnalyzer(q)
+        for cutoff in range(1, q.depth):
+            d = build_diagram(q, cutoff, an)
+            if not d.vertices:
+                continue
+            for path in random_paths(rng, d, 50):
+                got = path_outcome(path_to_piece, d, path)
+                assert got == path_outcome(reference_path_to_piece, d, path), (q.name, cutoff, path)
+                assert path_outcome(project_path, d, path) == path_outcome(
+                    reference_project_path, d, path
+                ), (q.name, cutoff, path)
+                kinds.add(got[0] if isinstance(got, tuple) else "piece")
+
+
+PATH_ORACLE_PUZZLES = {
+    "full-shift": lambda: full_shift_puzzle(5),
+    "golden-mean": lambda: golden_mean_puzzle(7),
+    "tower": lambda: periodic_orbit_tower_puzzle([2, 3, 2, 3, 2, 4], 6),
+    "layered": lambda: layered_full_shifts_puzzle(3, 6),
+    "undetermined": undetermined_puzzle,
+}
+
+
+@pytest.mark.parametrize("name", PATH_ORACLE_PUZZLES)
+def test_forward_walk_matches_pullback_reference_on_constructions(name):
+    kinds = set()
+    assert_paths_match_pullback_reference(PATH_ORACLE_PUZZLES[name](), random.Random(name), kinds)
+    assert {"piece", DepthExhausted} <= kinds
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_forward_walk_matches_pullback_reference_on_fuzz_puzzles(block):
+    # 4 blocks x 25 puzzles, each with its dual, at every cutoff
+    rng = random.Random(7000 + block)
+    kinds = set()
+    for _ in range(25):
+        p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6))
+        assert_paths_match_pullback_reference(p, rng, kinds)
+    assert kinds == {"piece", DepthExhausted, DiagramError}
 
 
 def test_diagram_counts_match_level_transition_graphs():

@@ -7,7 +7,7 @@ the analyzer claims about such puzzles must hold without exception.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -225,6 +225,21 @@ def test_one_pass_verdicts_match_tree_walk_on_constructions():
         assert_verdicts_match_reference(dual(p))
 
 
+SHORT_WORDS = ["".join(w) for n in (2, 3) for w in product("01", repeat=n)]
+
+
+@pytest.mark.parametrize(
+    "forbidden",
+    [F for k in range(3) for F in combinations(SHORT_WORDS, k)],
+    ids=lambda F: "-".join(F) or "none",
+)
+def test_one_pass_verdicts_match_tree_walk_on_subshifts(forbidden):
+    # every set of at most two binary words of length 2-3: 1 + 12 + 66 = 79
+    p = from_subshift(words_avoiding("01", forbidden, 6), 6)
+    assert_verdicts_match_reference(p)
+    assert_verdicts_match_reference(dual(p))
+
+
 def test_analyzer_refuses_invalid_puzzles():
     for overrides in ({"01": "ε"}, {"010": "00"}):
         broken = full_shift_puzzle(3).with_f_override(overrides)
@@ -257,6 +272,35 @@ def test_is_determined_matches_project_walk():
     for p in puzzles:
         for q in (p, dual(p)):
             an = ReducibilityAnalyzer(q)
+            result = an.is_determined()
+            assert result == reference_is_determined(an)
+            outcomes.add(result.determined)
+    assert outcomes == {True, False}
+
+
+def shuffle_labels(p: Puzzle, rng: random.Random) -> Puzzle:
+    """``p`` with the same ids under random labels, so label order is not id order."""
+    names = [f"q{k:03d}" for k in p.pieces()]
+    rng.shuffle(names)
+    data = p.to_json()
+    rename = {p.label(v): names[v] for v in p.pieces()}
+    return Puzzle(
+        [[rename[x] for x in level] for level in data["levels"]],
+        {rename[a]: rename[b] for a, b in data["i"].items()},
+        {rename[a]: rename[b] for a, b in data["f"].items()},
+        name=p.name,
+    )
+
+
+def test_is_determined_matches_project_walk_under_shuffled_labels():
+    # the counterexample is chosen in label order, whatever the id order; wide
+    # levels give some levels with two or more colliding groups
+    rng = random.Random(5001)
+    outcomes = set()
+    for _ in range(60):
+        p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 10))
+        for q in (p, dual(p)):
+            an = ReducibilityAnalyzer(shuffle_labels(q, rng))
             result = an.is_determined()
             assert result == reference_is_determined(an)
             outcomes.add(result.determined)

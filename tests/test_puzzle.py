@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,17 @@ def test_distance_examples():
 def test_distance_across_orders():
     p = full_shift_puzzle(3)
     assert distance(p, p.id_of("0"), p.id_of("00")) == DyadicDistance(1)
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5, 2.0, True, False, "2"])
+def test_dyadic_distance_refuses_non_integer_exponents(exponent):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        DyadicDistance(exponent)
+
+
+def test_dyadic_distance_takes_integer_exponents_and_zero():
+    assert DyadicDistance(0).value() == 1 and DyadicDistance(3).value() == Fraction(1, 8)
+    assert DyadicDistance(None).is_zero and DyadicDistance.zero() < DyadicDistance(40)
 
 
 def brute_minimum_cover(balls, universe):

@@ -111,6 +111,13 @@ def test_truncate_only_shrinks():
         s.truncate(9)
 
 
+@pytest.mark.parametrize("order", [-1, -2, -5])
+def test_truncate_refuses_negative_orders(order):
+    # a negative slice end would silently drop the top coefficients
+    with pytest.raises(SeriesError, match=f"to {order}"):
+        PowerSeries([1, 2, 3, 4]).truncate(order)
+
+
 def test_product_matches_naive_double_loop():
     rng = random.Random(11)
     for order in (0, 1, 2, 7, 24):
