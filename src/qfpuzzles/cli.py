@@ -284,8 +284,7 @@ def cmd_graph_zeta(args) -> int:
         args, {"spec": args.spec, "subset": ",".join(subset), "method": args.method, "trunc": args.trunc},
         {"trunc": args.trunc, "completeness_bound": g.completeness_bound},
     )
-    exact = g.completeness_bound is None or args.trunc <= g.completeness_bound
-    certified = ["exact" if exact else "lower-bound"] * args.trunc
+    certified = ["exact" if g.exact_up_to(args.trunc) else "lower-bound"] * args.trunc
     return _emit_series(args, manifest, series, counts, certified)
 
 

@@ -247,90 +247,65 @@ class SCC:
 
 
 def scc_decomposition(g: GraphTruncation | MarkovDiagram) -> list[SCC]:
-    """Strongly connected components with periods.
+    """Strongly connected components with periods, by Kosaraju's two passes.
 
-    The period of a component is the gcd of the lengths of all its
-    cycles, computed by potential coloring along a spanning traversal;
-    bundle lengths count.
+    Pass 1 records the finishing order of a depth-first search over the
+    out-edges.  Pass 2 takes the vertices in reverse finishing order; each
+    unclaimed root gathers, over in-edges, the unclaimed vertices that
+    reach it, setting ``pot(u) = pot(v) - length`` along each tree edge
+    ``u -> v``.  The period of a component is the gcd of
+    ``|pot(u) + length - pot(v)|`` over its internal edges (bundle lengths
+    count), and ``None`` when it has no internal edge, hence no cycle.
+    Each such discrepancy is the difference of two cycle lengths, and the
+    discrepancies along any cycle sum to its length, so the gcd is the gcd
+    of the cycle lengths.  Components are sorted by their sorted vertices.
     """
     if isinstance(g, MarkovDiagram):
         g = g.to_graph()
     outs = g.adjacency
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str):
-        work = [(root, iter(outs[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+    finished: list[str] = []
+    seen: set[str] = set()
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        work = [(start, iter(outs[start]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for e in it:
-                w = e.dst
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(outs[w])))
-                    advanced = True
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    work.append((e.dst, iter(outs[e.dst])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-
-    for v in g.vertices:
-        if v not in index:
-            strongconnect(v)
-
-    out = []
-    for comp in components:
-        cset = set(comp)
-        period = _component_period(comp, outs, cset)
-        out.append(SCC(tuple(sorted(comp)), period))
+            else:
+                finished.append(v)
+                work.pop()
+    ins: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ins[e.dst].append(e)
+    root_of: dict[str, str] = {}
+    pot: dict[str, int] = {}
+    comps: dict[str, list[str]] = {}
+    for root in reversed(finished):
+        if root in root_of:
+            continue
+        root_of[root], pot[root], todo = root, 0, [root]
+        comp = comps[root] = []
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for e in ins[v]:
+                if e.src not in root_of:
+                    root_of[e.src], pot[e.src] = root, pot[v] - e.length
+                    todo.append(e.src)
+    period = dict.fromkeys(comps, 0)
+    for e in g.edges:
+        root = root_of[e.src]
+        if root == root_of[e.dst]:
+            period[root] = math.gcd(period[root], abs(pot[e.src] + e.length - pot[e.dst]))
+    out = [SCC(tuple(sorted(comp)), period[root] or None) for root, comp in comps.items()]
     out.sort(key=lambda s: s.vertices)
     return out
-
-
-def _component_period(comp: list[str], outs, cset: set[str]) -> int | None:
-    root = comp[0]
-    pot: dict[str, int] = {root: 0}
-    queue = [root]
-    g = 0
-    while queue:
-        v = queue.pop()
-        for e in outs[v]:
-            w = e.dst
-            if w not in cset:
-                continue
-            if w not in pot:
-                pot[w] = pot[v] + e.length
-                queue.append(w)
-            else:
-                g = math.gcd(g, abs(pot[v] + e.length - pot[w]))
-    return g or None
 
 
 @dataclass(frozen=True)
@@ -372,7 +347,12 @@ def _rate_table(pairs: Iterable[tuple[int, int]], exact: bool = True) -> RateTab
     prev = None
     for n, c in pairs:
         rate = math.log(c) / n if c > 0 else None
-        ratio = math.log(c / prev) if prev and c > 0 else None
+        ratio = None
+        if prev and c > 0:
+            try:
+                ratio = math.log(c / prev)
+            except (OverflowError, ValueError):  # the quotient overflows a float or rounds to 0.0
+                ratio = math.log(c) - math.log(prev)
         rows.append(RateRow(n, c, rate, ratio))
         prev = c
     return RateTable(tuple(rows), exact)
@@ -390,8 +370,7 @@ def gurevich_entropy_estimate(
     if isinstance(g, MarkovDiagram):
         g = g.to_graph()
     counts = based_loop_counts(g, base, max_length)
-    exact = g.completeness_bound is None or max_length <= g.completeness_bound
-    return _rate_table(enumerate(counts, start=1), exact)
+    return _rate_table(enumerate(counts, start=1), g.exact_up_to(max_length))
 
 
 @dataclass(frozen=True)
@@ -447,5 +426,4 @@ def entropy_at_infinity_estimate(
     # every member is a source, so an unknown one raises before any is read
     passes = [avoiding_path_counts(g, u, F, max_length) for u in F]
     maxima = [max(col) for col in zip(*(counts[v] for counts in passes for v in F))]
-    exact = g.completeness_bound is None or max_length <= g.completeness_bound
-    return _rate_table(enumerate(maxima, start=1), exact)
+    return _rate_table(enumerate(maxima, start=1), g.exact_up_to(max_length))

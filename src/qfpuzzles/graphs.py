@@ -19,7 +19,8 @@ big integer per vertex and length, so a step is one multiply-add per bundle.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
-means the graph is exactly as presented.
+means the graph is exactly as presented.  :meth:`GraphTruncation.exact_up_to`
+is the one place that reads it to decide whether counts are exact.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ class GraphTruncation:
         for e in sorted(self.edges, key=lambda e: (e.dst, e.length)):
             outs[e.src].append(e)
         return {v: tuple(es) for v, es in outs.items()}
+
+    def exact_up_to(self, n: int) -> bool:
+        """True when counts up to length ``n`` are exact: ``n`` is within
+        the completeness bound, or there is none."""
+        return self.completeness_bound is None or n <= self.completeness_bound
 
     @property
     def is_plain(self) -> bool:
@@ -173,15 +179,23 @@ def sft_graph(matrix: Sequence[Sequence[int]]) -> GraphTruncation:
     d = len(matrix)
     if any(len(row) != d for row in matrix):
         raise GraphError("adjacency matrix must be square")
+    _check_counts([entry for row in matrix for entry in row], "adjacency entries")
     names = tuple(str(k) for k in range(d))
     edges = []
     for r, row in enumerate(matrix):
         for c, entry in enumerate(row):
-            if entry < 0:
-                raise GraphError("adjacency entries must be non-negative")
             if entry:
-                edges.append(Edge(names[r], names[c], 1, int(entry)))
+                edges.append(Edge(names[r], names[c], 1, entry))
     return GraphTruncation(names, tuple(edges), name="sft")
+
+
+def _check_counts(counts: Iterable, what: str) -> None:
+    """Refuse an entry that is not an ``int`` (a ``bool`` included) or is negative."""
+    for c in counts:
+        if not _is_int(c):
+            raise GraphError(f"{what} must be integers, got {c!r}")
+        if c < 0:
+            raise GraphError(f"{what} must be non-negative")
 
 
 LOOP_VERTEX = "a"
@@ -223,8 +237,7 @@ def two_hub_graph(
     up to the completeness bound at construction time.
     """
     for counts in (a_counts, b_counts, s_counts, t_counts):
-        if any(c < 0 for c in counts):
-            raise GraphError("counts must be non-negative")
+        _check_counts(counts, "counts")
     bound = bound if bound is not None else max(
         len(a_counts), len(b_counts), len(s_counts) + len(t_counts) + len(b_counts)
     )
@@ -237,7 +250,7 @@ def two_hub_graph(
     ):
         for n, c in enumerate(counts, start=1):
             if c > 0:
-                edges.append(Edge(src, dst, n, int(c)))
+                edges.append(Edge(src, dst, n, c))
     g = GraphTruncation(
         ("a", "b"), tuple(edges), distinguished=("a", "b"),
         completeness_bound=bound, name="two-hub",

@@ -406,29 +406,18 @@ def from_refinement(
     ``levels[n]`` lists the elements of the n-th partition; for each
     element of ``levels[n+1]``, ``containing`` names its parent in
     ``levels[n]`` and ``image_in`` the element of ``levels[n]`` containing
-    its image.  Level-skipping assignments are rejected.
+    its image.  The refinement is accepted iff :meth:`Puzzle.validate`
+    reports nothing but commutation violations.  Fewer than two levels, a
+    duplicate label or an unknown element raise :class:`PuzzleError` from
+    the constructor; a root level of other than one element and a missing
+    or level-skipping assignment (a map on the root included) raise it
+    listing every such violation.
     """
-    if len(levels) < 2:
-        raise PuzzleError("depth must be >= 1 (supply at least two partition levels)")
-    if len(levels[0]) != 1:
-        raise PuzzleError("the coarsest partition must have a single element")
-    position = {label: n for n, level in enumerate(levels) for label in level}
-    for mapping, which in ((containing, "containing"), (image_in, "image")):
-        for src, dst in mapping.items():
-            if src not in position or dst not in position:
-                raise PuzzleError(f"{which} map mentions unknown element {src!r} -> {dst!r}")
-            if position[dst] != position[src] - 1:
-                raise PuzzleError(
-                    f"{which} assignment skips a level: {src!r} (level {position[src]}) "
-                    f"-> {dst!r} (level {position[dst]})"
-                )
-    for n in range(1, len(levels)):
-        for label in levels[n]:
-            if label not in containing:
-                raise PuzzleError(f"element {label!r} has no containing assignment")
-            if label not in image_in:
-                raise PuzzleError(f"element {label!r} has no image assignment")
-    return Puzzle(levels, dict(containing), dict(image_in), name=name)
+    p = Puzzle(levels, containing, image_in, name=name)
+    faults = [str(v) for v in p.validate().violations if v.kind != "commutation"]
+    if faults:
+        raise PuzzleError("not a partition refinement: " + "; ".join(faults))
+    return p
 
 
 def dual(p: Puzzle) -> Puzzle:

@@ -51,18 +51,6 @@ class NotRationalError(ValueError):
     """Rational reconstruction failed at the requested degrees."""
 
 
-def _check_coverage(g: GraphTruncation, order: int, what: str) -> bool:
-    if g.completeness_bound is not None and order > g.completeness_bound:
-        warnings.warn(
-            f"{what} to order {order} but cycles are only guaranteed up to "
-            f"length {g.completeness_bound}; higher coefficients are lower bounds",
-            TruncationWarning,
-            stacklevel=3,
-        )
-        return False
-    return True
-
-
 def zeta_from_counts(counts: Sequence[int], order: int | None = None) -> PowerSeries:
     """``exp(sum p_n z^n / n)`` for non-negative integer point counts.
 
@@ -103,13 +91,20 @@ class FirstReturnMatrix:
 
 
 def _checked_subset(g: GraphTruncation, finite_set: Iterable[str], order: int, what: str) -> tuple[str, ...]:
-    """F sorted, after the checks both semi-local routes share."""
+    """F sorted, after the checks both semi-local routes share; warns when
+    counts to ``order`` are not exact."""
     F = tuple(sorted(set(finite_set)))
     if not set(F) <= set(g.vertices):
         raise ValueError("F must be a subset of the graph's vertices")
     if order < 0:
         raise SeriesError(f"order must be >= 0, got {order}")
-    _check_coverage(g, order, what)
+    if not g.exact_up_to(order):
+        warnings.warn(
+            f"{what} to order {order} but cycles are only guaranteed up to "
+            f"length {g.completeness_bound}; higher coefficients are lower bounds",
+            TruncationWarning,
+            stacklevel=2,
+        )
     return F
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,25 @@ def test_graph_entropy_and_hinf(capsys, k3_spec):
         capsys, ["graph", "hinf", "--spec", str(k3_spec), "--subset", "0,1", "--length", "5"]
     )
     assert status == 0
+
+
+@pytest.mark.parametrize("spec, argv", [
+    ({"kind": "loop_graph", "f": [1, 10**400]}, ["graph", "entropy", "--base", "a", "--length", "3"]),
+    ({"kind": "two_hub", "a": [], "b": [], "s": [10**400, 1], "t": []},
+     ["graph", "hinf", "--subset", "a,b", "--length", "3"]),
+])
+def test_rate_ratio_of_huge_counts(capsys, tmp_path, spec, argv):
+    # the quotient of consecutive counts overflows a float, or rounds to zero
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    status, out, err = run(capsys, argv[:2] + ["--spec", str(path)] + argv[2:])
+    assert (status, err) == (0, "")
+    rows = [l.split(",") for l in out.strip().splitlines()[2:]]
+    counts = [int(r[1]) for r in rows]
+    ratios = [(prev, c, float(row[4])) for prev, c, row in zip(counts, counts[1:], rows[1:]) if c]
+    assert max(counts) > 10**399 and ratios
+    for prev, c, ratio in ratios:
+        assert abs(ratio - (math.log(c) - math.log(prev))) < 1e-9
 
 
 def test_coupled_resultant_cli(capsys):

@@ -12,10 +12,12 @@ from qfpuzzles.constructions import (
     words_avoiding,
 )
 from qfpuzzles.diagram import (
+    SCC,
     DepthExhausted,
     DiagramError,
     MarkovDiagram,
     _assert_path_piece,
+    _rate_table,
     _validate_path,
     build_diagram,
     entropy_at_infinity_estimate,
@@ -323,6 +325,139 @@ def test_diagram_counts_match_level_transition_graphs():
             level_counts = periodic_point_counts(gamma_n(p, N), 8)
             assert diagram_counts == level_counts, (p.name, N)
 
+
+
+def test_rate_table_ratio_of_huge_counts():
+    # log(c / prev) where the quotient is a positive float, a difference of
+    # logs where it overflows or rounds to zero
+    table = _rate_table([(1, 3), (2, 7), (3, 7 * 10**400), (4, 5)])
+    assert [r.ratio for r in table.rows[:2]] == [None, math.log(7 / 3)]
+    assert table.rows[2].ratio == pytest.approx(math.log(10**400), abs=1e-9)
+    assert table.rows[3].ratio == pytest.approx(math.log(5) - math.log(7 * 10**400), abs=1e-9)
+
+
+def reference_scc(g):
+    """:func:`scc_decomposition` as first written: an iterative Tarjan, then
+    one potential search per component for its period."""
+    if isinstance(g, MarkovDiagram):
+        g = g.to_graph()
+    outs = g.adjacency
+
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = [0]
+
+    def strongconnect(root: str):
+        work = [(root, iter(outs[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for e in it:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(outs[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+
+    for v in g.vertices:
+        if v not in index:
+            strongconnect(v)
+
+    out = []
+    for comp in components:
+        cset = set(comp)
+        period = reference_component_period(comp, outs, cset)
+        out.append(SCC(tuple(sorted(comp)), period))
+    out.sort(key=lambda s: s.vertices)
+    return out
+
+
+def reference_component_period(comp, outs, cset):
+    root = comp[0]
+    pot: dict[str, int] = {root: 0}
+    queue = [root]
+    g = 0
+    while queue:
+        v = queue.pop()
+        for e in outs[v]:
+            w = e.dst
+            if w not in cset:
+                continue
+            if w not in pot:
+                pot[w] = pot[v] + e.length
+                queue.append(w)
+            else:
+                g = math.gcd(g, abs(pot[v] + e.length - pot[w]))
+    return g or None
+
+
+def random_bundle_graph(rng):
+    """0-12 vertices (some isolated), self-loops, bundles of length 1-6 and
+    multiplicity 1-2, at a random density."""
+    names = [f"v{k}" for k in range(rng.randint(0, 12))]
+    rng.shuffle(names)
+    density = rng.random()
+    keys = {
+        (u, v, rng.randint(1, 6))
+        for u in names for v in names for _ in range(2) if rng.random() < density / 2
+    }
+    edges = tuple(Edge(u, v, L, rng.randint(1, 2)) for u, v, L in sorted(keys))
+    return GraphTruncation(tuple(names), edges)
+
+
+def test_scc_matches_tarjan_reference_on_random_graphs():
+    rng = random.Random(1800)
+    shapes = set()
+    for _ in range(2500):
+        g = random_bundle_graph(rng)
+        got = scc_decomposition(g)
+        assert got == reference_scc(g), g
+        shapes.update((len(s.vertices) > 1, s.period) for s in got)
+    assert scc_decomposition(GraphTruncation((), ())) == reference_scc(GraphTruncation((), ())) == []
+    assert {(False, None), (False, 1), (True, 1), (True, 2), (True, 3)} <= shapes
+
+
+@pytest.mark.parametrize("name", PATH_ORACLE_PUZZLES)
+def test_scc_matches_tarjan_reference_on_construction_diagrams(name):
+    built = 0
+    for q in (PATH_ORACLE_PUZZLES[name](), dual(PATH_ORACLE_PUZZLES[name]())):
+        an = ReducibilityAnalyzer(q)
+        for cutoff in range(1, q.depth):
+            try:
+                d = build_diagram(q, cutoff, an)
+            except DiagramError:
+                continue
+            built += 1
+            assert scc_decomposition(d) == reference_scc(d), (q.name, cutoff)
+    assert built
 
 def test_scc_of_full_shift_diagram():
     p = full_shift_puzzle(4)

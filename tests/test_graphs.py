@@ -126,6 +126,18 @@ def test_sft_graph_golden_mean_lucas():
     assert periodic_point_counts(g, 5) == [1, 3, 4, 7, 11]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sft_graph([[1.5]]),
+    lambda: sft_graph([[0.5]]),
+    lambda: sft_graph([[1, 0], [True, 1]]),
+    lambda: two_hub_graph([1.5], [], [], []),
+    lambda: two_hub_graph([1], [], [], [2, 0.5]),
+])
+def test_builders_refuse_non_integer_entries(build):
+    with pytest.raises(GraphError, match=r"must be integers, got (1\.5|0\.5|True)"):
+        build()
+
+
 def test_sft_graph_identity_and_zero():
     ident = sft_graph([[1, 0], [0, 1]])
     assert periodic_point_counts(ident, 4) == [2, 2, 2, 2]

@@ -111,6 +111,95 @@ def test_from_refinement_rejects_single_level():
         from_refinement([["r"]], {}, {})
 
 
+
+def reference_from_refinement(levels, containing, image_in, name="refinement"):
+    """:func:`from_refinement` as first written, with its own checks."""
+    if len(levels) < 2:
+        raise PuzzleError("depth must be >= 1 (supply at least two partition levels)")
+    if len(levels[0]) != 1:
+        raise PuzzleError("the coarsest partition must have a single element")
+    position = {label: n for n, level in enumerate(levels) for label in level}
+    for mapping, which in ((containing, "containing"), (image_in, "image")):
+        for src, dst in mapping.items():
+            if src not in position or dst not in position:
+                raise PuzzleError(f"{which} map mentions unknown element {src!r} -> {dst!r}")
+            if position[dst] != position[src] - 1:
+                raise PuzzleError(
+                    f"{which} assignment skips a level: {src!r} (level {position[src]}) "
+                    f"-> {dst!r} (level {position[dst]})"
+                )
+    for n in range(1, len(levels)):
+        for label in levels[n]:
+            if label not in containing:
+                raise PuzzleError(f"element {label!r} has no containing assignment")
+            if label not in image_in:
+                raise PuzzleError(f"element {label!r} has no image assignment")
+    return Puzzle(levels, dict(containing), dict(image_in), name=name)
+
+
+def random_refinement(rng):
+    """Levels of 1-3 elements, each assignment drawn from the level above;
+    now and then a fault: an empty or two-element root level, a single
+    level, a duplicate label, a missing, level-skipping or unknown
+    assignment, or a map on the root or from an unknown element."""
+    roots = rng.choice([0, 2] + [1] * 18)
+    levels = [[f"r{k}" for k in range(roots)]]
+    levels += [[f"x{n}.{k}" for k in range(rng.randint(1, 3))] for n in range(1, rng.choice([1] + [2, 3, 4] * 4))]
+    everything = [label for level in levels for label in level] or ["ghost"]
+    if rng.random() < 0.03:
+        rng.choice(levels).append(rng.choice(everything))
+    containing, image = {}, {}
+    for n in range(1, len(levels)):
+        for label in levels[n]:
+            for mapping in (containing, image):
+                r = rng.random()
+                if r < 0.015:
+                    continue
+                if r < 0.03:
+                    mapping[label] = rng.choice(everything)
+                elif r < 0.04 or not levels[n - 1]:
+                    mapping[label] = "ghost"
+                else:
+                    mapping[label] = rng.choice(levels[n - 1])
+    for mapping in (containing, image):
+        if rng.random() < 0.02:
+            mapping[rng.choice(levels[0] or ["ghost"])] = rng.choice(everything)
+        if rng.random() < 0.01:
+            mapping["ghost"] = rng.choice(everything)
+    return levels, containing, image
+
+
+def refinement_outcome(fn, levels, containing, image):
+    try:
+        return fn(levels, containing, image).to_json()
+    except PuzzleError:
+        return PuzzleError
+
+
+def test_from_refinement_matches_reference_on_random_inputs():
+    rng = random.Random(18)
+    accepted = non_commuting = 0
+    for _ in range(12000):
+        levels, containing, image = random_refinement(rng)
+        got = refinement_outcome(from_refinement, levels, containing, image)
+        assert got == refinement_outcome(reference_from_refinement, levels, containing, image), (
+            levels, containing, image,
+        )
+        if got is not PuzzleError:
+            accepted += 1
+            non_commuting += not from_refinement(levels, containing, image).validate().ok
+    assert 2000 < accepted < 10000 and non_commuting > 200
+
+
+def test_from_refinement_lists_every_violation():
+    with pytest.raises(PuzzleError) as caught:
+        from_refinement([["r", "s"], ["a", "b"]], {"a": "r", "r": "s"}, {"a": "r"})
+    assert str(caught.value) == (
+        "not a partition refinement: multi-root at 'V_0': V_0 has 2 elements, expected 1; "
+        "missing-map at 'b': i is undefined; missing-map at 'b': f is undefined; "
+        "level-skip at 'r': maps defined on the root"
+    )
+
 def test_dual_is_involution():
     p = golden_mean_puzzle(4)
     assert dual(dual(p)).to_json() == p.to_json()
