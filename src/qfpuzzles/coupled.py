@@ -214,7 +214,7 @@ GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
 
 
 def _grid_boxes(resolution: int) -> dict[GridCell, Box]:
-    """Every grid index ``(i, j)`` with its dyadic box, in :func:`dyadic_grid` order;
+    """Every grid index ``(i, j)`` with its dyadic box, ``i`` (along x) outermost;
     :func:`_grid` checked the intervals, so the boxes skip ``Box.__post_init__``."""
     boxes = {}
     for (i, x), (j, y) in product(enumerate(_grid(resolution)), repeat=2):
@@ -222,11 +222,6 @@ def _grid_boxes(resolution: int) -> dict[GridCell, Box]:
         object.__setattr__(box, "x", x)
         object.__setattr__(box, "y", y)
     return boxes
-
-
-def dyadic_grid(resolution: int) -> list[Box]:
-    """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
-    return list(_grid_boxes(resolution).values())
 
 
 Itinerary = tuple[str, ...]
@@ -520,20 +515,11 @@ def _image_piece(
         raise CoupledError(f"no image cylinder for {piece.label!r}")
     if len(candidates) == 1:
         return candidates[0].label, False
-    images = [image_box(p, b).intersection(UNIT_SQUARE) for b in piece.boxes]
+    images = [img for b in piece.boxes if (img := image_box(p, b).intersection(UNIT_SQUARE))]
     overlaps: list[tuple[Fraction, int, str]] = []
     for q in candidates:
-        area = Fraction(0)
-        touches = 0
-        for img in images:
-            if img is None:
-                continue
-            for target in q.boxes:
-                cut = img.intersection(target)
-                if cut is not None:
-                    area += cut.area()
-                    touches += 1
-        overlaps.append((area, touches, q.label))
+        cuts = [cut for img in images for target in q.boxes if (cut := img.intersection(target))]
+        overlaps.append((sum(cut.area() for cut in cuts), len(cuts), q.label))
     overlaps.sort(key=lambda t: (-t[0], -t[1], t[2]))
     best, runner = overlaps[0], overlaps[1]
     if best[0] == runner[0] and best[1] == runner[1]:
@@ -631,15 +617,6 @@ def _cell_options_1d(
     if depth < 1:
         raise CoupledError("depth must be >= 1")
     return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution)
-
-
-def refine_cylinders_1d(
-    alpha: Fraction, depth: int, resolution: int
-) -> dict[Itinerary, tuple[Interval, ...]]:
-    """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
-    *_, covers = _level_walk(_cell_options_1d(alpha, depth, resolution), depth, lambda cells: [cells])
-    ivs = _grid(resolution)
-    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells, _ in covers}
 
 
 def component_counts_1d(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from qfpuzzles.graphs import Edge, GraphTruncation, based_loop_counts, avoiding_path_counts
+from qfpuzzles.graphs import Edge, GraphTruncation, _excursion_counts, based_loop_counts
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 
@@ -414,8 +414,8 @@ def entropy_at_infinity_estimate(
     """Growth of excursions avoiding a finite vertex set.
 
     For each pair (u, v) in the set, counts n-paths u -> v whose strictly
-    intermediate named vertices avoid the whole set (one excursion pass
-    per source u); the table reports the max count over pairs for each n.
+    intermediate named vertices avoid the whole set (one packed pass over
+    all sources); the table reports the max count over pairs for each n.
     The outer infimum over finite sets is the caller's loop.
     """
     if isinstance(g, MarkovDiagram):
@@ -423,7 +423,6 @@ def entropy_at_infinity_estimate(
     F = sorted(set(finite_set))
     if not F:
         raise DiagramError("the avoided set must be nonempty")
-    # every member is a source, so an unknown one raises before any is read
-    passes = [avoiding_path_counts(g, u, F, max_length) for u in F]
-    maxima = [max(col) for col in zip(*(counts[v] for counts in passes for v in F))]
+    counts = _excursion_counts(g, F, max_length)
+    maxima = [max(col) for col in zip(*(counts[u][v] for u in F for v in F))]
     return _rate_table(enumerate(maxima, start=1), g.exact_up_to(max_length))

@@ -13,9 +13,11 @@ dynamic programming over named vertices, length-aware.
 
 Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`).
 :func:`avoiding_path_counts` runs one excursion pass per source and
-returns the counts to every target.  Closed walks come from one pass over
-all sources at once, with the counts from every source packed into one
-big integer per vertex and length, so a step is one multiply-add per bundle.
+returns the counts to every target.  Closed walks, and the excursions
+between the members of a finite set F that avoid F, each come from one
+pass over all sources at once, with the counts from every source packed
+into one big integer per vertex and length, so a step is one multiply-add
+per bundle.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
@@ -206,8 +208,7 @@ def loop_graph(first_return_counts: Sequence[int]) -> GraphTruncation:
 
     each length ``n``; faithful up to cycle length ``len(counts)``.
     """
-    if any(c < 0 for c in first_return_counts):
-        raise GraphError("loop counts must be non-negative")
+    _check_counts(first_return_counts, "loop counts")
     edges = tuple(
         Edge(LOOP_VERTEX, LOOP_VERTEX, n, c)
         for n, c in enumerate(first_return_counts, start=1)
@@ -412,6 +413,57 @@ def _walk_counter(g: GraphTruncation, max_length: int):
         ends.append({y: sum(m * ends[j - L][u] for u, L, m in into if L <= j) for y, into in ins.items()})
     mask = (1 << width) - 1
     return lambda j, x, y: ends[j][y] >> width * index[x] & mask
+
+
+def _excursion_counts(g: GraphTruncation, F: Sequence[str], max_length: int) -> dict[str, dict[str, list[int]]]:
+    """``counts[u][v]`` for ``u, v`` in F: ``avoiding_path_counts(g, u, F, max_length)[v]``.
+
+    One pull serves every source: ``ends[j][y]`` holds the count from
+    ``F[k]`` in bit slot ``k``, ``sum m * live[j - L][u]`` over the bundles
+    ``u -> y`` of length ``L <= j`` and multiplicity ``m``.  ``live`` is
+    ``ends``, but row 0 holds only the sources, one bit each, and later
+    rows are zero on F: arrivals at F are counted but not extended, on
+    whole integers, as every slot avoids the same set.  With ``D`` the
+    largest weighted out-degree (at least 1), induction on ``j`` bounds
+    the walks of length ``j`` from a source by ``sum_e m_e D^(j - L_e) <=
+    D^j`` (avoiding F only removes walks), so slots of the bit length of
+    ``D ** max_length`` never carry.  Nothing lands after ``longest`` rows
+    with nothing live: the pass stops there, and the rest are zeros.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    for u in F:
+        if u not in index:
+            raise GraphError(f"unknown source vertex {u!r}")
+    if max_length < 0:
+        raise GraphError(f"max_length must be >= 0, got {max_length}")
+    degree = max((sum(e.multiplicity for e in es) for es in g.adjacency.values()), default=0)
+    width = (max(1, degree) ** max_length).bit_length()
+    by_length: dict[int, list[tuple[int, int, int]]] = {}
+    for e in g.edges:
+        by_length.setdefault(e.length, []).append((index[e.src], index[e.dst], e.multiplicity))
+    longest = max(by_length, default=1)
+    targets = [index[v] for v in F]
+    zero = [0] * len(index)
+    live = [zero] * longest + [zero[:]]  # row j at longest + j
+    for k, t in enumerate(targets):
+        live[longest][t] = 1 << width * k
+    arrivals = [[0] * len(F) for _ in range(max_length)]
+    for j in range(1, max_length + 1):
+        ends = zero[:]
+        for L, bundles in by_length.items():
+            before = live[longest + j - L]
+            for u, y, m in bundles:
+                if before[u]:
+                    ends[y] += m * before[u]
+        arrivals[j - 1] = [ends[t] for t in targets]
+        for t in targets:
+            ends[t] = 0
+        live.append(ends)
+        if not any(map(any, live[-longest:])):
+            break
+    mask = (1 << width) - 1
+    return {u: {v: [row[b] >> width * k & mask for row in arrivals] for b, v in enumerate(F)}
+            for k, u in enumerate(F)}
 
 
 def avoiding_path_counts(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -58,25 +59,12 @@ class RationalPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0 and self.degree >= 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{n}")
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(_terms(self.coeffs, "x")) or "0"
 
     def __add__(self, other: "RationalPolynomial | Coeff") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             other = RationalPolynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPolynomial([x + y for x, y in zip(a, b)])
+        return RationalPolynomial([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -141,6 +129,11 @@ class RationalPolynomial:
         return RationalPolynomial([c / lead for c in self.coeffs])
 
 
+def _terms(coeffs: Sequence[Coeff], var: str) -> list[str]:
+    """The nonzero terms ``c``, ``c*var``, ``c*var^n`` of a coefficient list, lowest first."""
+    return [str(c) if n == 0 else f"{c}*{var}" + (f"^{n}" if n > 1 else "") for n, c in enumerate(coeffs) if c]
+
+
 def poly_gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd via the euclidean algorithm."""
     a, b = p, q
@@ -154,22 +147,12 @@ def sylvester_matrix(p: RationalPolynomial, q: RationalPolynomial) -> list[list[
     """The (deg p + deg q)-square Sylvester matrix of two nonzero polynomials."""
     if p.is_zero() or q.is_zero():
         raise ValueError("Sylvester matrix requires nonzero polynomials")
-    m, n = p.degree, q.degree
-    size = m + n
-    rows: list[list[Fraction]] = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for shift in range(n):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(pc):
-            row[shift + i] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(qc):
-            row[shift + i] = c
-        rows.append(row)
-    return rows
+    size, zero = p.degree + q.degree, Fraction(0)
+    return [
+        [zero] * shift + list(reversed(a.coeffs)) + [zero] * (size - shift - len(a.coeffs))
+        for a, shifts in ((p, q.degree), (q, p.degree))
+        for shift in range(shifts)
+    ]
 
 
 def _gauss_jordan(m: list[list[Fraction]], cols: int) -> tuple[list[int], Fraction]:

@@ -309,12 +309,6 @@ class Puzzle:
     def loads(cls, text: str, name: str = "puzzle") -> "Puzzle":
         return cls.from_json(json.loads(text), name=name)
 
-    def with_f_override(self, overrides: Mapping[str, str]) -> "Puzzle":
-        """Copy with some f-images replaced (test helper for broken puzzles)."""
-        data = self.to_json()
-        data["f"].update(overrides)
-        return Puzzle(data["levels"], data["i"], data["f"], name=self.name + "+override")
-
 
 # -- constructors ------------------------------------------------------------
 
@@ -407,12 +401,17 @@ def from_refinement(
     element of ``levels[n+1]``, ``containing`` names its parent in
     ``levels[n]`` and ``image_in`` the element of ``levels[n]`` containing
     its image.  The refinement is accepted iff :meth:`Puzzle.validate`
-    reports nothing but commutation violations.  Fewer than two levels, a
-    duplicate label or an unknown element raise :class:`PuzzleError` from
-    the constructor; a root level of other than one element and a missing
-    or level-skipping assignment (a map on the root included) raise it
-    listing every such violation.
+    reports nothing but commutation violations.  A key or value of either
+    mapping that no level lists raises :class:`PuzzleError` naming the
+    mapping, before anything else is checked; fewer than two levels or a
+    duplicate label raise it from the constructor; a root level of other
+    than one element and a missing or level-skipping assignment (a map on
+    the root included) raise it listing every such violation.
     """
+    elements = {x for level in levels for x in level}
+    for which, mapping in (("containing", containing), ("image_in", image_in)):
+        if unknown := [x for pair in mapping.items() for x in pair if x not in elements]:
+            raise PuzzleError(f"{which} mentions unknown element {unknown[0]!r}")
     p = Puzzle(levels, containing, image_in, name=name)
     faults = [str(v) for v in p.validate().violations if v.kind != "commutation"]
     if faults:
@@ -458,19 +457,15 @@ def bowen_ball(p: Puzzle, v: int, eps: DyadicDistance, n: int) -> frozenset[int]
     ``2^-(e+1)``.  The comparison window follows the order of both
     pieces, so very short pieces make for large balls.
     """
-    members = []
-    for w in p.pieces():
-        horizon = min(n, p.order(v), p.order(w))
+    def inside(w: int) -> bool:
         a, b = v, w
-        inside = True
-        for _ in range(horizon):
+        for _ in range(min(n, p.order(v), p.order(w))):
             if distance(p, a, b) > eps:
-                inside = False
-                break
+                return False
             a, b = p.f(a), p.f(b)
-        if inside:
-            members.append(w)
-    return frozenset(members)
+        return True
+
+    return frozenset(filter(inside, p.pieces()))
 
 
 def covering_number(p: Puzzle, pieces: Iterable[int], eps: DyadicDistance, n: int) -> int:

@@ -27,6 +27,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
+from qfpuzzles.polys import _terms
+
 Coeff = Union[int, Fraction]
 
 DEFAULT_ORDER = 16
@@ -106,20 +108,8 @@ class PowerSeries:
         return hash(self.coeffs[0])
 
     def __repr__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append(f"{c}*z")
-            else:
-                terms.append(f"{c}*z^{n}")
-            if len(terms) >= 8:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
+        terms = _terms(self.coeffs, "z")
+        body = " + ".join(terms[:8] + ["..."] * (len(terms) >= 8)) or "0"
         return f"PowerSeries({body}; K={self.order})"
 
     def truncate(self, order: int) -> "PowerSeries":

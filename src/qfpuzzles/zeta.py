@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from qfpuzzles.graphs import (
     GraphTruncation,
     _check_gamma_level,
+    _excursion_counts,
     _walk_counter,
     avoiding_path_counts,
     periodic_point_counts,
@@ -111,12 +112,16 @@ def _checked_subset(g: GraphTruncation, finite_set: Iterable[str], order: int, w
 def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: int) -> FirstReturnMatrix:
     """Counts of u->v paths avoiding F strictly in between, as series."""
     F = _checked_subset(g, finite_set, order, "first-return counting")
-    entries = {}
-    for u in F:
-        counts = avoiding_path_counts(g, u, F, order)
-        for v in F:
-            entries[(u, v)] = PowerSeries.from_counts(counts[v], order=order)
+    counts = _first_returns(g, F, order)
+    entries = {(u, v): PowerSeries.from_counts(counts[u][v], order=order) for u in F for v in F}
     return FirstReturnMatrix(F, entries, order)
+
+
+def _first_returns(g: GraphTruncation, F: tuple[str, ...], order: int) -> dict[str, dict[str, list[int]]]:
+    """``counts[u][v]`` for u, v in F; a single member packs nothing and keeps the per-source pass."""
+    if len(F) == 1:
+        return {F[0]: avoiding_path_counts(g, F[0], F, order)}
+    return _excursion_counts(g, F, order)
 
 
 def _series_det(matrix: list[list[list[int]]]) -> list[int]:
@@ -155,10 +160,8 @@ def semi_local_zeta_det(g: GraphTruncation, finite_set: Iterable[str], order: in
     F = _checked_subset(g, finite_set, order, "first-return counting")
     if not F:
         return PowerSeries.one(order)
-    matrix = []
-    for u in F:
-        counts = avoiding_path_counts(g, u, F, order)
-        matrix.append([[int(u == v), *(-c for c in counts[v])] for v in F])
+    counts = _first_returns(g, F, order)
+    matrix = [[[int(u == v), *(-c for c in counts[u][v])] for v in F] for u in F]
     return PowerSeries(_reciprocal(_series_det(matrix)))
 
 

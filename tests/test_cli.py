@@ -9,6 +9,8 @@ from qfpuzzles.cli import main
 from qfpuzzles.constructions import full_shift_puzzle, golden_mean_puzzle
 from qfpuzzles.series import PowerSeries
 
+from test_fuzz import with_f_override
+
 
 @pytest.fixture()
 def k3_spec(tmp_path):
@@ -71,7 +73,7 @@ def test_puzzle_irreducibles_level_two_empty(capsys, fullshift_file):
 
 
 def test_puzzle_validate_broken_exits_one(capsys, tmp_path):
-    p = full_shift_puzzle(3).with_f_override({"01": "ε"})
+    p = with_f_override(full_shift_puzzle(3), {"01": "ε"})
     path = tmp_path / "broken.json"
     path.write_text(p.dumps())
     status, out, _ = run(capsys, ["puzzle", "validate", "--in", str(path)])
@@ -93,7 +95,7 @@ def test_puzzle_validate_broken_exits_one(capsys, tmp_path):
 )
 def test_analyses_refuse_invalid_puzzle(capsys, tmp_path, op, extra):
     path = tmp_path / "broken.json"
-    path.write_text(full_shift_puzzle(3).with_f_override({"01": "ε"}).dumps())
+    path.write_text(with_f_override(full_shift_puzzle(3), {"01": "ε"}).dumps())
     status, out, err = run(capsys, ["puzzle", op, "--in", str(path), *extra])
     assert status == 2 and out == ""
     assert "fails validation" in err and "level-skip" in err

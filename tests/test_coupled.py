@@ -22,12 +22,10 @@ from qfpuzzles.coupled import (
     component_counts_1d,
     component_counts_2d,
     default_gap,
-    dyadic_grid,
     image_box,
     iterate_polynomial,
     multiplicity_estimate,
     refine_cylinders,
-    refine_cylinders_1d,
     _block_size,
     _cell_options,
     _cell_options_1d,
@@ -37,6 +35,7 @@ from qfpuzzles.coupled import (
     _grid_options,
     _grid_size,
     _image_piece,
+    _level_walk,
     _ivl_intersect,
     _map_step,
     _options,
@@ -46,6 +45,20 @@ from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
 from qfpuzzles.puzzle import Puzzle
 
 H = Fraction(1, 2)
+
+
+def dyadic_grid(resolution: int) -> list[Box]:
+    """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
+    return list(_grid_boxes(resolution).values())
+
+
+def refine_cylinders_1d(alpha: Fraction, depth: int, resolution: int) -> dict[tuple[str, ...], tuple]:
+    """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
+    *_, covers = _level_walk(_cell_options_1d(alpha, depth, resolution), depth, lambda cells: [cells])
+    ivs = _grid(resolution)
+    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells, _ in covers}
+
+
 DECOUPLED = CouplingParams.make(1, 1, 0)
 _SIGN = {"P": (Fraction(0), H), "N": (-H, Fraction(0))}
 

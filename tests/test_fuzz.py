@@ -37,6 +37,13 @@ from qfpuzzles.zeta import (
 )
 
 
+def with_f_override(p: Puzzle, overrides: dict[str, str]) -> Puzzle:
+    """Copy of ``p`` with some f-images replaced, to build broken puzzles."""
+    data = p.to_json()
+    data["f"].update(overrides)
+    return Puzzle(data["levels"], data["i"], data["f"], name=p.name + "+override")
+
+
 def random_puzzle(rng: random.Random, depth: int, max_width: int = 5) -> Puzzle:
     """A uniform-ish random puzzle: surjective random ``i`` (every piece
 
@@ -242,7 +249,7 @@ def test_one_pass_verdicts_match_tree_walk_on_subshifts(forbidden):
 
 def test_analyzer_refuses_invalid_puzzles():
     for overrides in ({"01": "ε"}, {"010": "00"}):
-        broken = full_shift_puzzle(3).with_f_override(overrides)
+        broken = with_f_override(full_shift_puzzle(3), overrides)
         with pytest.raises(PuzzleError, match="fails validation"):
             ReducibilityAnalyzer(broken)
 

@@ -9,6 +9,7 @@ from qfpuzzles.graphs import (
     Edge,
     GraphError,
     GraphTruncation,
+    _excursion_counts,
     _walk_counter,
     avoiding_path_counts,
     based_loop_counts,
@@ -21,7 +22,16 @@ from qfpuzzles.graphs import (
     two_hub_graph,
 )
 from qfpuzzles.puzzle import PuzzleError
-from qfpuzzles.zeta import TruncationWarning, periodic_empirical_measure, semi_local_zeta_brute, zeta_from_counts
+from qfpuzzles.series import PowerSeries, _reciprocal
+from qfpuzzles.zeta import (
+    TruncationWarning,
+    _series_det,
+    first_return_matrix,
+    periodic_empirical_measure,
+    semi_local_zeta_brute,
+    semi_local_zeta_det,
+    zeta_from_counts,
+)
 
 
 # Reference route for the packed closed-walk pass: the all-pairs walk table
@@ -132,10 +142,18 @@ def test_sft_graph_golden_mean_lucas():
     lambda: sft_graph([[1, 0], [True, 1]]),
     lambda: two_hub_graph([1.5], [], [], []),
     lambda: two_hub_graph([1], [], [], [2, 0.5]),
+    lambda: loop_graph([1.5]),
+    lambda: loop_graph([True]),
+    lambda: loop_graph([0.0, 1]),
 ])
 def test_builders_refuse_non_integer_entries(build):
-    with pytest.raises(GraphError, match=r"must be integers, got (1\.5|0\.5|True)"):
+    with pytest.raises(GraphError, match=r"must be integers, got (1\.5|0\.5|0\.0|True)"):
         build()
+
+
+def test_loop_graph_refuses_negative_counts():
+    with pytest.raises(GraphError, match="^loop counts must be non-negative$"):
+        loop_graph([1, -1])
 
 
 def test_sft_graph_identity_and_zero():
@@ -415,6 +433,110 @@ def test_packed_slots_do_not_carry_at_the_degree_bound():
         assert walks(N, "b", "a") == 2 ** (N - 1)
         assert walks(N, "a", "b") == walks(N, "b", "b") == 0
         assert periodic_point_counts(g, N) == [2**n for n in range(1, N + 1)]
+
+
+def test_excursion_pass_matches_the_per_source_passes():
+    """The packed pass over all of F against one per-source pass for each
+
+    member, for every size of F, at every max_length 0..24."""
+    rng = random.Random(19)
+    graphs = kernel_oracle_graphs(rng)
+    bundles = [e for g in graphs for e in g.edges]
+    assert any(e.length > 1 for e in bundles) and any(e.multiplicity > 1 for e in bundles)
+    member_loops = 0
+    for g in graphs:
+        for size in range(1, len(g.vertices) + 1):
+            F = sorted(rng.sample(g.vertices, size))
+            member_loops += any(e.src == e.dst and e.src in F for e in g.edges)
+            reference = {u: avoiding_path_counts(g, u, F, 24) for u in F}
+            for N in range(25):
+                expected = {u: {v: reference[u][v][:N] for v in F} for u in F}
+                assert _excursion_counts(g, F, N) == expected, (g.edges, F, N)
+    assert member_loops > 10
+
+
+def test_excursion_slots_do_not_carry_at_the_degree_bound():
+    """A slot that holds exactly D**N, with the next source's slot above it.
+
+    The chain ``a -> x1 -> ... -> x(N-1) -> a`` of double bundles gives
+    2**N excursions ``a -> a`` of length N, the largest count the slot
+    width allows (D = 2); ``b -> x1`` puts 2**(N-1) excursions ``b -> a``
+    into the slot above in the same integer, which a carry would corrupt.
+    """
+    for N in (1, 2, 7, 24):
+        chain = ["a", *(f"x{k}" for k in range(1, N)), "a"]
+        edges = [Edge(u, v, 1, 2) for u, v in zip(chain, chain[1:])] + [Edge("b", chain[1])]
+        g = GraphTruncation(("a", "b", *chain[1:-1]), tuple(edges))
+        counts = _excursion_counts(g, ["a", "b"], N)
+        assert counts["a"]["a"] == [0] * (N - 1) + [2**N]
+        assert counts["b"]["a"] == [0] * (N - 1) + [2 ** (N - 1)]
+        assert counts["a"]["b"] == counts["b"]["b"] == [0] * N
+
+
+def test_excursion_pass_waits_out_the_longest_bundle():
+    """The last live walk sits at ``c`` at length 1; the next two rows have
+
+    nothing live, yet ``c``'s length-3 bundle still lands at ``b`` at
+    length 4.  A quiet window shorter than the longest bundle loses it."""
+    g = GraphTruncation(("a", "b", "c"), (Edge("a", "c"), Edge("c", "b"), Edge("c", "b", 3)))
+    for N in (4, 5, 12):
+        counts = _excursion_counts(g, ["a", "b"], N)
+        assert counts["a"]["b"] == [0, 1, 0, 1] + [0] * (N - 4)
+        assert counts == {u: {v: avoiding_path_counts(g, u, ["a", "b"], N)[v] for v in "ab"} for u in "ab"}
+
+
+def test_excursion_callers_match_the_per_source_route():
+    """``first_return_matrix``, ``semi_local_zeta_det`` and
+
+    ``entropy_at_infinity_estimate`` against the per-source passes they
+    ran before, with F handed over as a set."""
+    from qfpuzzles.diagram import entropy_at_infinity_estimate
+
+    rng = random.Random(23)
+    with warnings.catch_warnings():  # the builders' graphs are faithful to short cycles only
+        warnings.simplefilter("ignore", TruncationWarning)
+        for g in kernel_oracle_graphs(rng):
+            for size in range(1, len(g.vertices) + 1):
+                F = sorted(rng.sample(g.vertices, size))
+                for order in (0, 1, 12):
+                    passes = {u: avoiding_path_counts(g, u, F, order) for u in F}
+                    L = first_return_matrix(g, set(F), order)
+                    assert L.index == tuple(F)
+                    assert L.entries == {
+                        (u, v): PowerSeries.from_counts(passes[u][v], order=order) for u in F for v in F
+                    }
+                    matrix = [[[int(u == v), *(-c for c in passes[u][v])] for v in F] for u in F]
+                    expected = PowerSeries(_reciprocal(_series_det(matrix)))
+                    assert semi_local_zeta_det(g, set(F), order) == expected
+                    maxima = [max(col) for col in zip(*(passes[u][v] for u in F for v in F))]
+                    table = entropy_at_infinity_estimate(g, set(F), order)
+                    assert [r.count for r in table.rows] == maxima
+
+
+def test_excursion_det_route_equals_brute_on_random_24_vertex_graphs():
+    """The shape of the benchmark's graphs: 24 vertices, 86 arcs, |F| = 6, order 24."""
+    rng = random.Random(29)
+    for _ in range(4):
+        cells = rng.sample(range(24 * 24), 86)
+        g = sft_graph([[int(24 * r + c in cells) for c in range(24)] for r in range(24)])
+        F = set(rng.sample(g.vertices, 6))
+        assert semi_local_zeta_det(g, F, 24) == semi_local_zeta_brute(g, F, 24)
+
+
+def test_excursion_pass_errors():
+    """Unknown members first, then a negative length, as the per-source pass."""
+    from qfpuzzles.diagram import entropy_at_infinity_estimate
+
+    k2 = complete_graph(2)
+    for F in (["0", "x"], ["x"], ["0", "1", "y"]):
+        with pytest.raises(GraphError, match="unknown source vertex '[xy]'"):
+            entropy_at_infinity_estimate(k2, F, 4)
+        with pytest.raises(GraphError, match="unknown source vertex '[xy]'"):
+            entropy_at_infinity_estimate(k2, F, -1)
+    with pytest.raises(GraphError, match="max_length must be >= 0, got -1"):
+        _excursion_counts(k2, ["0", "1"], -1)
+    with pytest.raises(ValueError, match="F must be a subset"):
+        semi_local_zeta_det(k2, ["0", "x"], -1)
 
 
 def test_periodic_empirical_measure_matches_the_table():

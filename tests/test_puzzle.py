@@ -31,7 +31,7 @@ from qfpuzzles.puzzle import (
     sequence_entropy,
 )
 
-from test_fuzz import random_puzzle
+from test_fuzz import random_puzzle, with_f_override
 
 
 def by_kind(report, kind):
@@ -64,7 +64,7 @@ def test_from_subshift_rejects_unclosed_word_set():
 
 def test_validate_reports_level_skip():
     p = full_shift_puzzle(3)
-    broken = p.with_f_override({"01": "ε"})
+    broken = with_f_override(p, {"01": "ε"})
     report = broken.validate()
     assert not report.ok
     assert [v.piece for v in by_kind(report, "level-skip")] == ["01"]
@@ -72,7 +72,7 @@ def test_validate_reports_level_skip():
 
 def test_validate_reports_commutation_failure():
     p = full_shift_puzzle(3)
-    broken = p.with_f_override({"010": "00"})  # f(i) = "1" but i(f) = "0"
+    broken = with_f_override(p, {"010": "00"})  # f(i) = "1" but i(f) = "0"
     report = broken.validate()
     kinds = {v.kind for v in report.violations}
     assert kinds == {"commutation"}
@@ -189,6 +189,18 @@ def test_from_refinement_matches_reference_on_random_inputs():
             accepted += 1
             non_commuting += not from_refinement(levels, containing, image).validate().ok
     assert 2000 < accepted < 10000 and non_commuting > 200
+
+
+@pytest.mark.parametrize("containing, image_in, message", [
+    ({"a": "g"}, {"a": "r"}, "containing mentions unknown element 'g'"),
+    ({"g": "r", "a": "r"}, {"a": "r"}, "containing mentions unknown element 'g'"),
+    ({"a": "r"}, {"a": "g"}, "image_in mentions unknown element 'g'"),
+    ({"a": "r"}, {"a": "r", "g": "a"}, "image_in mentions unknown element 'g'"),
+])
+def test_from_refinement_names_the_mapping_with_an_unknown_element(containing, image_in, message):
+    with pytest.raises(PuzzleError) as caught:
+        from_refinement([["r"], ["a"]], containing, image_in)
+    assert str(caught.value) == message
 
 
 def test_from_refinement_lists_every_violation():
