@@ -31,7 +31,7 @@ from itertools import product, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
-from qfpuzzles.polys import RationalPolynomial
+from qfpuzzles.polys import RationalPolynomial, _common
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.series import _fraction, _mul
 
@@ -45,12 +45,6 @@ class CoupledError(ValueError):
 
 
 _exact = partial(_fraction, error=CoupledError)  # a float raises CoupledError
-
-
-def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over their least common denominator, and that denominator."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _ivl(lo, hi) -> Interval:

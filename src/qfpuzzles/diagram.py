@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from qfpuzzles.graphs import Edge, GraphTruncation, _excursion_counts, based_loop_counts
+from qfpuzzles.graphs import Edge, GraphTruncation, _dot_quote, _excursion_counts, based_loop_counts
 from qfpuzzles.puzzle import Puzzle
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 
@@ -94,18 +94,14 @@ class MarkovDiagram:
 
     def to_dot(self) -> str:
         p = self.puzzle
-        lines = [f'digraph "{self.provenance}" {{']
+        q = _dot_quote
+        lines = [f"digraph {q(self.provenance)} {{"]
         for v in self.vertices:
-            lines.append(f'  "{p.label(v)}"[label="{p.label(v)}|{p.order(v)}"];')
+            lines.append(f"  {q(p.label(v))}[label={q(f'{p.label(v)}|{p.order(v)}')}];")
         for a in self.arrows:
-            lines.append(
-                f'  "{p.label(a.source)}" -> "{p.label(a.target)}"'
-                f' [label="{p.label(a.witness)}"];'
-            )
+            lines.append(f"  {q(p.label(a.source))} -> {q(p.label(a.target))} [label={q(p.label(a.witness))}];")
         for m in self.frontier:
-            lines.append(
-                f'  "{p.label(m.source)}" -> "?{p.label(m.witness)}" [style=dashed];'
-            )
+            lines.append(f"  {q(p.label(m.source))} -> {q('?' + p.label(m.witness))} [style=dashed];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -423,6 +419,6 @@ def entropy_at_infinity_estimate(
     F = sorted(set(finite_set))
     if not F:
         raise DiagramError("the avoided set must be nonempty")
-    counts = _excursion_counts(g, F, max_length)
-    maxima = [max(col) for col in zip(*(counts[u][v] for u in F for v in F))]
+    counts = _excursion_counts(g, F, F, max_length)
+    maxima = [max(col) for col in zip(*(counts(u, v) for u in F for v in F))]
     return _rate_table(enumerate(maxima, start=1), g.exact_up_to(max_length))

@@ -12,12 +12,12 @@ vertices carry no choices, so every walk statistic reduces to big-integer
 dynamic programming over named vertices, length-aware.
 
 Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`).
-:func:`avoiding_path_counts` runs one excursion pass per source and
-returns the counts to every target.  Closed walks, and the excursions
-between the members of a finite set F that avoid F, each come from one
-pass over all sources at once, with the counts from every source packed
-into one big integer per vertex and length, so a step is one multiply-add
-per bundle.
+Two passes count walks from all their sources at once, the counts from
+every source packed into one big integer per vertex and length, so a
+step is one multiply-add per bundle.  The excursion pass counts the walks
+that avoid a set between their ends: :func:`avoiding_path_counts` from
+one source, and the first returns to a finite set F from all of F.  The
+closed-walk pass of the periodic-point route shares no code with it.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from qfpuzzles.puzzle import Puzzle, PuzzleError
 
@@ -151,17 +151,22 @@ class GraphTruncation:
         }
 
     def to_dot(self) -> str:
-        lines = [f'digraph "{self.name}" {{']
+        lines = [f"digraph {_dot_quote(self.name)} {{"]
         for v in self.vertices:
             shape = ' shape=doublecircle' if v in self.distinguished else ""
-            lines.append(f'  "{v}"[label="{v}"{shape}];')
+            lines.append(f"  {_dot_quote(v)}[label={_dot_quote(v)}{shape}];")
         for e in self.edges:
             tag = ""
             if e.length != 1 or e.multiplicity != 1:
                 tag = f' [label="len {e.length} x{e.multiplicity}"]'
-            lines.append(f'  "{e.src}" -> "{e.dst}"{tag};')
+            lines.append(f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)}{tag};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _dot_quote(text: str) -> str:
+    """``text`` as a double-quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # -- builders ------------------------------------------------------------
@@ -415,23 +420,26 @@ def _walk_counter(g: GraphTruncation, max_length: int):
     return lambda j, x, y: ends[j][y] >> width * index[x] & mask
 
 
-def _excursion_counts(g: GraphTruncation, F: Sequence[str], max_length: int) -> dict[str, dict[str, list[int]]]:
-    """``counts[u][v]`` for ``u, v`` in F: ``avoiding_path_counts(g, u, F, max_length)[v]``.
+def _excursion_counts(
+    g: GraphTruncation, sources: Sequence[str], avoid: Iterable[str], max_length: int
+) -> Callable[[str, str], list[int]]:
+    """``counts(u, y)``: walks from source ``u`` to named vertex ``y`` of each length
 
-    One pull serves every source: ``ends[j][y]`` holds the count from
-    ``F[k]`` in bit slot ``k``, ``sum m * live[j - L][u]`` over the bundles
-    ``u -> y`` of length ``L <= j`` and multiplicity ``m``.  ``live`` is
-    ``ends``, but row 0 holds only the sources, one bit each, and later
-    rows are zero on F: arrivals at F are counted but not extended, on
-    whole integers, as every slot avoids the same set.  With ``D`` the
-    largest weighted out-degree (at least 1), induction on ``j`` bounds
-    the walks of length ``j`` from a source by ``sum_e m_e D^(j - L_e) <=
-    D^j`` (avoiding F only removes walks), so slots of the bit length of
-    ``D ** max_length`` never carry.  Nothing lands after ``longest`` rows
-    with nothing live: the pass stops there, and the rest are zeros.
+    1..max_length whose intermediate named vertices avoid ``avoid`` (names
+    that are not vertices are ignored).  One pull serves every source:
+    ``rows[j - 1][y]`` holds the count from ``sources[k]`` in bit slot ``k``,
+    ``sum m * live[j - L][u]`` over the bundles ``u -> y`` of length
+    ``L <= j`` and multiplicity ``m``.  ``live`` is the rows, but row 0
+    holds only the sources, one bit each, and later rows are zero on
+    ``avoid``: arrivals there are counted but not extended, on whole
+    integers, as every slot avoids the same set.  With ``D`` the largest
+    weighted out-degree (at least 1), induction on ``j`` bounds the walks
+    of length ``j`` from a source by ``sum_e m_e D^(j - L_e) <= D^j``, so
+    slots of the bit length of ``D ** max_length`` never carry.  Nothing
+    lands after ``longest`` rows with nothing live: the pass stops there.
     """
     index = {v: k for k, v in enumerate(g.vertices)}
-    for u in F:
+    for u in sources:
         if u not in index:
             raise GraphError(f"unknown source vertex {u!r}")
     if max_length < 0:
@@ -442,12 +450,12 @@ def _excursion_counts(g: GraphTruncation, F: Sequence[str], max_length: int) -> 
     for e in g.edges:
         by_length.setdefault(e.length, []).append((index[e.src], index[e.dst], e.multiplicity))
     longest = max(by_length, default=1)
-    targets = [index[v] for v in F]
+    stops = [index[v] for v in set(avoid) if v in index]
     zero = [0] * len(index)
     live = [zero] * longest + [zero[:]]  # row j at longest + j
-    for k, t in enumerate(targets):
-        live[longest][t] = 1 << width * k
-    arrivals = [[0] * len(F) for _ in range(max_length)]
+    for k, u in enumerate(sources):
+        live[longest][index[u]] += 1 << width * k
+    rows = [zero] * max_length
     for j in range(1, max_length + 1):
         ends = zero[:]
         for L, bundles in by_length.items():
@@ -455,45 +463,28 @@ def _excursion_counts(g: GraphTruncation, F: Sequence[str], max_length: int) -> 
             for u, y, m in bundles:
                 if before[u]:
                     ends[y] += m * before[u]
-        arrivals[j - 1] = [ends[t] for t in targets]
-        for t in targets:
-            ends[t] = 0
+        rows[j - 1] = ends
+        if stops:
+            ends = ends[:]
+            for t in stops:
+                ends[t] = 0
         live.append(ends)
         if not any(map(any, live[-longest:])):
             break
+    shifts = {u: width * k for k, u in enumerate(sources)}
     mask = (1 << width) - 1
-    return {u: {v: [row[b] >> width * k & mask for row in arrivals] for b, v in enumerate(F)}
-            for k, u in enumerate(F)}
+
+    def counts(u: str, y: str) -> list[int]:
+        b, shift = index[y], shifts[u]
+        return [row[b] >> shift & mask for row in rows]
+    return counts
 
 
-def avoiding_path_counts(
-    g: GraphTruncation,
-    src: str,
-    avoid: Iterable[str],
-    max_length: int,
-) -> dict[str, list[int]]:
+def avoiding_path_counts(g: GraphTruncation, src: str, avoid: Iterable[str], max_length: int) -> dict[str, list[int]]:
     """For every named vertex y, the counts of walks src->y of each length
 
     1..max_length whose intermediate named vertices avoid the given set
     (endpoints exempt).  Anonymous bundle interiors are never avoidable.
     """
-    if src not in g.vertices:
-        raise GraphError(f"unknown source vertex {src!r}")
-    if max_length < 0:
-        raise GraphError(f"max_length must be >= 0, got {max_length}")
-    forbidden = set(avoid)
-    outs = g.adjacency
-    # reach[j][x]: walks src->x of length j whose intermediate named
-    # vertices avoid the set; arrivals at an avoided vertex are counted
-    # but not extended.
-    reach: list[dict[str, int]] = [{} for _ in range(max_length + 1)]
-    reach[0][src] = 1
-    for j in range(max_length + 1):
-        for x, c in reach[j].items():
-            if j > 0 and x in forbidden:
-                continue
-            for e in outs[x]:
-                nj = j + e.length
-                if nj <= max_length:
-                    reach[nj][e.dst] = reach[nj].get(e.dst, 0) + c * e.multiplicity
-    return {y: [reach[j].get(y, 0) for j in range(1, max_length + 1)] for y in g.vertices}
+    counts = _excursion_counts(g, [src], avoid, max_length)
+    return {y: counts(src, y) for y in g.vertices}

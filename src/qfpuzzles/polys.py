@@ -233,13 +233,18 @@ def rational_roots(p: RationalPolynomial) -> list[Fraction]:
     return sorted(roots)
 
 
+def _common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator, and that denominator."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def _primitive_ints(coeffs: Sequence[Fraction]) -> list[int]:
     """Integers proportional to ``coeffs`` by a positive rational, with gcd one
 
     (all zeros stay zeros).
     """
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
+    ints, _ = _common(coeffs)
     g = math.gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
 

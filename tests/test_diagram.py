@@ -27,11 +27,11 @@ from qfpuzzles.diagram import (
     scc_decomposition,
 )
 from qfpuzzles.graphs import Edge, GraphTruncation, complete_graph, loop_graph, sft_graph
-from qfpuzzles.puzzle import dual, from_subshift
+from qfpuzzles.puzzle import Puzzle, dual, from_subshift
 from qfpuzzles.reducibility import ReducibilityAnalyzer
 
 from test_fuzz import random_puzzle
-from test_graphs import matrix_power_traces
+from test_graphs import dot_strings, matrix_power_traces
 
 
 def no111_puzzle(depth):
@@ -107,6 +107,31 @@ def test_frontier_on_target_beyond_cutoff():
     d = build_diagram(p, 1)
     reasons = {(p.label(m.source), p.label(m.witness), m.reason) for m in d.frontier}
     assert ("1", "11", "target-beyond-cutoff") in reasons
+
+
+def test_dot_export_quotes_labels():
+    """Labels with quotes and backslashes come out as well-formed DOT
+    strings that read back as the labels, for vertices, arrows and the
+    frontier."""
+    p = no111_puzzle(3)
+    new = lambda w: f'a"{w}\\'
+    pieces = [v for v in p.pieces() if p.order(v) > 0]
+    q = Puzzle(
+        [[new(p.label(v)) for v in p.level(n)] for n in range(p.depth + 1)],
+        {new(p.label(v)): new(p.label(p.i(v))) for v in pieces},
+        {new(p.label(v)): new(p.label(p.f(v))) for v in pieces},
+        name=new(p.name),
+    )
+    d = build_diagram(q, 2)
+    assert arrows_by_label(d) == [tuple(map(new, a)) for a in arrows_by_label(build_diagram(p, 2))]
+    assert d.arrows and d.frontier
+    expected = [
+        q.name,
+        *(s for v in d.vertices for s in (q.label(v), f"{q.label(v)}|{q.order(v)}")),
+        *(q.label(x) for a in d.arrows for x in (a.source, a.target, a.witness)),
+        *(s for m in d.frontier for s in (q.label(m.source), "?" + q.label(m.witness))),
+    ]
+    assert dot_strings(d.to_dot()) == expected
 
 
 def test_witness_uniqueness_brute_force():

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -78,6 +79,40 @@ def table_periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int
                     total += e.length * e.multiplicity * table[n - e.length][e.dst][v]
         out.append(total)
     return out
+
+
+# Reference route for the excursion pass: one dictionary DP per source.
+def reference_avoiding_path_counts(g: GraphTruncation, src: str, avoid, max_length: int) -> dict[str, list[int]]:
+    """For every named vertex y, the walks src->y of each length 1..max_length
+
+    whose intermediate named vertices avoid the given set (endpoints exempt).
+    """
+    if src not in g.vertices:
+        raise GraphError(f"unknown source vertex {src!r}")
+    if max_length < 0:
+        raise GraphError(f"max_length must be >= 0, got {max_length}")
+    forbidden = set(avoid)
+    outs = g.adjacency
+    # reach[j][x]: walks src->x of length j whose intermediate named
+    # vertices avoid the set; arrivals at an avoided vertex are counted
+    # but not extended.
+    reach: list[dict[str, int]] = [{} for _ in range(max_length + 1)]
+    reach[0][src] = 1
+    for j in range(max_length + 1):
+        for x, c in reach[j].items():
+            if j > 0 and x in forbidden:
+                continue
+            for e in outs[x]:
+                nj = j + e.length
+                if nj <= max_length:
+                    reach[nj][e.dst] = reach[nj].get(e.dst, 0) + c * e.multiplicity
+    return {y: [reach[j].get(y, 0) for j in range(1, max_length + 1)] for y in g.vertices}
+
+
+def excursions(g: GraphTruncation, sources, avoid, max_length: int) -> dict[str, dict[str, list[int]]]:
+    """The excursion pass read out: ``counts[u][y]`` for every source u and named vertex y."""
+    counts = _excursion_counts(g, sources, avoid, max_length)
+    return {u: {y: counts(u, y) for y in g.vertices} for u in sources}
 
 
 def matrix_power_traces(matrix, n_max):
@@ -351,6 +386,28 @@ def test_dot_export_mentions_vertices_and_bundles():
     assert '"a"' in dot and "len 2 x3" in dot
 
 
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def dot_strings(dot: str) -> list[str]:
+    """The quoted strings of a DOT text in order, unescaped; no quote or
+    backslash may be left outside them."""
+    outside = DOT_STRING.sub("", dot)
+    assert '"' not in outside and "\\" not in outside, outside
+    return [re.sub(r"\\(.)", r"\1", q) for q in DOT_STRING.findall(dot)]
+
+
+def test_dot_export_quotes_names():
+    """Names with quotes and backslashes come out as well-formed DOT strings
+    that read back as the names."""
+    names = ('a"b', "x\\", '\\"', "plain")
+    edges = (Edge('a"b', "x\\"), Edge("x\\", '\\"', 2, 3), Edge("plain", 'a"b'))
+    g = GraphTruncation(names, edges, distinguished=("x\\",), name='g"\\')
+    nodes = [s for v in names for s in (v, v)]
+    assert dot_strings(g.to_dot()) == [g.name, *nodes, 'a"b', "x\\", "x\\", '\\"', "len 2 x3", "plain", 'a"b']
+    assert dot_strings(loop_graph([0, 3]).to_dot()) == ["loop", "a", "a", "a", "a", "len 2 x3"]
+
+
 def test_path_count_table_identity_row():
     k2 = complete_graph(2)
     table = path_count_table(k2, 3)
@@ -436,9 +493,12 @@ def test_packed_slots_do_not_carry_at_the_degree_bound():
 
 
 def test_excursion_pass_matches_the_per_source_passes():
-    """The packed pass over all of F against one per-source pass for each
+    """The packed pass over all of F against the reference DP for each
 
-    member, for every size of F, at every max_length 0..24."""
+    member, to every target, for every size of F, at every max_length
+    0..24; and ``avoiding_path_counts`` against the reference DP from every
+    source, with avoided names that are not vertices, a one-shot
+    generator, a set holding a source that has a self-loop, and no set."""
     rng = random.Random(19)
     graphs = kernel_oracle_graphs(rng)
     bundles = [e for g in graphs for e in g.edges]
@@ -448,11 +508,26 @@ def test_excursion_pass_matches_the_per_source_passes():
         for size in range(1, len(g.vertices) + 1):
             F = sorted(rng.sample(g.vertices, size))
             member_loops += any(e.src == e.dst and e.src in F for e in g.edges)
-            reference = {u: avoiding_path_counts(g, u, F, 24) for u in F}
+            reference = {u: reference_avoiding_path_counts(g, u, F, 24) for u in F}
             for N in range(25):
-                expected = {u: {v: reference[u][v][:N] for v in F} for u in F}
-                assert _excursion_counts(g, F, N) == expected, (g.edges, F, N)
+                expected = {u: {y: reference[u][y][:N] for y in g.vertices} for u in F}
+                assert excursions(g, F, F, N) == expected, (g.edges, F, N)
     assert member_loops > 10
+    looped_sources = 0
+    for g in graphs:
+        for src in g.vertices:
+            others = [v for v in g.vertices if v != src][:2]
+            cases = [["ghost", "nowhere"], [*others, "ghost"], set()]
+            if any(e.src == e.dst == src for e in g.edges):
+                looped_sources += 1
+                cases.append({src, *others})
+            for avoid in cases:
+                reference = reference_avoiding_path_counts(g, src, avoid, 24)
+                for N in range(25):
+                    expected = {y: counts[:N] for y, counts in reference.items()}
+                    assert avoiding_path_counts(g, src, avoid, N) == expected, (g.edges, src, avoid, N)
+                    assert avoiding_path_counts(g, src, (v for v in avoid), N) == expected, (g.edges, src, avoid, N)
+    assert looped_sources > 5
 
 
 def test_excursion_slots_do_not_carry_at_the_degree_bound():
@@ -467,7 +542,7 @@ def test_excursion_slots_do_not_carry_at_the_degree_bound():
         chain = ["a", *(f"x{k}" for k in range(1, N)), "a"]
         edges = [Edge(u, v, 1, 2) for u, v in zip(chain, chain[1:])] + [Edge("b", chain[1])]
         g = GraphTruncation(("a", "b", *chain[1:-1]), tuple(edges))
-        counts = _excursion_counts(g, ["a", "b"], N)
+        counts = excursions(g, ["a", "b"], ["a", "b"], N)
         assert counts["a"]["a"] == [0] * (N - 1) + [2**N]
         assert counts["b"]["a"] == [0] * (N - 1) + [2 ** (N - 1)]
         assert counts["a"]["b"] == counts["b"]["b"] == [0] * N
@@ -480,16 +555,16 @@ def test_excursion_pass_waits_out_the_longest_bundle():
     length 4.  A quiet window shorter than the longest bundle loses it."""
     g = GraphTruncation(("a", "b", "c"), (Edge("a", "c"), Edge("c", "b"), Edge("c", "b", 3)))
     for N in (4, 5, 12):
-        counts = _excursion_counts(g, ["a", "b"], N)
+        counts = excursions(g, ["a", "b"], ["a", "b"], N)
         assert counts["a"]["b"] == [0, 1, 0, 1] + [0] * (N - 4)
-        assert counts == {u: {v: avoiding_path_counts(g, u, ["a", "b"], N)[v] for v in "ab"} for u in "ab"}
+        assert counts == {u: reference_avoiding_path_counts(g, u, ["a", "b"], N) for u in "ab"}
 
 
 def test_excursion_callers_match_the_per_source_route():
     """``first_return_matrix``, ``semi_local_zeta_det`` and
 
-    ``entropy_at_infinity_estimate`` against the per-source passes they
-    ran before, with F handed over as a set."""
+    ``entropy_at_infinity_estimate`` against the reference DP from each
+    member, with F handed over as a set."""
     from qfpuzzles.diagram import entropy_at_infinity_estimate
 
     rng = random.Random(23)
@@ -499,7 +574,7 @@ def test_excursion_callers_match_the_per_source_route():
             for size in range(1, len(g.vertices) + 1):
                 F = sorted(rng.sample(g.vertices, size))
                 for order in (0, 1, 12):
-                    passes = {u: avoiding_path_counts(g, u, F, order) for u in F}
+                    passes = {u: reference_avoiding_path_counts(g, u, F, order) for u in F}
                     L = first_return_matrix(g, set(F), order)
                     assert L.index == tuple(F)
                     assert L.entries == {
@@ -533,8 +608,10 @@ def test_excursion_pass_errors():
             entropy_at_infinity_estimate(k2, F, 4)
         with pytest.raises(GraphError, match="unknown source vertex '[xy]'"):
             entropy_at_infinity_estimate(k2, F, -1)
+    with pytest.raises(GraphError, match="unknown source vertex 'x'"):
+        avoiding_path_counts(k2, "x", ["0", "y"], -1)
     with pytest.raises(GraphError, match="max_length must be >= 0, got -1"):
-        _excursion_counts(k2, ["0", "1"], -1)
+        _excursion_counts(k2, ["0", "1"], ["0", "1"], -1)
     with pytest.raises(ValueError, match="F must be a subset"):
         semi_local_zeta_det(k2, ["0", "x"], -1)
 
