@@ -477,8 +477,8 @@ def build_puzzle(
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     pieces, ids, levels = {ROOT: root}, {ROOT: 0}, [[ROOT]]
     by_itin = {(): [root]}  # the last level's pieces per itinerary, in label order
-    i_map: dict[int, int] = {}
-    f_map: dict[int, int] = {}
+    i_map: list[int | None] = [None]  # by id, the root first
+    f_map: list[int | None] = [None]
     ambiguous: list[str] = []
     split = partial(_grid_components, k=_block_size(resolution, gap))
     for level in _level_walk(cells, depth, split):
@@ -489,11 +489,11 @@ def build_puzzle(
             piece = ExtractedPiece("-".join(itin) + f"/{len(group)}", itin, tuple(box_of[c] for c in part))
             group.append(piece)
             levels[-1].append(piece.label)
-            v = ids[piece.label] = len(pieces)
+            ids[piece.label] = len(pieces)
             pieces[piece.label] = piece
-            i_map[v] = ids[levels[-2][at]]
+            i_map.append(ids[levels[-2][at]])
             target, flagged = _image_piece(p, piece, parents.get(itin[1:], []))
-            f_map[v] = ids[target]
+            f_map.append(ids[target])
             if flagged:
                 ambiguous.append(piece.label)
     return PuzzleBuild(Puzzle._from_ids(levels, i_map, f_map, "coupled"), pieces, tuple(ambiguous))

@@ -456,6 +456,7 @@ def _excursion_counts(
     for k, u in enumerate(sources):
         live[longest][index[u]] += 1 << width * k
     rows = [zero] * max_length
+    last = 0  # the last row with a live entry
     for j in range(1, max_length + 1):
         ends = zero[:]
         for L, bundles in by_length.items():
@@ -469,7 +470,9 @@ def _excursion_counts(
             for t in stops:
                 ends[t] = 0
         live.append(ends)
-        if not any(map(any, live[-longest:])):
+        if any(ends):
+            last = j
+        elif j - last >= longest:
             break
     shifts = {u: width * k for k, u in enumerate(sources)}
     mask = (1 << width) - 1

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -117,8 +117,8 @@ class Puzzle:
             raise PuzzleError("depth must be >= 1 (supply V_0 and V_1)")
         label_to_id = _number_labels(levels)
 
-        def resolve(mapping: Mapping[str, str], which: str) -> dict[int, int]:
-            out = {}
+        def resolve(mapping: Mapping[str, str], which: str) -> list[int | None]:
+            out: list[int | None] = [None] * len(label_to_id)
             for src, dst in mapping.items():
                 if src not in label_to_id:
                     raise PuzzleError(f"{which}-map source {src!r} is not a piece")
@@ -130,17 +130,19 @@ class Puzzle:
         self._assemble(levels, label_to_id, resolve(i_map, "i"), resolve(f_map, "f"), name)
 
     @classmethod
-    def _from_ids(cls, levels: Sequence[Sequence[str]], i: dict, f: dict, name: str) -> "Puzzle":
+    def _from_ids(cls, levels: Sequence[Sequence[str]], i: Sequence[int | None],
+                  f: Sequence[int | None], name: str) -> "Puzzle":
         """A puzzle whose ``i`` and ``f`` are given on ids: the labels, numbered level by level."""
         puzzle = cls.__new__(cls)
         puzzle._assemble(levels, _number_labels(levels), i, f, name)
         return puzzle
 
     def _assemble(self, levels: Sequence[Sequence[str]], label_to_id: dict[str, int],
-                  i: dict[int, int], f: dict[int, int], name: str) -> None:
+                  i: Sequence[int | None], f: Sequence[int | None], name: str) -> None:
         """Set up from ids: level ``n`` holds the next ``len(levels[n])`` ids,
-        and ``label_to_id`` lists the labels in id order.  Every table is
-        built here, once; ``_i`` and ``_f`` hold ``None`` where undefined."""
+        ``label_to_id`` lists the labels in id order, and ``i`` and ``f``
+        hold each id's image, ``None`` where undefined.  Every table is
+        built here, once."""
         self.name = name
         self.depth = len(levels) - 1
         self._label_to_id = label_to_id
@@ -148,24 +150,29 @@ class Puzzle:
         sizes = [len(level) for level in levels]
         bounds = [0, *accumulate(sizes)]
         self.levels = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-        self._level_of = tuple(n for n, size in enumerate(sizes) for _ in range(size))
-        ids = range(len(self._labels))
-        self._i, self._f = tuple(map(i.get, ids)), tuple(map(f.get, ids))
-        children: list[list[int]] = [[] for _ in ids]
+        self._level_of = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+        self._i, self._f = tuple(i), tuple(f)
+        children: list[list[int]] = [[] for _ in self._i]
         for src, tgt in enumerate(self._i):
             if tgt is not None:
                 children[tgt].append(src)
         self._children = tuple(map(tuple, children))
-        self._fibres = tuple(map(self._group, self.levels))
+        self._fibres = tuple(map(self._group, bounds, bounds[1:]))
 
-    def _group(self, level: tuple[int, ...]) -> Mapping[tuple[int, int], tuple[int, ...]] | None:
-        out: dict[tuple[int, int], list[int]] = {}
-        i, f = self._i, self._f
-        for v in level:
-            if i[v] is None or f[v] is None:
-                return None  # fibres(n) lets the accessors raise
-            out.setdefault((i[v], f[v]), []).append(v)
-        return MappingProxyType({key: tuple(group) for key, group in out.items()})
+    def _group(self, start: int, stop: int) -> Mapping[tuple[int, int], tuple[int, ...]] | None:
+        """The fibres of the level holding ids ``start .. stop - 1``."""
+        i, f = self._i[start:stop], self._f[start:stop]
+        if None in i or None in f:
+            return None  # fibres(n) lets the accessors raise
+        keys = list(zip(i, f))
+        level = range(start, stop)
+        out = dict(zip(keys, zip(level)))  # every fibre a single piece
+        if len(out) < len(keys):
+            groups: dict[tuple[int, int], list[int]] = {}
+            for key, v in zip(keys, level):
+                groups.setdefault(key, []).append(v)
+            out = {key: tuple(group) for key, group in groups.items()}
+        return MappingProxyType(out)
 
     # -- piece accessors -------------------------------------------------
 
@@ -317,12 +324,14 @@ ROOT_LABEL = "ε"
 
 def _number_labels(levels: Iterable[Iterable[str]]) -> dict[str, int]:
     """Ids for the labels, level by level; a repeated label is an error."""
-    label_to_id: dict[str, int] = {}
-    for level in levels:
-        for label in level:
-            if label in label_to_id:
+    labels = list(chain.from_iterable(levels))
+    label_to_id = dict(zip(labels, range(len(labels))))
+    if len(label_to_id) < len(labels):
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
                 raise PuzzleError(f"duplicate label {label!r}")
-            label_to_id[label] = len(label_to_id)
+            seen.add(label)
     return label_to_id
 
 
@@ -370,11 +379,15 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
     """
     if depth < 1:
         raise PuzzleError("depth must be >= 1")
-    wordset = set(map(tuple, words))
+    # a set of tuples holding the empty word is read as it is, never changed
+    if isinstance(words, set) and () in words and set(map(type, words)) == {tuple}:
+        wordset = words
+    else:
+        wordset = set(map(tuple, words))
+        wordset.add(())
     letters = set().union(*wordset)
     if not all(isinstance(a, str) for a in letters):
         wordset, letters = {tuple(map(str, w)) for w in wordset}, set(map(str, letters))
-    wordset.add(())
     word, i, f, starts = _walk(sorted(letters), depth, wordset)
     missed = wordset.difference(word) if len(word) < len(wordset) else ()
     if faults := [(len(w), w) for w in missed if len(w) <= depth]:
@@ -386,7 +399,7 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
         raise PuzzleError(f"no words of length {len(starts) - 2}; depth {depth} unreachable")
     labels = [ROOT_LABEL, *map("".join, word[1:])]
     levels = [labels[a:b] for a, b in zip(starts, starts[1:])]
-    return Puzzle._from_ids(levels, dict(enumerate(i)), dict(enumerate(f)), name)
+    return Puzzle._from_ids(levels, i, f, name)
 
 
 def from_refinement(

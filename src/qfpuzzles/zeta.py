@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from qfpuzzles.graphs import (
     GraphTruncation,
@@ -327,6 +327,17 @@ _LOW, _HIGH, _AMBIG, _DEAD = range(4)
 _TAGS = ("liftable-with-low-return", "liftable-high", None, "unliftable-at-depth")
 
 
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill: Callable[[int], int]):
+        self.fill = fill
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass(frozen=True)
 class PeriodicClass:
     """One n-periodic sequence of the level-N graph with its lift record."""
@@ -371,6 +382,13 @@ def puzzle_zeta_n(
     the product search, trying candidates level by level in
     ``itertools.product`` order over piece ids.
 
+    The search walks digits: the level's vertices numbered ``0 .. V - 1``
+    in label order.  A path carries its last ``min(n, m + 1)`` digits as
+    one integer in base ``V``, which keys the window statuses, and a word
+    of period ``n >= m`` reads its wrapping windows from one more table,
+    keyed by its last ``m`` digits times ``V**m`` plus its first ``m``.
+    Only a word shorter than ``m``, whose ring repeats, is unrolled.
+
     A certified class is tagged by the reduction chains of its first lift:
     low when all end at order <= level, else high; unknown at ``cert_depth
     == p.depth``, where no level lies below the lift.  Enumeration is
@@ -382,16 +400,20 @@ def puzzle_zeta_n(
     _check_gamma_level(p, level)
     # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
     lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
-    # the level graph gamma_n(p, level) on ids: successors in label order
-    names = {v: p.label(v) for v in p.level(level)}
-    succ: dict[int, list[int]] = {v: [] for v in names}
-    preds: dict[int, set[int]] = {v: set() for v in names}
-    for u, v in sorted(lifts[level], key=lambda e: names[e[1]]):
-        succ[u].append(v)
-        preds[v].add(u)
+    # the level graph gamma_n(p, level) on digits: digit d is verts[d], in label order
+    verts = sorted(p.level(level), key=p.label)
+    labels, V = [p.label(v) for v in verts], len(verts)
+    digit = {v: d for d, v in enumerate(verts)}
+    succ: list[list[int]] = [[] for _ in verts]
+    preds: list[set[int]] = [set() for _ in verts]
+    for a, b in sorted((digit[u], digit[v]) for u, v in lifts[level]):
+        succ[a].append(b)
+        preds[b].add(a)
     # steps[t][edge]: the one piece over a level-(level+t) edge, or -1 for several
     steps = [{e: ps[0] if len(ps) == 1 else -1 for e, ps in f.items()} for f in lifts.values()]
     m, beyond = cert_depth - level, cert_depth == p.depth
+    mod = V**m  # a key's last m digits are key % mod
+    tags = ("liftable-unknown-beyond-depth",) * 2 + _TAGS[2:] if beyond else _TAGS
 
     @cache
     def high(piece: int) -> bool:
@@ -403,20 +425,20 @@ def puzzle_zeta_n(
     def top_status(top: Sequence[int]) -> int:
         return _LOW if beyond or not any(map(high, top)) else _HIGH
 
-    @cache
-    def status(window: tuple[int, ...]) -> int:
-        """The (m+1)-block map: a window's forced top lift status, DEAD or AMBIG."""
-        row = window  # -1 marks a piece that is not forced, None an empty fibre
-        for step in steps:
+    def status(key: int) -> int:
+        """The (m+1)-block map: the forced top lift status of the window whose
+        digits in base V are ``key``, DEAD or AMBIG."""
+        row = [verts[key // V**k % V] for k in range(m, -1, -1)]
+        for step in steps:  # -1 marks a piece that is not forced, None an empty fibre
             row = [-1 if -1 in e else step.get(e) for e in zip(row, row[1:])]
             if None in row:
                 return _DEAD
         return _AMBIG if row[0] == -1 else top_status(row)
 
-    @cache
-    def wrap_status(key: tuple[int, ...]) -> int:
-        """The max of :func:`status` over the windows of ``key``."""
-        return max(status(key[k:k + m + 1]) for k in range(len(key) - m))
+    # wraps[last * mod + first]: the max status of the m windows that wrap a
+    # word whose last m digits are ``last`` and first m digits ``first``
+    windows = _Table(status)
+    wraps = _Table(lambda key: max(windows[key // V**k % (mod * V)] for k in range(m)))
 
     def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
         """Return the first lift of beta at cert_depth, or None."""
@@ -431,36 +453,42 @@ def puzzle_zeta_n(
         return None
 
     classes: list[list[PeriodicClass]] = [[] for _ in range(order)]
-    certs, ids = [0] * order, []  # ids: the current path
+    certs = [0] * order
 
-    def close(n: int, word_status: int) -> None:
-        """Record ``ids`` as a word of period n, given the status of its inner windows."""
-        if word_status != _DEAD:
-            ring = ids * (m // n + 2)  # the wrapping windows lie in the last m and first m letters
-            word_status = max(word_status, wrap_status(tuple(ring[max(0, n - m):n + m])))
-        if word_status == _AMBIG:
-            top = certify(tuple(ids), level)
-            word_status = _DEAD if top is None else top_status(top)
-        certified = word_status != _DEAD
-        certs[n - 1] += certified
-        tag = "liftable-unknown-beyond-depth" if beyond and certified else _TAGS[word_status]
-        classes[n - 1].append(PeriodicClass(tuple(map(names.__getitem__, ids)), certified, tag))
-
-    def visit(v: int, word_status: int, to_start: dict[int, int]) -> None:
-        ids.append(v)
-        n = len(ids)
+    def visit(v: int, word: tuple[str, ...], key: int, first: int | None, word_status: int) -> None:
+        """Extend the path ``word``, ending at digit ``v``, whose last min(n, m + 1)
+        digits are ``key`` and first m digits ``first``; ``word_status`` is the
+        max over its inner windows, or DEAD."""
+        n = len(word)
         if n > m and word_status != _DEAD:
-            word_status = max(word_status, status(tuple(ids[-m - 1:])))
+            s = windows[key]
+            if s > word_status:
+                word_status = s
+        elif n == m:
+            first = key
         for w in succ[v]:
-            if w == ids[0]:
-                close(n, word_status)
+            if w == start:  # the word closes: add its wrapping windows
+                s = word_status
+                if s != _DEAD:
+                    if first is None:  # period < m: unroll the ring from position -m to m - 1
+                        ring = [key // V**k % V for k in range(n - 1, -1, -1)]
+                        t = wraps[sum(ring[j % n] * V**(m - 1 - j) for j in range(-m, m))]
+                    else:
+                        t = wraps[key % mod * mod + first]
+                    s = max(s, t)
+                if s == _AMBIG:
+                    top = certify(tuple(map(p.id_of, word)), level)
+                    s = _DEAD if top is None else top_status(top)
+                certified = s != _DEAD
+                certs[n - 1] += certified
+                classes[n - 1].append(PeriodicClass(word, certified, tags[s]))
             if n + to_start.get(w, order) <= order:
-                visit(w, word_status, to_start)
-        ids.pop()
+                visit(w, word + (labels[w],), key % mod * V + w, first, word_status)
 
     if order > 0:
-        for v in sorted(names, key=names.__getitem__):
-            visit(v, _LOW, _walk_lengths_to(preds, v, order))
+        for start in range(V):
+            to_start = _walk_lengths_to(preds, start, order)
+            visit(start, (labels[start],), start, None, _LOW)
     totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
@@ -474,10 +502,10 @@ def puzzle_zeta_n(
     )
 
 
-def _walk_lengths_to(preds: Mapping[int, set[int]], target: int, bound: int) -> dict[int, int]:
+def _walk_lengths_to(preds: Sequence[set[int]], target: int, bound: int) -> dict[int, int]:
     """Edges on a shortest path to ``target`` from each vertex with one
     shorter than ``bound``, by breadth-first search over the predecessor
-    sets ``preds``; ``target`` gets 1, as a closed walk needs an edge."""
+    sets ``preds[v]``; ``target`` gets 1, as a closed walk needs an edge."""
     dist, frontier = {target: 1}, {target}
     for d in range(1, bound):
         frontier = {u for v in frontier for u in preds[v] if u not in dist}

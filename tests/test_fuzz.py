@@ -529,6 +529,41 @@ def test_puzzle_zeta_block_map_branches_match_reference(monkeypatch):
     assert seen == {"forced", "dead", "ambig", "dead+ambig", "wraps more than once"}
 
 
+def benchmark_like_shift(rng: random.Random, depth: int = 12) -> Puzzle:
+    """The puzzle of a binary shift with one to three forbidden words of
+    length 2 to 4, redrawn until it has words of every length up to ``depth``."""
+    while True:
+        forbidden = [tuple(rng.choices("01", k=rng.randint(2, 4))) for _ in range(rng.randint(1, 3))]
+        words = words_avoiding("01", forbidden, depth)
+        if any(len(w) == depth for w in words):
+            return from_subshift(words, depth, name=str(forbidden))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_puzzle_zeta_matches_reference_on_benchmark_like_shifts(block):
+    # 4 blocks x 10 seeded shifts at depth 12, at the benchmark's (level, order, cert) = (2, 10, 6)
+    rng = random.Random(9100 + block)
+    for _ in range(10):
+        p = benchmark_like_shift(rng)
+        assert puzzle_zeta_n(p, 2, 10, 6) == reference_puzzle_zeta(p, 2, 10, 6), p.name
+
+
+def test_puzzle_zeta_matches_reference_on_short_periods_and_one_vertex():
+    # golden_mean_puzzle(8) at level 1, cert 7: m = 6, so periods 1 .. 5 wrap more than
+    # once; every level of the unary shift is one vertex with a loop
+    unary = from_subshift({"0" * n for n in range(7)}, 6)
+    for p, level, order, cert in (
+        (golden_mean_puzzle(8), 1, 9, 7),
+        (unary, 1, 6, 4),
+        (unary, 2, 3, 6),
+        (unary, 4, 8, 5),
+    ):
+        result = puzzle_zeta_n(p, level, order, cert)
+        assert result == reference_puzzle_zeta(p, level, order, cert), (p.name, level, cert)
+        assert sum(result.counts_certified) > 0
+    assert [len(unary.level(n)) for n in range(7)] == [1] * 7
+
+
 def test_puzzle_zeta_matches_reference_on_large_inputs():
     # golden_mean_puzzle(14) to order 12, and a 1,281-vertex level graph at
     # order 2, where the return distances kept reach only a few vertices

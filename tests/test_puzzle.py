@@ -17,11 +17,13 @@ from qfpuzzles.constructions import (
 )
 from qfpuzzles.graphs import gamma_n
 from qfpuzzles.puzzle import (
+    ROOT_LABEL,
     DyadicDistance,
     Puzzle,
     PuzzleError,
     ValidationReport,
     Violation,
+    _walk,
     bowen_ball,
     covering_number,
     distance,
@@ -29,6 +31,7 @@ from qfpuzzles.puzzle import (
     from_refinement,
     from_subshift,
     sequence_entropy,
+    word_label,
 )
 
 from test_fuzz import random_puzzle, with_f_override
@@ -60,6 +63,103 @@ def test_golden_mean_level_sizes_from_enumeration():
 def test_from_subshift_rejects_unclosed_word_set():
     with pytest.raises(PuzzleError):
         from_subshift({"", "0", "00", "10"}, 2)
+
+
+def reference_from_subshift(words, depth, name="subshift"):
+    """The subshift front end that copies the word set and assembles from
+    id dictionaries: verbatim, but for its last step, which goes through the
+    label constructor, as the assembly now takes id-indexed lists only."""
+    if depth < 1:
+        raise PuzzleError("depth must be >= 1")
+    wordset = set(map(tuple, words))
+    letters = set().union(*wordset)
+    if not all(isinstance(a, str) for a in letters):
+        wordset, letters = {tuple(map(str, w)) for w in wordset}, set(map(str, letters))
+    wordset.add(())
+    word, i, f, starts = _walk(sorted(letters), depth, wordset)
+    missed = wordset.difference(word) if len(word) < len(wordset) else ()
+    if faults := [(len(w), w) for w in missed if len(w) <= depth]:
+        # all words below the least missed one were reached, so it lacks its prefix or suffix
+        least = min(faults)[1]
+        kind = "prefix" if least[:-1] not in wordset else "suffix"
+        raise PuzzleError(f"word set not {kind}-closed: {word_label(least)!r} lacks its {kind}")
+    if starts[-1] == starts[-2]:
+        raise PuzzleError(f"no words of length {len(starts) - 2}; depth {depth} unreachable")
+    labels = [ROOT_LABEL, *map("".join, word[1:])]
+    levels = [labels[a:b] for a, b in zip(starts, starts[1:])]
+    i_map, f_map = dict(enumerate(i)), dict(enumerate(f))
+    return Puzzle(levels, {labels[v]: labels[t] for v, t in i_map.items() if t is not None},
+                  {labels[v]: labels[t] for v, t in f_map.items() if t is not None}, name)
+
+
+def front_end_outcome(build, make_words, depth):
+    """The puzzle's JSON, name and fibres, or the error's type and message."""
+    try:
+        p = build(make_words(), depth, name="w")
+    except (PuzzleError, TypeError) as error:
+        return type(error).__name__, str(error)
+    return p.to_json(), p.name, [dict(p.fibres(n)) for n in range(1, p.depth + 1)]
+
+
+def subshift_front_end_cases():
+    """(word-set factory, depth) pairs: every container the front end takes,
+    closed and non-closed sets, letters that are not strings and labels that collide."""
+    gm = words_avoiding("01", [("1", "1")], 5)
+    ternary = words_avoiding("012", [("0", "2"), ("1", "1", "1")], 4)
+    multi = words_avoiding(["x1", "x2", "y"], [("y", "y")], 3)
+    cases = []
+    for words in (gm, ternary, multi):
+        for depth in (1, 3, 5):
+            cases += [
+                (lambda w=words: set(w), depth),  # a set of tuples holding the empty word
+                (lambda w=words: set(w) - {()}, depth),
+                (lambda w=words: frozenset(w), depth),
+                (lambda w=words: sorted(w), depth),
+                (lambda w=words: (x for x in sorted(w)), depth),
+                (lambda w=words: {"".join(x) for x in w}, depth),  # str words, one letter each
+                (lambda w=words: {"".join(x) for x in w} | {()}, depth),
+            ]
+    cases += [
+        (lambda: {(), (0,), (1,), (0, 1), (1, 0), (1, 1)}, 2),
+        (lambda: [[], [0], [1], [0, 1], [1, 1]], 2),
+        (lambda: {(), ("0",), ("1",), ("0", "1"), (0, 1), (1, 1, 2)}, 2),
+        (lambda: {(), ("0",), ("0", 5)}, 2),  # a short word with a non-str letter
+        (lambda: {(), ("0",), ("0", "0"), ("0", "0", 5)}, 2),  # only beyond the depth
+        (lambda: {(), ("a",), ("b",), ("ab",), ("a", "b")}, 2),  # 'ab' twice
+        (lambda: {(), ("a",), ("ε",)}, 1),  # a letter spelling the root label
+        (lambda: {"", "0", "00", "10"}, 2),
+        (lambda: {"", "1", "10"}, 2),
+        (lambda: {"", "0", "10", "01"}, 2),
+        (lambda: {(), ("0",), ("0", "0"), ("1", "0")}, 2),
+        (lambda: {"", "0"}, 2),
+        (lambda: set(), 1),
+        (lambda: {()}, 1),
+        (lambda: {(), ("0",)}, 0),
+    ]
+    rng = random.Random(77)
+    for _ in range(60):  # random subsets, closed or not
+        depth = rng.randint(1, 4)
+        chosen = frozenset(w for w in words_avoiding("01", [], depth + 1) if rng.random() < 0.8)
+        make = rng.choice([set, frozenset, sorted, lambda w: {"".join(x) for x in w}])
+        cases.append((lambda c=chosen, mk=make: mk(c), depth))
+    return cases
+
+
+def test_from_subshift_matches_copying_reference():
+    outcomes = set()
+    for make_words, depth in subshift_front_end_cases():
+        expected = front_end_outcome(reference_from_subshift, make_words, depth)
+        assert front_end_outcome(from_subshift, make_words, depth) == expected, (make_words(), depth)
+        outcomes.add(expected[1].split()[0] if isinstance(expected[0], str) else "built")
+        words = make_words()
+        if isinstance(words, set):  # the caller's set is read, never changed
+            before = set(words)
+            try:
+                from_subshift(words, depth)
+            except PuzzleError:
+                pass
+            assert words == before
+    assert outcomes == {"built", "word", "no", "duplicate", "depth"}
 
 
 def test_validate_reports_level_skip():
