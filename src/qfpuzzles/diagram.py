@@ -113,7 +113,9 @@ def build_diagram(
 
     Witness search needs one extra level, so ``cutoff <= depth - 1``.
     """
-    if cutoff < 1 or cutoff + 1 > p.depth:
+    if cutoff < 1:
+        raise DiagramError(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff + 1 > p.depth:
         raise DiagramError(f"cutoff {cutoff} needs depth >= {cutoff + 1}, have {p.depth}")
     an = analyzer or ReducibilityAnalyzer(p)
     vertices: list[int] = []

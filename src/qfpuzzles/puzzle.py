@@ -256,13 +256,17 @@ class Puzzle:
                 Violation("multi-root", "V_0", f"V_0 has {len(self.levels[0])} elements, expected 1")
             )
         for n in range(1, self.depth + 1):
-            for piece in self.levels[n]:
+            up = n - 1  # only a piece with a map missing or not landing on order n - 1 is flagged
+            for piece in [v for v in self.levels[n] if i[v] is None or f[v] is None
+                          or level_of[i[v]] != up or level_of[f[v]] != up]:
                 for which, to in (("i", i[piece]), ("f", f[piece])):
                     if to is None:
                         flag("missing-map", piece, f"{which} is undefined")
-                    elif level_of[to] != n - 1:
+                    elif level_of[to] != up:
                         flag("level-skip", piece, f"{which} maps order {n} to order {level_of[to]}")
-        for piece in (v for level in self.levels[2:] for v in level):
+        start = len(self.levels[0]) + len(self.levels[1])  # the first piece of order >= 2
+        for piece in [v for v, iv, fv in zip(range(start, len(i)), i[start:], f[start:])
+                      if iv is None or fv is None or i[fv] != f[iv]]:
             if i[piece] is None or f[piece] is None:
                 continue
             fi, if_ = i[f[piece]], f[i[piece]]
@@ -385,12 +389,16 @@ def from_subshift(words: Iterable, depth: int, name: str = "subshift") -> Puzzle
     else:
         wordset = set(map(tuple, words))
         wordset.add(())
-    letters = set().union(*wordset)
+    # the walk's alphabet: a letter that is no length-1 word starts no piece
+    letters = {w[0] for w in wordset if len(w) == 1}
     if not all(isinstance(a, str) for a in letters):
         wordset, letters = {tuple(map(str, w)) for w in wordset}, set(map(str, letters))
     word, i, f, starts = _walk(sorted(letters), depth, wordset)
     missed = wordset.difference(word) if len(word) < len(wordset) else ()
     if faults := [(len(w), w) for w in missed if len(w) <= depth]:
+        if not all(isinstance(a, str) for a in set().union(*wordset)):
+            # letters that are not strings sit in longer words only: coerce every word and walk again
+            return from_subshift({tuple(map(str, w)) for w in wordset}, depth, name)
         # all words below the least missed one were reached, so it lacks its prefix or suffix
         least = min(faults)[1]
         kind = "prefix" if least[:-1] not in wordset else "suffix"

@@ -21,7 +21,10 @@ share an ``(i, f)``-fibre.  So (R1) holds at ``v`` exactly when ``v`` and
 ``f(v)`` have equally many children, no child of ``v`` shares its fibre,
 and (R1) holds at every child.  The analyzer computes all verdicts by
 these counts in one bottom-up pass, and it refuses puzzles that fail
-:meth:`Puzzle.validate`.
+:meth:`Puzzle.validate`.  The derived notions read a per-piece
+:class:`Status` table and the puzzle's id tables.  Verdicts are frozen
+values shared where equal (one per level when settled, one per level and
+witness level for (R1)), so compare them with ``==``, not ``is``.
 
 Truncation semantics: bijectivity can only be checked on materialized
 tree levels.  A failure at any materialized level is definitive; success
@@ -44,6 +47,10 @@ class Status(Enum):
     IRREDUCIBLE_R1 = "Irreducible_R1"
     IRREDUCIBLE_R2 = "Irreducible_R2"
     UNKNOWN = "UnknownBeyondDepth"
+
+
+_REDUCIBLE, _R1, _R2, _UNKNOWN = (Status.REDUCIBLE, Status.IRREDUCIBLE_R1, Status.IRREDUCIBLE_R2,
+                                  Status.UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -117,47 +124,52 @@ class ReducibilityAnalyzer:
         if not report.ok:
             raise PuzzleError(f"{puzzle.name} fails validation:\n{report}")
         self.puzzle = p = puzzle
-        # The verdicts of every piece, deepest level first.  r1_fail[v] is the
-        # first tree level below v where (R1) fails, None when it holds on
-        # every materialized level.  shared[v] tells that v shares its fibre;
-        # level n + 1 sets it before level n reads it.
-        children = p.i_preimages
-        table: list[ReducibilityVerdict | None] = [None] * len(p.pieces())
-        r1_fail: list[int | None] = [None] * len(p.pieces())
-        shared = [False] * len(p.pieces())
+        # Verdicts and statuses, deepest level first: each level starts settled and
+        # its failing pieces are overwritten.  below[w], w one level down, is where
+        # w makes (R1) fail at i(w): 1 if w shares its fibre, else 1 + its own.
+        i, f = p._i, p._f
+        widths = list(map(len, p._children))
+        size = len(widths)
+        table: list[ReducibilityVerdict | None] = [None] * size  # None at the root
+        status: list[Status | None] = [None] * size
+        below: dict[int, int] = {}
+        stop = size
         for n in range(p.depth, 0, -1):
             d_avail = p.depth - n
-            settled = ReducibilityVerdict(Status.REDUCIBLE if d_avail else Status.UNKNOWN, d_avail)
+            start = stop - len(p.levels[n])
+            settled = ReducibilityVerdict(_REDUCIBLE if d_avail else _UNKNOWN, d_avail)
+            table[start:stop] = [settled] * (stop - start)
+            status[start:stop] = [settled.status] * (stop - start)
+            fail: dict[int, int] = {}  # the first tree level where (R1) fails at each piece
+            if d_avail:
+                fail = dict.fromkeys([v for v, fv in zip(range(start, stop), f[start:stop])
+                                      if widths[v] != widths[fv]], 1)
+                for w, k in below.items():
+                    if k < fail.get(i[w], size):
+                        fail[i[w]] = k
+            r1: dict[int, ReducibilityVerdict] = {}  # one verdict per witness level
+            for v, k in fail.items():
+                table[v] = r1.get(k) or r1.setdefault(k, ReducibilityVerdict(_R1, d_avail, witness_level=k))
+                status[v] = _R1
+            below = {v: k + 1 for v, k in fail.items()}
             # the members of a fibre are each other's (R2) rivals
-            for (_, fv), group in p.fibres(n).items():
-                for piece in group:
-                    shared[piece] = len(group) > 1
-                    if d_avail:
-                        kids = children(piece)
-                        if len(kids) != len(children(fv)) or any(shared[w] for w in kids):
-                            r1_fail[piece] = 1
-                        else:
-                            below = [r1_fail[w] for w in kids if r1_fail[w] is not None]
-                            r1_fail[piece] = 1 + min(below) if below else None
-                    if r1_fail[piece] is not None:
-                        table[piece] = ReducibilityVerdict(
-                            Status.IRREDUCIBLE_R1, d_avail, witness_level=r1_fail[piece]
-                        )
-                    elif shared[piece]:
-                        rival = group[1] if group[0] == piece else group[0]
-                        table[piece] = ReducibilityVerdict(
-                            Status.IRREDUCIBLE_R2, d_avail, witness_piece=rival
-                        )
-                    else:
-                        table[piece] = settled
-        self._table = table
+            for group in [group for group in p.fibres(n).values() if len(group) > 1]:
+                for v in group:
+                    below[v] = 1
+                    if v not in fail:
+                        rival = group[1] if group[0] == v else group[0]
+                        table[v] = ReducibilityVerdict(_R2, d_avail, witness_piece=rival)
+                        status[v] = _R2
+            stop = start
+        self._table, self._status = table, status
 
     # -- verdicts ------------------------------------------------------------
 
     def verdict(self, piece: int) -> ReducibilityVerdict:
-        if self.puzzle.order(piece) == 0:
+        verdict = self._table[piece]
+        if verdict is None:
             raise ValueError("reducibility is defined for pieces of order >= 1")
-        return self._table[piece]
+        return verdict
 
     # -- derived notions -----------------------------------------------------
 
@@ -168,14 +180,11 @@ class ReducibilityAnalyzer:
         """
         if not 1 <= n <= self.puzzle.depth:
             raise ValueError(f"order {n} outside 1..{self.puzzle.depth}")
-        certified, unknown = [], []
-        for piece in self.puzzle.level(n):
-            v = self._table[piece]
-            if v.is_irreducible:
-                certified.append(piece)
-            elif v.is_unknown:
-                unknown.append(piece)
-        return IrreducibleLevel(tuple(certified), tuple(unknown))
+        status, level = self._status, self.puzzle.levels[n]
+        return IrreducibleLevel(
+            tuple(v for v in level if status[v] is _R1 or status[v] is _R2),
+            tuple(v for v in level if status[v] is _UNKNOWN),
+        )
 
     def reduces(self, piece: int, k: int) -> ReductionOutcome:
         """``f^k(piece)`` when every intermediate piece is reducible.
@@ -187,32 +196,25 @@ class ReducibilityAnalyzer:
             raise ValueError("k must be >= 0")
         if k > self.puzzle.order(piece):
             raise ValueError("cannot reduce below the root")
-        current = piece
-        for _ in range(k):
-            v = self.verdict(current)
-            if v.is_unknown:
-                return ReductionOutcome(None, "unknown")
-            if not v.is_reducible:
-                return ReductionOutcome(None, "blocked")
-            current = self.puzzle.f(current)
-        return ReductionOutcome(current, "ok")
+        chain = self.reduction_chain(piece)  # f^j(piece) for every reducible step j
+        if k < len(chain.pieces):
+            return ReductionOutcome(chain.pieces[k], "ok")
+        return ReductionOutcome(None, "blocked" if chain.kind == "irreducible" else "unknown")
 
     def reduction_chain(self, piece: int) -> ChainResult:
         """Follow ``f`` while pieces are reducible; stop at the first
 
         irreducible piece, at the root, or at an unknown verdict.
         """
-        p = self.puzzle
+        level_of, f, status = self.puzzle._level_of, self.puzzle._f, self._status
         pieces = [piece]
-        current = piece
-        while p.order(current) >= 1:
-            v = self.verdict(current)
-            if v.is_irreducible:
+        while level_of[pieces[-1]] >= 1:
+            s = status[pieces[-1]]
+            if s is _R1 or s is _R2:
                 return ChainResult("irreducible", tuple(pieces))
-            if v.is_unknown:
+            if s is _UNKNOWN:
                 return ChainResult("unknown", tuple(pieces))
-            current = p.f(current)
-            pieces.append(current)
+            pieces.append(f[pieces[-1]])
         return ChainResult("root", tuple(pieces))
 
     def constraint_entropy(
@@ -240,18 +242,21 @@ class ReducibilityAnalyzer:
         pieces admit certified reducibility verdicts; the first
         counterexample in (order, label) order is returned.
         """
-        p = self.puzzle
+        p, status = self.puzzle, self._status
+        i, f, label = p._i, p._f, p._labels.__getitem__
         top = p.depth - 1
-        first: dict[int, int] = {}  # order-1 ancestors, filled level by level
+        first = list(p.pieces())  # order-1 ancestors, filled level by level
         for n in range(1, top + 1):
-            by_target: dict[tuple[int, int], list[int]] = {}
-            for piece in p.level(n):
-                first[piece] = piece if n == 1 else first[p.i(piece)]
-                if self._table[piece].is_reducible:
-                    by_target.setdefault((p.f(piece), first[piece]), []).append(piece)
-            # each group's two least labels; groups are disjoint, so the least first label decides
-            pairs = [sorted(group, key=p.label)[:2] for group in by_target.values() if len(group) > 1]
-            if pairs:
-                u, v = min(pairs, key=lambda uv: p.label(uv[0]))
+            for v in p.levels[n] if n > 1 else ():
+                first[v] = first[i[v]]
+            reducible = [v for v in p.levels[n] if status[v] is _REDUCIBLE]
+            targets = [(f[v], first[v]) for v in reducible]
+            if len(set(targets)) < len(targets):  # some reducible pieces share a target
+                by_target: dict[tuple[int, int], list[int]] = {}
+                for key, piece in zip(targets, reducible):
+                    by_target.setdefault(key, []).append(piece)
+                # each group's two least labels; groups are disjoint, so the least first label decides
+                pairs = [sorted(group, key=label)[:2] for group in by_target.values() if len(group) > 1]
+                u, v = min(pairs, key=lambda uv: label(uv[0]))
                 return DeterminacyResult(False, (u, v), n)
         return DeterminacyResult(True, None, top)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from qfpuzzles.graphs import (
     GraphTruncation,
@@ -338,8 +338,7 @@ class _Table(dict):
         return value
 
 
-@dataclass(frozen=True)
-class PeriodicClass:
+class PeriodicClass(NamedTuple):
     """One n-periodic sequence of the level-N graph with its lift record."""
 
     word: tuple[str, ...]

@@ -212,6 +212,18 @@ def test_puzzle_diagram_output(capsys, tmp_path):
     assert result["sccs"][0]["period"] == 1
 
 
+@pytest.mark.parametrize("cutoff, message", [
+    ("0", "cutoff must be >= 1, got 0"),
+    ("-3", "cutoff must be >= 1, got -3"),
+    ("6", "cutoff 6 needs depth >= 7, have 6"),
+], ids=["zero", "negative", "too-deep"])
+def test_puzzle_diagram_cutoff_out_of_range(capsys, tmp_path, cutoff, message):
+    path = tmp_path / "gm.json"
+    path.write_text(golden_mean_puzzle(6).dumps())
+    status, out, err = run(capsys, ["puzzle", "diagram", "--in", str(path), "--cutoff", cutoff])
+    assert (status, out, err) == (2, "", f"precondition violation: {message}\n")
+
+
 def test_puzzle_zeta_csv(capsys, fullshift_file):
     status, out, _ = run(
         capsys,

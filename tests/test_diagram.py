@@ -90,8 +90,14 @@ def test_unary_shift_diagram_is_empty():
 
 def test_cutoff_precondition():
     p = full_shift_puzzle(3)
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="^cutoff 3 needs depth >= 4, have 3$"):
         build_diagram(p, 3)
+
+
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_cutoff_below_one_names_the_cutoff(cutoff):
+    with pytest.raises(DiagramError, match=f"^cutoff must be >= 1, got {cutoff}$"):
+        build_diagram(golden_mean_puzzle(6), cutoff)
 
 
 def test_frontier_on_unknown_verdict():

@@ -24,9 +24,12 @@ from qfpuzzles.diagram import DiagramError, build_diagram, path_to_piece, scc_de
 from qfpuzzles.graphs import Edge, GraphTruncation, gamma_n
 from qfpuzzles.puzzle import Puzzle, PuzzleError, distance, dual, from_subshift
 from qfpuzzles.reducibility import (
+    ChainResult,
     DeterminacyResult,
+    IrreducibleLevel,
     ReducibilityAnalyzer,
     ReducibilityVerdict,
+    ReductionOutcome,
     Status,
 )
 from qfpuzzles.zeta import (
@@ -245,6 +248,103 @@ def test_one_pass_verdicts_match_tree_walk_on_subshifts(forbidden):
     p = from_subshift(words_avoiding("01", forbidden, 6), 6)
     assert_verdicts_match_reference(p)
     assert_verdicts_match_reference(dual(p))
+
+
+def reference_irreducible_pieces(p: Puzzle, n: int, verdict) -> IrreducibleLevel:
+    """The definition: the order-``n`` pieces, in id order, whose verdict
+    ``verdict(piece)`` is irreducible, and apart those whose verdict is unknown."""
+    level = [(v, verdict(v)) for v in p.level(n)]
+    return IrreducibleLevel(
+        tuple(v for v, x in level if x.status in (Status.IRREDUCIBLE_R1, Status.IRREDUCIBLE_R2)),
+        tuple(v for v, x in level if x.status is Status.UNKNOWN),
+    )
+
+
+def reference_reduction_chain(p: Puzzle, piece: int, verdict) -> ChainResult:
+    """The definition: apply ``f`` while ``verdict`` says reducible; end at
+    an irreducible piece, an unknown verdict or the root."""
+    pieces = [piece]
+    while p.order(pieces[-1]) >= 1:
+        status = verdict(pieces[-1]).status
+        if status in (Status.IRREDUCIBLE_R1, Status.IRREDUCIBLE_R2):
+            return ChainResult("irreducible", tuple(pieces))
+        if status is Status.UNKNOWN:
+            return ChainResult("unknown", tuple(pieces))
+        pieces.append(p.f(pieces[-1]))
+    return ChainResult("root", tuple(pieces))
+
+
+def reference_reduces(p: Puzzle, piece: int, k: int, verdict) -> ReductionOutcome:
+    """The definition: ``f^k(piece)`` when the first ``k`` pieces of the
+    f-orbit are reducible, else blocked at an irreducible one or unknown."""
+    for _ in range(k):
+        status = verdict(piece).status
+        if status is not Status.REDUCIBLE:
+            return ReductionOutcome(None, "unknown" if status is Status.UNKNOWN else "blocked")
+        piece = p.f(piece)
+    return ReductionOutcome(piece, "ok")
+
+
+def assert_derived_notions_match_reference(p: Puzzle, every_k: bool = True) -> None:
+    """Verdicts, irreducible levels, reduction chains and, with ``every_k``,
+    ``reduces`` at every ``k`` for every piece against the tree walk of
+    :func:`reference_verdict`."""
+    an = ReducibilityAnalyzer(p)
+    verdicts = {v: reference_verdict(p, v) for v in p.pieces() if p.order(v) >= 1}
+    for v, expected in verdicts.items():
+        assert an.verdict(v) == expected, p.label(v)
+        assert an.reduction_chain(v) == reference_reduction_chain(p, v, verdicts.get), p.label(v)
+        for k in range(p.order(v) + 1 if every_k else 0):
+            assert an.reduces(v, k) == reference_reduces(p, v, k, verdicts.get), (p.label(v), k)
+    for n in range(1, p.depth + 1):
+        assert an.irreducible_pieces(n) == reference_irreducible_pieces(p, n, verdicts.get), n
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_derived_notions_match_definitions_on_fuzz_puzzles(block):
+    # 4 blocks x 20 puzzles and their duals
+    rng = random.Random(3100 + block)
+    for _ in range(20):
+        p = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6))
+        assert_derived_notions_match_reference(p)
+        assert_derived_notions_match_reference(dual(p))
+
+
+def test_derived_notions_match_definitions_on_constructions():
+    puzzles = [
+        full_shift_puzzle(5),
+        golden_mean_puzzle(6),
+        from_subshift(words_avoiding("01", [("1", "1", "1")], 6), 6),
+        from_subshift({"", "0", "00", "000"}, 3),  # chains that reach the root
+        periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5),
+        layered_full_shifts_puzzle(3, 5),
+        undetermined_puzzle(),
+    ]
+    for p in puzzles:
+        assert_derived_notions_match_reference(p)
+        assert_derived_notions_match_reference(dual(p))
+
+
+SHIFT_WORDS = [w for n in (2, 3, 4) for w in product("01", repeat=n)]
+SHIFT_SETS = [F for k in (1, 2, 3) for F in combinations(SHIFT_WORDS, k)]  # 28 + 378 + 3,276
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_derived_notions_match_definitions_on_the_shift_universe(block):
+    # The benchmark's shift universe at depth 12: one to three forbidden binary
+    # words of length 2 to 4, kept when level 12 is not empty and at least twice
+    # level 8.  Every 32nd set, in 4 blocks, to bound the time.
+    kept = 0
+    for forbidden in SHIFT_SETS[block * 8::32]:
+        words = words_avoiding("01", forbidden, 12)
+        sizes = [0] * 13
+        for w in words:
+            sizes[len(w)] += 1
+        if sizes[12] and sizes[12] >= 2 * sizes[8]:
+            p = from_subshift(words, 12, name=str(forbidden))
+            assert_derived_notions_match_reference(p, every_k=False)
+            kept += 1
+    assert kept >= 15
 
 
 def test_analyzer_refuses_invalid_puzzles():

@@ -125,6 +125,15 @@ def subshift_front_end_cases():
         (lambda: {(), ("0",), ("1",), ("0", "1"), (0, 1), (1, 1, 2)}, 2),
         (lambda: {(), ("0",), ("0", 5)}, 2),  # a short word with a non-str letter
         (lambda: {(), ("0",), ("0", "0"), ("0", "0", 5)}, 2),  # only beyond the depth
+        (lambda: {(), ("0",), ("0", 5)}, 1),
+        (lambda: {(), ("0",), ("0", 5)}, 3),
+        # non-str letters in longer words only: a closed set once coerced
+        (lambda: {(), ("0",), ("5",), ("0", 5), ("5", "0")}, 2),
+        (lambda: {(), ("0",), ("1",), ("0", "1"), ("0", 1), ("1", 1)}, 2),  # merges to '01'
+        (lambda: [(), ("x",), ("y",), ("x", "y"), ("y", 0.5)], 2),
+        (lambda: {(), (0,), ("0",), ("0", 0)}, 2),  # a non-str length-1 word that merges
+        (lambda: {(), ("0",), ("1", "0"), ("0", "0", 7)}, 2),  # a fault, non-str beyond depth
+        (lambda: {(), ("0",), ("0", "0"), ("1", "0"), ("0", 0, 7)}, 3),  # a fault, non-str within
         (lambda: {(), ("a",), ("b",), ("ab",), ("a", "b")}, 2),  # 'ab' twice
         (lambda: {(), ("a",), ("ε",)}, 1),  # a letter spelling the root label
         (lambda: {"", "0", "00", "10"}, 2),
@@ -630,6 +639,52 @@ def test_validate_matches_reference_on_broken_puzzles():
         except PuzzleError:
             continue  # the dual needs i and f on every piece of positive order
         assert q.validate() == reference_validate(q), name
+
+
+def test_validate_matches_reference_with_an_empty_middle_level():
+    # an empty level shifts the id ranges: nothing lands one order down past it
+    cases = [
+        Puzzle([["ε"], ["0", "1"], [], ["x", "y"]], {"0": "ε", "1": "ε", "x": "0", "y": "1"},
+               {"0": "ε", "1": "ε", "x": "1", "y": "0"}),
+        Puzzle([["ε"], [], ["a"]], {"a": "ε"}, {"a": "ε"}),
+        Puzzle([["ε"], ["0"], [], ["x"], ["y"]], {"0": "ε", "y": "x"}, {"0": "ε", "x": "0", "y": "x"}),
+        Puzzle([["ε", "δ"], [], ["a"], ["b"]], {"a": "δ", "b": "a"}, {"a": "ε", "b": "a"}),
+        Puzzle([["ε"], ["0"], []], {"0": "ε"}, {"0": "ε"}),
+    ]
+    for p in cases:
+        assert p.validate() == reference_validate(p)
+        assert not p.validate().ok or p is cases[-1]
+
+
+def test_validate_matches_reference_with_two_roots_and_maps_on_them():
+    # the pieces of order 2 start after both roots: an order-1 piece is never
+    # checked for commutation, though i and f differ on the root it maps to
+    p = Puzzle([["ε", "δ"], ["a"], ["b"]], {"a": "δ", "b": "a", "δ": "ε"}, {"a": "δ", "b": "a", "δ": "δ"})
+    assert p.validate() == reference_validate(p)
+    assert [v.kind for v in p.validate().violations] == ["multi-root", "level-skip"]
+
+
+def test_validate_matches_reference_with_violations_at_orders_two_and_up():
+    # random fuzz puzzles with one to three maps of order >= 2 redirected to any
+    # piece or removed: every report names only pieces of order >= 2
+    rng = random.Random(6200)
+    kinds = set()
+    for _ in range(150):
+        data = random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)).to_json()
+        labels = [x for level in data["levels"] for x in level]
+        deep = [x for level in data["levels"][2:] for x in level]
+        for piece in rng.sample(deep, min(len(deep), rng.randint(1, 3))):
+            which = data[rng.choice("if")]
+            if rng.random() < 0.2:
+                del which[piece]
+            else:
+                which[piece] = rng.choice(labels)
+        p = Puzzle(data["levels"], data["i"], data["f"])
+        report = p.validate()
+        assert report == reference_validate(p)
+        assert all(p.order(p.id_of(v.piece)) >= 2 for v in report.violations)
+        kinds.update(v.kind for v in report.violations)
+    assert kinds == {"missing-map", "level-skip", "commutation"}
 
 
 def test_validate_matches_reference_on_valid_puzzles():

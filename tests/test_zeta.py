@@ -9,6 +9,7 @@ from qfpuzzles.constructions import (
     full_shift_puzzle,
     golden_mean_puzzle,
     periodic_orbit_tower_puzzle,
+    words_avoiding,
 )
 from qfpuzzles.graphs import (
     based_loop_counts,
@@ -19,10 +20,11 @@ from qfpuzzles.graphs import (
     sft_graph,
     two_hub_graph,
 )
-from qfpuzzles.puzzle import PuzzleError
+from qfpuzzles.puzzle import PuzzleError, from_subshift
 from qfpuzzles.series import PowerSeries, SeriesError
 from qfpuzzles.zeta import (
     NotRationalError,
+    PeriodicClass,
     TruncationWarning,
     counts_from_zeta,
     first_return_matrix,
@@ -35,6 +37,7 @@ from qfpuzzles.zeta import (
     zeta_from_counts,
 )
 
+from test_fuzz import reference_puzzle_zeta
 from test_graphs import matrix_power_traces
 from test_series import geometric
 
@@ -276,6 +279,30 @@ def test_puzzle_zeta_orbit_tower_counts_stay_finite():
     tags = {c.tag for c in res.classes}
     assert tags <= {"liftable-with-low-return", "liftable-high", "unliftable-at-depth"}
     assert "liftable-high" in tags  # the zero spine accumulates constraints
+
+
+def test_periodic_class_is_a_named_tuple():
+    c = PeriodicClass(("0", "1"), True, "liftable-high")
+    assert PeriodicClass._fields == ("word", "certified", "tag")
+    assert (c.word, c.certified, c.tag) == tuple(c) == (("0", "1"), True, "liftable-high")
+    assert c == (("0", "1"), True, "liftable-high")  # equal to the plain tuple of its fields
+    assert repr(c) == "PeriodicClass(word=('0', '1'), certified=True, tag='liftable-high')"
+    with pytest.raises(AttributeError):
+        c.tag = "unliftable-at-depth"
+    assert hash(c) == hash(tuple(c))
+
+
+def test_puzzle_zeta_classes_equal_the_reference_records():
+    tower = periodic_orbit_tower_puzzle([2, 3, 2, 2, 3], 5)
+    no101 = from_subshift(words_avoiding("01", [("1", "0", "1")], 6), 6)
+    tags = set()
+    for p, level, order, cert in ((tower, 1, 6, 3), (tower, 1, 5, 5), (no101, 1, 8, 4)):
+        res = puzzle_zeta_n(p, level, order, cert)
+        expected = reference_puzzle_zeta(p, level, order, cert).classes
+        assert all(type(c) is PeriodicClass for c in res.classes)
+        assert [tuple(c) for c in res.classes] == [(c.word, c.certified, c.tag) for c in expected]
+        tags.update(c.tag for c in res.classes)
+    assert len(tags) == 4
 
 
 def test_puzzle_zeta_precondition():
