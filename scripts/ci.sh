@@ -32,12 +32,12 @@ step_tests() {
 }
 
 step_hash_seeds() {
-  # puzzle, property, coupled label, excursion and puzzle-zeta tests under fixed hash seeds
+  # puzzle, property, coupled label, mask-walk and golden, excursion and puzzle-zeta tests under fixed hash seeds
   local seed
   for seed in 0 1; do
     PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_properties.py tests/test_puzzle.py || return 1
     PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_fuzz.py -k puzzle_zeta || return 1
-    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_coupled.py -k "reference_build_puzzle or flagged or image_cylinder" || return 1
+    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_coupled.py -k "reference_build_puzzle or flagged or image_cylinder or golden or level_walk or grid_components or mask_layout or block_size" || return 1
     PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_graphs.py -k "excursion or avoiding" || return 1
   done
 }

@@ -5,12 +5,13 @@ on the square ``Q = [-1/2, 1/2]^2`` with the sign partition into four
 quadrants.  All geometry is exact: quadratic images of rational boxes
 are rational, so covers carry no rounding.  The grid pipeline carries
 each iterate as integer interval numerators over one denominator per
-iterate, and each grid cell as its grid index; ``Box`` values are built
-only for returned data.  The map is even in each coordinate, so the grid
-cells mirrored through the axes share every iterate after the first, and
-one orbit is stepped per mirror class.  Two grid cells lie within a gap
-iff their Chebyshev index distance is at most ``k = ceil(gap / cell
-width)``, so components are joined ``k x k`` block by block.
+iterate.  The map is even in each coordinate, so the grid cells mirrored
+through the axes share every iterate after the first, and one orbit is
+stepped per mirror class.  A set of cells is one ``int`` bit mask, bit
+``i * 2^res + j`` for cell ``(i, j)``; ``Box`` values are built only for
+returned data.  Two cells lie within a gap iff their Chebyshev index
+distance is at most ``k = ceil(gap / cell width)``, so components grow
+by dilation of radius ``k``, in shift-or steps on the mask.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -23,11 +24,11 @@ lies inside one parent piece: its ``i`` in :func:`build_puzzle`.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product, zip_longest
+from itertools import compress, product, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
@@ -128,9 +129,7 @@ IntCell = Sequence[tuple[int, int]]  # interval numerators over a shared denomin
 Step = Callable[[IntCell, int], tuple[IntCell, int]]
 
 
-def _step(
-    mains: tuple[int, ...], c: int, lcd: int, cell: IntCell, denom: int
-) -> tuple[IntCell, int]:
+def _step(mains: tuple[int, ...], c: int, lcd: int, cell: IntCell, denom: int) -> tuple[IntCell, int]:
     """Exact bounding intervals of the image of ``cell``, over ``lcd * denom^2``.
 
     ``cell`` holds numerators over ``denom``, and the map's coefficients
@@ -207,18 +206,19 @@ def _grid(resolution: int) -> list[Interval]:
 GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
 
 
-def _grid_boxes(resolution: int) -> dict[GridCell, Box]:
-    """Every grid index ``(i, j)`` with its dyadic box, ``i`` (along x) outermost;
+def _grid_boxes(resolution: int) -> list[Box]:
+    """The dyadic box of grid cell ``(i, j)`` (``i`` along x) at ``i * 2^res + j``, its bit;
     :func:`_grid` checked the intervals, so the boxes skip ``Box.__post_init__``."""
-    boxes = {}
-    for (i, x), (j, y) in product(enumerate(_grid(resolution)), repeat=2):
-        boxes[i, j] = box = object.__new__(Box)
+    boxes = []
+    for x, y in product(_grid(resolution), repeat=2):
+        boxes.append(box := object.__new__(Box))
         object.__setattr__(box, "x", x)
         object.__setattr__(box, "y", y)
     return boxes
 
 
 Itinerary = tuple[str, ...]
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as false and true bytes
 
 # The sign words of one iterate, keyed by the contacts of each coordinate
 # ("P", "N" or "PN"), in ``itertools.product`` order.
@@ -282,53 +282,60 @@ def _cell_options(
 
 
 def _level_walk(
-    cells: Sequence[tuple[GridCell, Sequence[tuple[str, ...]]]], depth: int,
-    split: Callable[[list[GridCell]], Iterable[Sequence[GridCell]]],
-) -> Iterator[list[tuple[Itinerary, Sequence[GridCell], int]]]:
-    """Levels 1..``depth`` of the cylinder covers by the ``(grid index,
-    options)`` pairs ``cells``, as lists of ``(itinerary, part, position of
-    the parent part in the level before)``.
+    cells: Sequence[tuple[GridCell, Sequence[tuple[str, ...]]]], depth: int, width: int,
+    split: Callable[[int], Iterable[int]],
+) -> Iterator[list[tuple[Itinerary, int, int]]]:
+    """Levels 1..``depth`` of the cylinder covers by the ``(grid index, options)``
+    pairs ``cells``, as lists of ``(itinerary, part, position of the parent part in
+    the level before)``; a part is a bit mask, bit ``i * width + j`` for cell ``(i, j)``, ``i, j < width``.
 
-    Level ``n`` cuts each part of level ``n - 1`` (level 0: every cell) by
-    the cells' ``n``-th sign word, and ``split`` divides each group into
-    parts; a cell with fewer than ``n`` options drops out.  As
-    ``cover(w·a)`` lies inside ``cover(w)``, a component of a child cover
-    lies inside one component of its parent.  Parts come in itinerary
-    order, then by first cell.
+    Level ``n`` cuts each part of level ``n - 1`` (level 0: every cell) by the mask
+    of the cells with ``a`` among their ``n``-th sign words, and ``split`` divides
+    each cut into parts; a cell with fewer than ``n`` options drops out.  As
+    ``cover(w·a)`` lies inside ``cover(w)``, a component of a child cover lies inside
+    one component of its parent.  Parts come in itinerary order, then by lowest bit.
     """
-    options = dict(cells)
-    level = [((), list(options), None)]
+    top = width * width - 1  # digit top - b of a mask's binary numeral is bit b
+    ats = [top - i * width - j for (i, j), _ in cells]
+    level = [((), -1, None)]  # level 0: every cell, as every bit
     for n in range(depth):
+        digits: dict[tuple[str, ...], list[int]] = defaultdict(list)  # n-th option -> its cells
+        for at, (_, options) in zip(ats, cells):
+            if len(options) > n:
+                digits[options[n]].append(at)
+        words: dict[str, int] = {}
+        for option, ones in digits.items():
+            numeral = bytearray(b"0") * (top + 1)
+            for at in ones:
+                numeral[at] = 49  # "1"
+            for word in option:
+                words[word] = words.get(word, 0) | int(numeral, 2)
         cut = []
         for at, (itin, part, _) in enumerate(level):
-            groups: dict[str, list[GridCell]] = {}
-            for cell in part:
-                if len(options[cell]) > n:
-                    for word in options[cell][n]:
-                        groups.setdefault(word, []).append(cell)
-            cut.extend((itin + (word,), piece, at)
-                       for word, group in groups.items() for piece in split(group))
-        level = sorted(cut, key=lambda t: (t[0], t[1][0]))
-        yield level
+            for word, mask in words.items():
+                if group := part & mask:
+                    cut.extend((itin + (word,), piece, at) for piece in split(group))
+        yield (level := sorted(cut, key=lambda t: (t[0], t[1] & -t[1])))
 
 
-def _covers_by_depth(
-    p: CouplingParams, n_range: Sequence[int], resolution: int
-) -> list[tuple[int, dict[Itinerary, Sequence[GridCell]]]]:
-    """``(n, covers)`` for n in sorted(n_range), from one walk; the covers
-    are those of ``refine_cylinders(p, n, resolution)`` by grid index."""
+def _members(mask: int, items: Sequence) -> list:
+    """``items[b]`` for each set bit ``b`` of ``mask``, in bit order, in time linear in its length."""
+    return list(compress(items, bin(mask)[:1:-1].encode().translate(_FLAGS)))
+
+
+def _covers_by_depth(p: CouplingParams, n_range: Sequence[int], resolution: int, width: int) -> list[tuple[int, dict]]:
+    """``(n, covers)`` for n in sorted(n_range), from one walk; the covers are those of
+    ``refine_cylinders(p, n, resolution)``, as masks with rows ``width`` bits wide."""
     ns = sorted(n_range)
     if not ns:
         return []
     if ns[0] < 1:
         raise CoupledError("depth must be >= 1")
-    levels = list(_level_walk(_cell_options(p, ns[-1], resolution), ns[-1], lambda cells: [cells]))
-    return [(n, {itin: cells for itin, cells, _ in levels[n - 1]}) for n in ns]
+    levels = list(_level_walk(_cell_options(p, ns[-1], resolution), ns[-1], width, lambda part: [part]))
+    return [(n, {itin: part for itin, part, _ in levels[n - 1]}) for n in ns]
 
 
-def refine_cylinders(
-    p: CouplingParams, depth: int, resolution: int
-) -> dict[Itinerary, tuple[Box, ...]]:
+def refine_cylinders(p: CouplingParams, depth: int, resolution: int) -> dict[Itinerary, tuple[Box, ...]]:
     """Outer covers of the depth-n cylinders on the dyadic grid.
 
     A grid box is assigned every itinerary whose quadrants its iterated
@@ -338,9 +345,9 @@ def refine_cylinders(
     leaves later still covers depth-``depth`` cylinders here (unlike
     :func:`build_puzzle`, which drops it at every level).
     """
-    covers = _covers_by_depth(p, [depth], resolution)[0][1]
-    box_of = _grid_boxes(resolution)
-    return {itin: tuple(box_of[cell] for cell in cells) for itin, cells in covers.items()}
+    covers = _covers_by_depth(p, [depth], resolution, _grid_size(resolution))[0][1]
+    boxes = _grid_boxes(resolution)
+    return {itin: tuple(_members(part, boxes)) for itin, part in covers.items()}
 
 
 def _find(parent, u):
@@ -390,33 +397,39 @@ def almost_connected_components(boxes: Sequence[Box], gap: Fraction) -> list[tup
     return [tuple(boxes[k] for k in comp) for comp in _components(rects, rho)]
 
 
-def _block_size(resolution: int, gap: Fraction) -> int:
-    """``ceil(gap / cell width)``: grid cells within the gap are at most this many cells apart."""
-    return math.ceil(gap * 2**resolution)
+def _grid_components(resolution: int, gap: Fraction) -> Callable[[int], list[int]]:
+    """The split of a mask of cells of the ``n x n`` grid, ``n = 2^res``, into its
+    :func:`almost_connected_components`, as masks in the order of their lowest bits.
+    Cells are within the gap iff their Chebyshev index distance is at most ``k``, so a
+    component grows from the lowest bit left by dilation of radius ``k`` until it stops.
+    Dilation sweeps right, left, up, then down, each by shift-or steps of 1, 2, 4, ...;
+    along rows a column mask keeps a bit from wrapping into the next row."""
+    n = _grid_size(resolution)
+    k = min(math.ceil(gap * n), n - 1)  # ceil(gap / cell width); n - 1 joins every cell
+    shifts, reach = [], 0
+    while reach < k:
+        shifts.append(s := min(reach + 1, k - reach))
+        reach += s
+    row, column = (1 << n) - 1, ((1 << n * n) - 1) // ((1 << n) - 1)  # bit 0 of every row
+    steps = [(s, (row >> s) * column) for s in shifts] + [(-s, (row >> s << s) * column) for s in shifts]
+    steps += [(s * n, -1) for s in shifts] + [(-s * n, -1) for s in shifts]  # (shift, bits it moves)
 
+    def dilate(mask: int) -> int:
+        for s, moved in steps:
+            mask |= (mask & moved) << s if s > 0 else (mask & moved) >> -s
+        return mask
 
-def _grid_components(cells: Sequence[GridCell], k: int) -> list[tuple[GridCell, ...]]:
-    """:func:`almost_connected_components` of the 2-D grid cells at these
-    indices, for the block size ``k`` of :func:`_block_size`.  The cells of
-    one ``k x k`` block are always within the gap, so union-find runs over
-    blocks, and a block meets only its 4 forward neighbours, in a pair test
-    that stops at its first pair within ``k``."""
-    cells = sorted(cells)
-    blocks: dict[tuple[int, int], list[GridCell]] = {}
-    for i, j in cells:
-        blocks.setdefault((i // k, j // k), []).append((i, j))
-    parent = {b: b for b in blocks}
-    for (bi, bj), members in blocks.items():
-        for near in ((bi, bj + 1), (bi + 1, bj - 1), (bi + 1, bj), (bi + 1, bj + 1)):
-            if near in blocks and _find(parent, near) != _find(parent, (bi, bj)) and any(
-                abs(i - u) <= k and abs(j - v) <= k for i, j in members for u, v in blocks[near]
-            ):
-                parent[_find(parent, near)] = _find(parent, (bi, bj))
-    root = {b: _find(parent, b) for b in blocks}
-    groups: dict[tuple[int, int], list[GridCell]] = {}
-    for i, j in cells:
-        groups.setdefault(root[i // k, j // k], []).append((i, j))
-    return [tuple(g) for g in groups.values()]
+    def split(part: int) -> list[int]:
+        comps = []
+        while part:
+            comp = part & -part
+            while comp != part and (grown := dilate(comp) & part) != comp:
+                comp = grown
+            comps.append(comp)
+            part ^= comp
+        return comps
+
+    return split
 
 
 def default_gap(resolution: int) -> Fraction:
@@ -448,12 +461,7 @@ class PuzzleBuild:
 ROOT = "Q"
 
 
-def build_puzzle(
-    p: CouplingParams,
-    depth: int,
-    resolution: int,
-    gap: Fraction | None = None,
-) -> PuzzleBuild:
+def build_puzzle(p: CouplingParams, depth: int, resolution: int, gap: Fraction | None = None) -> PuzzleBuild:
     """Extract the puzzle of almost connected cylinder components.
 
     Level ``n`` holds the components of the depth-``n`` cylinder covers,
@@ -472,21 +480,19 @@ def build_puzzle(
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
-    box_of = _grid_boxes(resolution)
-
+    boxes = _grid_boxes(resolution)
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     pieces, ids, levels = {ROOT: root}, {ROOT: 0}, [[ROOT]]
     by_itin = {(): [root]}  # the last level's pieces per itinerary, in label order
     i_map: list[int | None] = [None]  # by id, the root first
     f_map: list[int | None] = [None]
     ambiguous: list[str] = []
-    split = partial(_grid_components, k=_block_size(resolution, gap))
-    for level in _level_walk(cells, depth, split):
+    for level in _level_walk(cells, depth, _grid_size(resolution), _grid_components(resolution, gap)):
         parents, by_itin = by_itin, {}
         levels.append([])
         for itin, part, at in level:
             group = by_itin.setdefault(itin, [])
-            piece = ExtractedPiece("-".join(itin) + f"/{len(group)}", itin, tuple(box_of[c] for c in part))
+            piece = ExtractedPiece("-".join(itin) + f"/{len(group)}", itin, tuple(_members(part, boxes)))
             group.append(piece)
             levels[-1].append(piece.label)
             ids[piece.label] = len(pieces)
@@ -516,55 +522,44 @@ def _image_piece(
         overlaps.append((sum(cut.area() for cut in cuts), len(cuts), q.label))
     overlaps.sort(key=lambda t: (-t[0], -t[1], t[2]))
     best, runner = overlaps[0], overlaps[1]
-    if best[0] == runner[0] and best[1] == runner[1]:
-        raise CoupledError(
-            f"unresolvable image assignment for {piece.label!r}: tie between "
-            f"{best[2]!r} and {runner[2]!r}"
-        )
-    flagged = runner[0] > 0  # outer slop touched a second component
-    return best[2], flagged
+    if best[:2] == runner[:2]:
+        raise CoupledError(f"unresolvable image assignment for {piece.label!r}: "
+                           f"tie between {best[2]!r} and {runner[2]!r}")
+    return best[2], runner[0] > 0  # flagged when the outer slop touched a second component
 
 
 # -- entropy-flavored upper estimates ------------------------------------------
 
 
-def boundary_entropy_estimate(
-    p: CouplingParams, n_range: Sequence[int], resolution: int
-) -> RateTable:
+def boundary_entropy_estimate(p: CouplingParams, n_range: Sequence[int], resolution: int) -> RateTable:
     """Number of distinct length-n itineraries realized by grid boxes
 
     meeting the partition boundary; an outer upper-estimate table.
     """
-    covers_by_depth = _covers_by_depth(p, n_range, resolution)
-    n = 2**resolution
-    edge = {0, n // 2 - 1, n // 2, n - 1}  # grid rows and columns on an axis or the frame
-    return _rate_table(
-        (
-            (depth, sum(any(i in edge or j in edge for i, j in cells) for cells in covers.values()))
-            for depth, covers in covers_by_depth
-        ),
-        exact=False,
-    )
+    n = _grid_size(resolution)
+    ends = {0, n // 2 - 1, n // 2, n - 1}  # grid rows and columns on an axis or the frame
+    row = sum(1 << j for j in ends)
+    edge = sum(((1 << n) - 1 if i in ends else row) << i * n for i in range(n))
+    covers_by_depth = _covers_by_depth(p, n_range, resolution, n)
+    counts = [(depth, sum(1 for part in covers.values() if part & edge)) for depth, covers in covers_by_depth]
+    return _rate_table(counts, exact=False)
 
 
-def multiplicity_estimate(
-    p: CouplingParams, n_range: Sequence[int], resolution: int
-) -> dict[int, int]:
+def multiplicity_estimate(p: CouplingParams, n_range: Sequence[int], resolution: int) -> dict[int, int]:
     """Max number of cylinder covers whose closure shares a point, per depth.
 
     Evaluated at grid corners, where incidences of an aligned tiling
     peak; an upper estimate within the outer approximation.
     """
     out = {}
-    for n, covers in _covers_by_depth(p, n_range, resolution):
-        incidence: Counter[tuple[int, int]] = Counter()  # covers per grid corner (i, j)
-        for cells in covers.values():
-            incidence.update({
-                corner
-                for i, j in cells
-                for corner in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
-            })
-        out[n] = max(incidence.values(), default=0)
+    width = _grid_size(resolution) + 1  # corner (i, j) of the grid is bit i * width + j
+    for n, covers in _covers_by_depth(p, n_range, resolution, width):
+        more: list[int] = []  # more[t]: the corners in more than t of the covers read
+        for part in covers.values():
+            corners = part | part << 1
+            corners |= corners << width
+            more = [grown for old, below in zip([*more, 0], [-1, *more]) if (grown := old | below & corners)]
+        out[n] = len(more)
     return out
 
 
@@ -620,8 +615,8 @@ def component_counts_1d(
     gap = _positive_gap(gap, resolution)
     # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
     cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
-    split = partial(_grid_components, k=_block_size(resolution, gap))
-    return [len(level) for level in _level_walk(cells, depth, split)]
+    walk = _level_walk(cells, depth, _grid_size(resolution), _grid_components(resolution, gap))
+    return [len(level) for level in walk]
 
 
 def component_counts_2d(build: PuzzleBuild) -> list[int]:

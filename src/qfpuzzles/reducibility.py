@@ -165,11 +165,18 @@ class ReducibilityAnalyzer:
 
     # -- verdicts ------------------------------------------------------------
 
+    def _check(self, piece: int) -> None:
+        if not 0 <= piece < len(self._table):  # a negative id is no index from the end
+            raise ValueError(f"no piece with id {piece}")
+
     def verdict(self, piece: int) -> ReducibilityVerdict:
-        verdict = self._table[piece]
-        if verdict is None:
-            raise ValueError("reducibility is defined for pieces of order >= 1")
-        return verdict
+        try:
+            if piece >= 0 and (verdict := self._table[piece]) is not None:
+                return verdict
+        except IndexError:
+            pass
+        self._check(piece)
+        raise ValueError("reducibility is defined for pieces of order >= 1")
 
     # -- derived notions -----------------------------------------------------
 
@@ -194,9 +201,9 @@ class ReducibilityAnalyzer:
         """
         if k < 0:
             raise ValueError("k must be >= 0")
+        chain = self.reduction_chain(piece)  # f^j(piece) for every reducible step j
         if k > self.puzzle.order(piece):
             raise ValueError("cannot reduce below the root")
-        chain = self.reduction_chain(piece)  # f^j(piece) for every reducible step j
         if k < len(chain.pieces):
             return ReductionOutcome(chain.pieces[k], "ok")
         return ReductionOutcome(None, "blocked" if chain.kind == "irreducible" else "unknown")
@@ -206,6 +213,7 @@ class ReducibilityAnalyzer:
 
         irreducible piece, at the root, or at an unknown verdict.
         """
+        self._check(piece)
         level_of, f, status = self.puzzle._level_of, self.puzzle._f, self._status
         pieces = [piece]
         while level_of[pieces[-1]] >= 1:

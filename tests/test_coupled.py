@@ -1,7 +1,12 @@
+import importlib.util
+import json
+import math
 import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
 
@@ -13,6 +18,8 @@ from qfpuzzles.coupled import (
     CoupledError,
     CouplingParams,
     ExtractedPiece,
+    GridCell,
+    Itinerary,
     PuzzleBuild,
     UNIT_SQUARE,
     almost_connected_components,
@@ -26,9 +33,9 @@ from qfpuzzles.coupled import (
     iterate_polynomial,
     multiplicity_estimate,
     refine_cylinders,
-    _block_size,
     _cell_options,
     _cell_options_1d,
+    _find,
     _grid,
     _grid_boxes,
     _grid_components,
@@ -36,8 +43,10 @@ from qfpuzzles.coupled import (
     _grid_size,
     _image_piece,
     _level_walk,
+    _WORDS,
     _ivl_intersect,
     _map_step,
+    _members,
     _options,
     _positive_gap,
 )
@@ -49,18 +58,26 @@ H = Fraction(1, 2)
 
 def dyadic_grid(resolution: int) -> list[Box]:
     """The square tiled by ``2^resolution x 2^resolution`` dyadic boxes."""
-    return list(_grid_boxes(resolution).values())
+    return _grid_boxes(resolution)
 
 
 def refine_cylinders_1d(alpha: Fraction, depth: int, resolution: int) -> dict[tuple[str, ...], tuple]:
-    """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``."""
-    *_, covers = _level_walk(_cell_options_1d(alpha, depth, resolution), depth, lambda cells: [cells])
-    ivs = _grid(resolution)
-    return {itin: tuple(ivs[i] for (i,) in cells) for itin, cells, _ in covers}
+    """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``,
+    walked as the 2-D cells ``(i, 0)``, as :func:`component_counts_1d` does."""
+    n = _grid_size(resolution)
+    cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
+    *_, covers = _level_walk(cells, depth, n, lambda part: [part])
+    by_bit = [iv for iv in _grid(resolution) for _ in range(n)]  # cell (i, 0) is bit i * n
+    return {itin: tuple(_members(part, by_bit)) for itin, part, _ in covers}
 
 
 DECOUPLED = CouplingParams.make(1, 1, 0)
 _SIGN = {"P": (Fraction(0), H), "N": (-H, Fraction(0))}
+
+
+def block_size(resolution, gap):
+    """``ceil(gap / cell width)``: grid cells within the gap are at most this many cells apart."""
+    return math.ceil(gap * 2**resolution)
 
 
 def sign_partition() -> dict[str, Box]:
@@ -488,14 +505,14 @@ def reference_build_puzzle(p, depth, resolution, gap=None):
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
     cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
-    box_of = _grid_boxes(resolution)
+    box_of = grid_box_index(resolution)[0]
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     by_level = [{(): [(root, tuple(cell for cell, _ in cells))]}]
     for n in range(1, depth + 1):
         by_level.append({
             itin: [
                 (ExtractedPiece("-".join(itin) + f"/{ci}", itin, tuple(box_of[c] for c in comp)), comp)
-                for ci, comp in enumerate(_grid_components(members, _block_size(resolution, gap)))
+                for ci, comp in enumerate(reference_grid_components(members, block_size(resolution, gap)))
             ]
             for itin, members in reference_covers_from_options(cells, n).items()
         })
@@ -636,18 +653,19 @@ def test_mirror_cells_share_tails_and_match_per_cell_options(abc):
 def test_grid_boxes_match_validating_constructor():
     for resolution in range(1, 7):
         ivs = _grid(resolution)
-        want = {(i, j): Box(x, y) for (i, x), (j, y) in product(enumerate(ivs), repeat=2)}
+        want = [Box(ivs[i], ivs[j]) for i, j in product(range(len(ivs)), repeat=2)]  # cell (i, j) at i * n + j
         got = _grid_boxes(resolution)
-        assert got == want and list(got) == list(want), resolution
-        assert all(type(v) is Fraction for box in got.values() for v in (*box.x, *box.y))
-        assert {hash(box) for box in got.values()} == {hash(box) for box in want.values()}
+        assert got == want, resolution
+        assert all(type(v) is Fraction for box in got for v in (*box.x, *box.y))
+        assert [hash(box) for box in got] == [hash(box) for box in want]
     assert _grid(2) == [(-H, Fraction(-1, 4)), (Fraction(-1, 4), 0), (0, Fraction(1, 4)), (Fraction(1, 4), H)]
 
 
 @cache
 def grid_box_index(resolution):
     """Each grid cell's ``Box``, and each such box's cell by object identity."""
-    box_of = _grid_boxes(resolution)
+    n = _grid_size(resolution)
+    box_of = dict(zip(product(range(n), repeat=2), _grid_boxes(resolution)))
     return box_of, {id(box): cell for cell, box in box_of.items()}
 
 
@@ -659,13 +677,107 @@ def sweep_grid_components(cells, resolution, gap):
     return [tuple(cell_of[id(b)] for b in comp) for comp in comps]
 
 
+# -- the mask walk and components against the cell-list route they replaced
+
+
+def reference_level_walk(
+    cells: Sequence[tuple[GridCell, Sequence[tuple[str, ...]]]], depth: int,
+    split: Callable[[list[GridCell]], Iterable[Sequence[GridCell]]],
+) -> Iterator[list[tuple[Itinerary, Sequence[GridCell], int]]]:
+    """Levels 1..``depth`` of the cylinder covers by the ``(grid index,
+    options)`` pairs ``cells``, as lists of ``(itinerary, part, position of
+    the parent part in the level before)``.
+
+    Level ``n`` cuts each part of level ``n - 1`` (level 0: every cell) by
+    the cells' ``n``-th sign word, and ``split`` divides each group into
+    parts; a cell with fewer than ``n`` options drops out.  As
+    ``cover(w·a)`` lies inside ``cover(w)``, a component of a child cover
+    lies inside one component of its parent.  Parts come in itinerary
+    order, then by first cell.
+    """
+    options = dict(cells)
+    level = [((), list(options), None)]
+    for n in range(depth):
+        cut = []
+        for at, (itin, part, _) in enumerate(level):
+            groups: dict[str, list[GridCell]] = {}
+            for cell in part:
+                if len(options[cell]) > n:
+                    for word in options[cell][n]:
+                        groups.setdefault(word, []).append(cell)
+            cut.extend((itin + (word,), piece, at)
+                       for word, group in groups.items() for piece in split(group))
+        level = sorted(cut, key=lambda t: (t[0], t[1][0]))
+        yield level
+
+
+def reference_grid_components(cells: Sequence[GridCell], k: int) -> list[tuple[GridCell, ...]]:
+    """:func:`almost_connected_components` of the 2-D grid cells at these
+    indices, for the block size ``k`` of :func:`block_size`.  The cells of
+    one ``k x k`` block are always within the gap, so union-find runs over
+    blocks, and a block meets only its 4 forward neighbours, in a pair test
+    that stops at its first pair within ``k``."""
+    cells = sorted(cells)
+    blocks: dict[tuple[int, int], list[GridCell]] = {}
+    for i, j in cells:
+        blocks.setdefault((i // k, j // k), []).append((i, j))
+    parent = {b: b for b in blocks}
+    for (bi, bj), members in blocks.items():
+        for near in ((bi, bj + 1), (bi + 1, bj - 1), (bi + 1, bj), (bi + 1, bj + 1)):
+            if near in blocks and _find(parent, near) != _find(parent, (bi, bj)) and any(
+                abs(i - u) <= k and abs(j - v) <= k for i, j in members for u, v in blocks[near]
+            ):
+                parent[_find(parent, near)] = _find(parent, (bi, bj))
+    root = {b: _find(parent, b) for b in blocks}
+    groups: dict[tuple[int, int], list[GridCell]] = {}
+    for i, j in cells:
+        groups.setdefault(root[i // k, j // k], []).append((i, j))
+    return [tuple(g) for g in groups.values()]
+
+
+def mask_of(cells, width):
+    """Bit ``i * width + j`` for each cell ``(i, j)``, set one cell at a time."""
+    mask = 0
+    for i, j in cells:
+        mask |= 1 << (i * width + j)
+    return mask
+
+
+def cells_of(mask, width):
+    """The cells ``(i, j)`` of the set bits ``i * width + j`` of ``mask``, in bit order."""
+    return [divmod(b, width) for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def mask_components(cells, resolution, gap):
+    """The mask route's components of these grid cells, as cell tuples."""
+    n = 2**resolution
+    return [tuple(cells_of(comp, n)) for comp in _grid_components(resolution, gap)(mask_of(cells, n))]
+
+
+def mask_walk(cells, depth, width, resolution=None, gap=None):
+    """The levels of :func:`_level_walk` with parts as cell tuples, split
+    into components at ``gap`` on rows ``width = 2^resolution`` bits wide
+    (``gap=None``: not split)."""
+    split = (lambda part: [part]) if gap is None else _grid_components(resolution, gap)
+    return [[(itin, tuple(cells_of(part, width)), at) for itin, part, at in level]
+            for level in _level_walk(cells, depth, width, split)]
+
+
+def cell_walk(cells, depth, resolution=None, gap=None):
+    """The levels of :func:`reference_level_walk` with parts as cell tuples."""
+    split = (lambda part: [part]) if gap is None else partial(
+        reference_grid_components, k=block_size(resolution, gap))
+    return [[(itin, tuple(part), at) for itin, part, at in level]
+            for level in reference_level_walk(cells, depth, split)]
+
+
 def test_grid_components_match_sweep_on_sweep_universe():
     for abc in sweep_universe():
         cells = _cell_options(CouplingParams.make(*abc), 3, 4)
         covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
         for gap in (default_gap(4), Fraction(3, 7)):
             for members in covers:
-                assert _grid_components(members, _block_size(4, gap)) == sweep_grid_components(members, 4, gap), abc
+                assert mask_components(members, 4, gap) == sweep_grid_components(members, 4, gap), abc
 
 
 def test_grid_components_match_sweep_on_d3_r7_build():
@@ -675,7 +787,7 @@ def test_grid_components_match_sweep_on_d3_r7_build():
     assert len(covers) == 84
     gap = default_gap(7)
     for members in covers:
-        assert _grid_components(members, _block_size(7, gap)) == sweep_grid_components(members, 7, gap)
+        assert mask_components(members, 7, gap) == sweep_grid_components(members, 7, gap)
 
 
 def test_grid_components_of_sparse_cells_match_sweep():
@@ -689,7 +801,124 @@ def test_grid_components_of_sparse_cells_match_sweep():
                 cells = [cell for cell in product(range(n), repeat=2) if rng.random() < density]
                 rng.shuffle(cells)
                 want = sweep_grid_components(cells, resolution, gap)
-                assert _grid_components(cells, _block_size(resolution, gap)) == want, (resolution, gap)
+                assert mask_components(cells, resolution, gap) == want, (resolution, gap)
+                assert reference_grid_components(cells, block_size(resolution, gap)) == want
+
+
+@pytest.mark.parametrize("resolution, gap, cells", [
+    # bit 8i + 7 sits next to bit 8(i + 1): cells at opposite ends of two rows
+    (3, Fraction(1, 8), [(2, 7), (3, 0)]),
+    (3, Fraction(1, 4), [(0, 7), (1, 0), (1, 6), (4, 1), (5, 7), (6, 0), (6, 2)]),
+    (2, Fraction(1, 4), [(i, j) for i in range(4) for j in (0, 3)]),
+    # k = 1
+    (4, Fraction(1, 16), [(0, 0), (1, 1), (3, 1), (2, 2), (5, 5), (7, 5), (6, 15), (7, 0), (15, 15), (14, 14)]),
+    (3, Fraction(1, 8), [(i, j) for i in range(8) for j in range(8) if (i + j) % 3 == 0]),
+    # k >= 2^res: every pair of cells is within the gap
+    (3, Fraction(1), [(0, 0), (7, 7), (3, 5), (0, 7)]),
+    (2, Fraction(5, 2), [(3, 0), (0, 3)]),
+    # resolution 1
+    (1, Fraction(1, 4), [(0, 0), (1, 1)]),
+    (1, default_gap(1), [(0, 1), (1, 0), (1, 1)]),
+    # an empty part
+    (3, default_gap(3), []),
+    (1, Fraction(1, 2), []),
+    # 1-D cells (i, 0), as component_counts_1d walks them
+    (4, Fraction(1, 8), [(i, 0) for i in (0, 1, 3, 6, 9, 12, 15)]),
+    (4, Fraction(1, 16), [(i, 0) for i in (0, 1, 3, 4, 5, 7, 15)]),
+])
+def test_mask_layout_cases_match_sweep(resolution, gap, cells):
+    want = sweep_grid_components(cells, resolution, gap)
+    assert mask_components(cells, resolution, gap) == want
+    assert reference_grid_components(cells, block_size(resolution, gap)) == want
+
+
+def test_two_cells_join_iff_within_the_block_size():
+    # The first dilation of a lone cell is its Chebyshev ball of radius k,
+    # clipped to the grid: no bit wraps across a row or off the grid.
+    for resolution in (1, 2, 3):
+        n = 2**resolution
+        for k in range(1, n + 2):
+            split = _grid_components(resolution, Fraction(k, n))
+            for (i, j), (u, v) in product(product(range(n), repeat=2), repeat=2):
+                if (i, j) != (u, v):
+                    joined = len(split(mask_of([(i, j), (u, v)], n))) == 1
+                    assert joined == (max(abs(i - u), abs(j - v)) <= k), (n, k, i, j, u, v)
+
+
+def test_members_read_the_set_bits_in_order():
+    rng = random.Random("members")
+    items = list(range(300))
+    for mask in [0, 1, 1 << 299, (1 << 300) - 1, *(rng.getrandbits(300) for _ in range(50))]:
+        assert _members(mask, items) == [b for b in items if mask >> b & 1]
+
+
+def test_level_walk_matches_reference_level_walk_on_sweep_universe():
+    for abc in sweep_universe():
+        p = CouplingParams.make(*abc)
+        full = _cell_options(p, 3, 4)
+        kept = [c for c in full if len(c[1]) == 3]  # as build_puzzle walks them
+        assert mask_walk(full, 3, 16) == cell_walk(full, 3), abc
+        for gap in (default_gap(4), Fraction(3, 7)):
+            assert mask_walk(kept, 3, 16, 4, gap) == cell_walk(kept, 3, 4, gap), (abc, gap)
+        cells_1d = [((i, 0), options) for (i,), options in _cell_options_1d(p.a, 3, 4)]
+        gap = default_gap(4)
+        assert mask_walk(cells_1d, 3, 16, 4, gap) == cell_walk(cells_1d, 3, 4, gap), abc
+
+
+def test_level_walk_matches_reference_level_walk_at_d3_r7():
+    p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
+    cells = [c for c in _cell_options(p, 3, 7) if len(c[1]) == 3]
+    gap = default_gap(7)
+    assert mask_walk(cells, 3, 128, 7, gap) == cell_walk(cells, 3, 7, gap)
+
+
+def test_level_walk_matches_reference_level_walk_on_random_options():
+    # Random sign words and lengths split covers into many components that
+    # interleave, which the map's own covers rarely do at these gaps.
+    rng = random.Random("walk-options")
+    for dim in (1, 2):
+        words = [w for w in _WORDS.values() if len(w[0]) == dim]
+        for resolution in (1, 2, 3, 4):
+            n = 2**resolution
+            for density in (0.3, 0.7, 1.0):
+                cells = [
+                    (cell if dim == 2 else (cell[0], 0), [rng.choice(words) for _ in range(rng.randint(0, 3))])
+                    for cell in product(range(n), repeat=dim) if rng.random() < density
+                ]
+                assert mask_walk(cells, 3, n) == cell_walk(cells, 3), (dim, resolution)
+                for gap in oracle_gaps(resolution):
+                    want = cell_walk(cells, 3, resolution, gap)
+                    assert mask_walk(cells, 3, n, resolution, gap) == want, (dim, resolution, gap)
+
+
+@pytest.mark.parametrize("abc", ORACLE_PARAMS)
+def test_level_walk_matches_reference_level_walk_where_cells_escape(abc):
+    # Cells with fewer options drop out level by level; the corner layout
+    # of multiplicity_estimate has rows one bit wider than the grid.
+    p = CouplingParams.make(*abc)
+    for resolution in (1, 2, 3, 4):
+        n = 2**resolution
+        cells = _cell_options(p, 3, resolution)
+        for width in (n, n + 1):
+            assert mask_walk(cells, 3, width) == cell_walk(cells, 3), (resolution, width)
+        for gap in oracle_gaps(resolution):
+            want = cell_walk(cells, 3, resolution, gap)
+            assert mask_walk(cells, 3, n, resolution, gap) == want, (resolution, gap)
+
+
+def test_coupled_sweep_jobs_match_golden_on_whole_universe():
+    # The benchmark checks only the points its seed draws; here every point
+    # of its universe runs the benchmark's job against its golden digest.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    golden = json.loads((bench / "golden" / "coupled-sweep.json").read_text())
+    universe = list(workloads.coupled_universe())
+    assert len(universe) == 290 and {workloads.coupled_key(item) for item in universe} == set(golden)
+    for item in universe:
+        record, _ = workloads.coupled_job(item)
+        workloads.verify(record, golden[workloads.coupled_key(item)])
 
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)

@@ -151,6 +151,29 @@ def test_reduction_chain_kinds():
     assert top.kind == "unknown"
 
 
+def test_ids_outside_the_puzzle_are_refused():
+    # A negative id is no index from the end, and an id past the end is
+    # no bare IndexError.
+    p = golden_mean_puzzle(4)
+    an = ReducibilityAnalyzer(p)
+    size = len(p.pieces())
+    for piece in (-1, -size, size, size + 1):
+        for call in (an.verdict, an.reduction_chain, lambda v: an.reduces(v, 0)):
+            with pytest.raises(ValueError, match=rf"^no piece with id {piece}$"):
+                call(piece)
+
+
+def test_ids_at_both_ends_still_answer():
+    p = golden_mean_puzzle(4)
+    an = ReducibilityAnalyzer(p)
+    last = len(p.pieces()) - 1
+    assert p.order(last) == 4 and an.verdict(last).status is Status.UNKNOWN
+    assert an.reduction_chain(last).pieces == (last,)
+    assert an.reduction_chain(0).kind == "root" and an.reduces(0, 0).piece == 0
+    with pytest.raises(ValueError, match=r"^reducibility is defined for pieces of order >= 1$"):
+        an.verdict(0)
+
+
 def test_reduction_chain_reaches_root_in_unary_shift():
     p = from_subshift({"", "0", "00", "000"}, 3, name="unary")
     an = ReducibilityAnalyzer(p)
