@@ -5,7 +5,8 @@
 #   scripts/ci.sh PYTHON STEP...    run the steps in order, from the repo root
 #   scripts/ci.sh PYTHON all        every step but install-pytest
 #
-# Steps: install-pytest, tests, hash-seeds, console-script, line-count, golden.
+# Steps: install-pytest, tests, hash-seeds, console-script, line-count, golden,
+# mutations.
 # PYTHON is the interpreter (in CI: python).  Each step ends with one
 # "ci: STEP passed|FAILED ..." line; the last line sums them up.  Outside CI,
 # the line count's job summary goes to standard output, console-script works
@@ -15,7 +16,7 @@
 set -uo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,14p' "$0" >&2
+  sed -n '2,15p' "$0" >&2
   exit 2
 fi
 py=$1
@@ -102,9 +103,14 @@ step_golden() {
   done
 }
 
+step_mutations() {
+  # the recorded mutations of tests/mutations.json, each applied alone to a copy of the tree
+  "$py" scripts/mutate.py
+}
+
 steps=("$@")
 if [ "${steps[*]}" = all ]; then
-  steps=(tests hash-seeds console-script line-count golden)
+  steps=(tests hash-seeds console-script line-count golden mutations)
 fi
 version=$("$py" -c 'import platform; print(platform.python_version())') || exit 2
 summary=()

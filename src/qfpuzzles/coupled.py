@@ -5,13 +5,15 @@ on the square ``Q = [-1/2, 1/2]^2`` with the sign partition into four
 quadrants.  All geometry is exact: quadratic images of rational boxes
 are rational, so covers carry no rounding.  The grid pipeline carries
 each iterate as integer interval numerators over one denominator per
-iterate.  The map is even in each coordinate, so the grid cells mirrored
-through the axes share every iterate after the first, and one orbit is
-stepped per mirror class.  A set of cells is one ``int`` bit mask, bit
-``i * 2^res + j`` for cell ``(i, j)``; ``Box`` values are built only for
-returned data.  Two cells lie within a gap iff their Chebyshev index
-distance is at most ``k = ceil(gap / cell width)``, so components grow
-by dilation of radius ``k``, in shift-or steps on the mask.
+iterate.  A set of cells is one ``int`` bit mask, bit ``i * 2^res + j``
+for cell ``(i, j)``, and each iterate's sign words are one mask per word.
+The map is even in each coordinate, so the grid cells mirrored through
+the axes share every iterate after the first: one orbit is stepped per
+mirror class, and its cells are ORed into the masks of the words it
+touches.  ``Box`` values are built only for returned data.  Two cells
+lie within a gap iff their Chebyshev index distance is at most
+``k = ceil(gap / cell width)``, so components grow by dilation of
+radius ``k``, in shift-or steps on the mask.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -24,17 +26,17 @@ lies inside one parent piece: its ``i`` in :func:`build_puzzle`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, product, zip_longest
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
-from qfpuzzles.polys import RationalPolynomial, _common
+from qfpuzzles.polys import RationalPolynomial, _common, _fraction
 from qfpuzzles.puzzle import Puzzle
-from qfpuzzles.series import _fraction, _mul
+from qfpuzzles.series import _mul
 
 HALF = Fraction(1, 2)
 
@@ -203,9 +205,6 @@ def _grid(resolution: int) -> list[Interval]:
     return [_ivl(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
-
-
 def _grid_boxes(resolution: int) -> list[Box]:
     """The dyadic box of grid cell ``(i, j)`` (``i`` along x) at ``i * 2^res + j``, its bit;
     :func:`_grid` checked the intervals, so the boxes skip ``Box.__post_init__``."""
@@ -253,63 +252,52 @@ def _options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[st
 
 
 def _grid_options(
-    step: Step, dim: int, depth: int, resolution: int
-) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
-    """Every grid index, in ``product`` order, with the :func:`_options` of its
-    cell: its own first word, then the iterates of its mirror image with
-    every index ``>= n/2``, stepped once per mirror class."""
+    step: Step, dim: int, depth: int, resolution: int, width: int
+) -> list[dict[str, int]]:
+    """``masks[n][word]`` for ``n < depth``: the grid cells whose ``n``-th iterate
+    (see :func:`_options`) touches the sign word ``word``, as bits ``i * width + j``
+    for cell ``(i, j)``, or ``i * width`` for cell ``i`` in 1-D.  Iterate 0 ANDs, per
+    axis, the slabs (rows, then columns) that reach the word's sign.  Later iterates
+    OR in one orbit per mirror class, stepped once: the AND of its slab pairs ``{i, n - 1 - i}``."""
     n = _grid_size(resolution)
     h = n // 2
     side = ["N"] * (h - 1) + ["PN"] * 2 + ["P"] * (h - 1)  # contacts of cell i's interval
-    tails = {
-        cell: _options(tuple((i - h, i + 1 - h) for i in cell), n, step, depth)[1:]
-        for cell in product(range(h, n), repeat=dim)
-    }
-    mirror = [max(i, n - 1 - i) for i in range(n)]
-    return [
-        (cell, [_WORDS[word], *tails[canonical]])
-        for cell, word, canonical in zip(
-            product(range(n), repeat=dim), product(side, repeat=dim), product(mirror, repeat=dim)
-        )
-    ]
+    row = (1 << n) - 1 if dim == 2 else 1
+    column = sum(1 << i * width for i in range(n))  # bit 0 of every row
+    slabs = [[row << i * width for i in range(n)], [column << j for j in range(n)]][:dim]
+    reaching = [{s: sum(slab for slab, c in zip(axis, side) if s in c) for s in "PN"} for axis in slabs]
+    first = {"".join(word): reduce(and_, map(dict.get, reaching, word)) for word in product("PN", repeat=dim)}
+    masks = [first] + [{} for _ in range(depth - 1)]
+    pairs = product(*([axis[i] | axis[n - 1 - i] for i in range(h, n)] for axis in slabs))
+    for cell, pair in zip(product(range(h, n), repeat=dim), pairs if depth > 1 else ()):
+        orbit = reduce(and_, pair)
+        image = step(tuple((i - h, i + 1 - h) for i in cell), n)  # iterate 1; the slabs gave iterate 0
+        for words, option in zip(masks[1:], _options(*image, step, depth - 1)):
+            for word in option:
+                words[word] = words.get(word, 0) | orbit
+    return masks
 
 
 def _cell_options(
-    p: CouplingParams, depth: int, resolution: int
-) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
-    """Every grid index ``(i, j)`` with its :func:`_options` under the coupled map."""
-    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
+    p: CouplingParams, depth: int, resolution: int, width: int
+) -> list[dict[str, int]]:
+    """The :func:`_grid_options` mask table of the coupled map, on rows ``width`` bits wide."""
+    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution, width)
 
 
 def _level_walk(
-    cells: Sequence[tuple[GridCell, Sequence[tuple[str, ...]]]], depth: int, width: int,
-    split: Callable[[int], Iterable[int]],
+    masks: Sequence[Mapping[str, int]], split: Callable[[int], Iterable[int]], start: int
 ) -> Iterator[list[tuple[Itinerary, int, int]]]:
-    """Levels 1..``depth`` of the cylinder covers by the ``(grid index, options)``
-    pairs ``cells``, as lists of ``(itinerary, part, position of the parent part in
-    the level before)``; a part is a bit mask, bit ``i * width + j`` for cell ``(i, j)``, ``i, j < width``.
-
-    Level ``n`` cuts each part of level ``n - 1`` (level 0: every cell) by the mask
-    of the cells with ``a`` among their ``n``-th sign words, and ``split`` divides
-    each cut into parts; a cell with fewer than ``n`` options drops out.  As
-    ``cover(w·a)`` lies inside ``cover(w)``, a component of a child cover lies inside
-    one component of its parent.  Parts come in itinerary order, then by lowest bit.
-    """
-    top = width * width - 1  # digit top - b of a mask's binary numeral is bit b
-    ats = [top - i * width - j for (i, j), _ in cells]
-    level = [((), -1, None)]  # level 0: every cell, as every bit
-    for n in range(depth):
-        digits: dict[tuple[str, ...], list[int]] = defaultdict(list)  # n-th option -> its cells
-        for at, (_, options) in zip(ats, cells):
-            if len(options) > n:
-                digits[options[n]].append(at)
-        words: dict[str, int] = {}
-        for option, ones in digits.items():
-            numeral = bytearray(b"0") * (top + 1)
-            for at in ones:
-                numeral[at] = 49  # "1"
-            for word in option:
-                words[word] = words.get(word, 0) | int(numeral, 2)
+    """Levels 1..``len(masks)`` of the cylinder covers by the :func:`_grid_options` table
+    ``masks``, as lists of ``(itinerary, part, position of the parent part in the level
+    before)``; a part is a mask of grid cells.  Level ``n`` cuts each part of level
+    ``n - 1`` (level 0: ``start``) by ``masks[n - 1][a]`` for each sign word ``a``, and
+    ``split`` divides each cut into parts; a cell whose ``n``-th iterate missed the
+    square is in no mask and drops out.  As ``cover(w·a)`` lies inside ``cover(w)``, a
+    component of a child cover lies inside one component of its parent.  Parts come in
+    itinerary order, then by lowest bit."""
+    level = [((), start, None)]
+    for words in masks:
         cut = []
         for at, (itin, part, _) in enumerate(level):
             for word, mask in words.items():
@@ -331,7 +319,7 @@ def _covers_by_depth(p: CouplingParams, n_range: Sequence[int], resolution: int,
         return []
     if ns[0] < 1:
         raise CoupledError("depth must be >= 1")
-    levels = list(_level_walk(_cell_options(p, ns[-1], resolution), ns[-1], width, lambda part: [part]))
+    levels = list(_level_walk(_cell_options(p, ns[-1], resolution, width), lambda part: [part], -1))
     return [(n, {itin: part for itin, part, _ in levels[n - 1]}) for n in ns]
 
 
@@ -479,7 +467,7 @@ def build_puzzle(p: CouplingParams, depth: int, resolution: int, gap: Fraction |
     if depth < 1:
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
-    cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
+    masks = _cell_options(p, depth, resolution, _grid_size(resolution))
     boxes = _grid_boxes(resolution)
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     pieces, ids, levels = {ROOT: root}, {ROOT: 0}, [[ROOT]]
@@ -487,7 +475,8 @@ def build_puzzle(p: CouplingParams, depth: int, resolution: int, gap: Fraction |
     i_map: list[int | None] = [None]  # by id, the root first
     f_map: list[int | None] = [None]
     ambiguous: list[str] = []
-    for level in _level_walk(cells, depth, _grid_size(resolution), _grid_components(resolution, gap)):
+    # the walk starts at the cells whose last iterate is still in the square: the escape rule
+    for level in _level_walk(masks, _grid_components(resolution, gap), reduce(or_, masks[-1].values(), 0)):
         parents, by_itin = by_itin, {}
         levels.append([])
         for itin, part, at in level:
@@ -596,27 +585,18 @@ def _quadratic(main: int, S2: list[int], c: int, T2: list[int], constant: int) -
 # -- 1d reference pipeline (product checks) -------------------------------------
 
 
-def _cell_options_1d(
-    alpha: Fraction, depth: int, resolution: int
-) -> list[tuple[GridCell, list[tuple[str, ...]]]]:
-    """Every grid index ``(i,)`` with its :func:`_options` under
-    ``t -> a(1-4t^2) - 1/2``, the x-coordinate of the coupled map with
-    ``a = alpha``, ``c = 0``.
-    """
-    if depth < 1:
-        raise CoupledError("depth must be >= 1")
-    return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution)
-
-
 def component_counts_1d(
     alpha: Fraction, depth: int, resolution: int, gap: Fraction | None = None
 ) -> list[int]:
-    """Component counts per level 1..depth of the 1d pipeline."""
+    """Component counts per level 1..depth of the 1d pipeline ``t -> a(1-4t^2) - 1/2``,
+    the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.  Cell ``i`` is
+    bit ``i * 2^res``, the 2-D cell ``(i, 0)``: all cells share one y-interval."""
     gap = _positive_gap(gap, resolution)
-    # A 1-D cell (i,) counts as the 2-D cell (i, 0): all share one y-interval.
-    cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
-    walk = _level_walk(cells, depth, _grid_size(resolution), _grid_components(resolution, gap))
-    return [len(level) for level in walk]
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
+    step = _map_step((_exact(alpha),), Fraction(0))
+    masks = _grid_options(step, 1, depth, resolution, _grid_size(resolution))
+    return [len(level) for level in _level_walk(masks, _grid_components(resolution, gap), -1)]
 
 
 def component_counts_2d(build: PuzzleBuild) -> list[int]:

@@ -379,7 +379,7 @@ def based_loop_counts(g: GraphTruncation, base: str, max_length: int) -> list[in
     """Loops (closed walks) of each length 1..max_length based at a vertex."""
     if base not in g.vertices:
         raise GraphError(f"unknown base vertex {base!r}")
-    return avoiding_path_counts(g, base, (), max(max_length, 0))[base]
+    return avoiding_path_counts(g, base, (), max_length)[base]
 
 
 def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
@@ -389,6 +389,8 @@ def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
     equals the trace of the n-th adjacency power of the explicit graph:
     a closed walk that ends on a bundle of length L gives L sequences.
     """
+    if max_length < 0:
+        raise GraphError(f"max_length must be >= 0, got {max_length}")
     walks = _walk_counter(g, max(max_length - 1, 0))
     return [sum(e.length * e.multiplicity * walks(n - e.length, e.dst, e.src) for e in g.edges if e.length <= n)
             for n in range(1, max_length + 1)]

@@ -3,7 +3,8 @@
 Supports the handful of exact operations the toolkit needs: arithmetic,
 evaluation, euclidean division, gcd, the Sylvester matrix and its
 determinant (the resultant), and rational root finding for the pole
-analysis of rational functions.
+analysis of rational functions.  A ``float`` coefficient or argument
+raises ``TypeError``: its binary expansion is not the value meant.
 """
 
 from __future__ import annotations
@@ -16,13 +17,23 @@ from typing import Iterable, Sequence, Union
 Coeff = Union[int, Fraction]
 
 
+def _fraction(v, error: type[Exception] = TypeError) -> Fraction:
+    """``v`` as a ``Fraction``.  Floats are refused with ``error``: their binary
+    expansion would enter exact data as a power-of-two denominator."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, float):
+        raise error(f"float {v!r} is not exact; pass an int, Fraction or 'p/q' string")
+    return Fraction(v)
+
+
 class RationalPolynomial:
     """Polynomial ``c_0 + c_1 x + ... + c_d x^d`` with Fraction coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -81,7 +92,7 @@ class RationalPolynomial:
 
     def __mul__(self, other: "RationalPolynomial | Coeff") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
-            c = Fraction(other)
+            c = _fraction(other)
             return RationalPolynomial([c * x for x in self.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -95,7 +106,7 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, value: Coeff) -> Fraction:
-        v = Fraction(value)
+        v = _fraction(value)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * v + c

@@ -86,8 +86,11 @@ class DyadicDistance:
             return NotImplemented
         return self.exponent == other.exponent
 
-    def __lt__(self, other: "DyadicDistance") -> bool:
-        return self.value() < other.value()
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, DyadicDistance):
+            return NotImplemented
+        # zero is the least value; otherwise a larger exponent is a smaller value
+        return other.exponent is not None and (self.exponent is None or self.exponent > other.exponent)
 
     def __hash__(self):
         return hash(self.exponent)

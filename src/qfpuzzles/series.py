@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from qfpuzzles.polys import _terms
+from qfpuzzles.polys import _fraction, _terms
 
 Coeff = Union[int, Fraction]
 
@@ -36,16 +36,6 @@ DEFAULT_ORDER = 16
 
 class SeriesError(ValueError):
     """Raised on precondition violations of series operations."""
-
-
-def _fraction(v, error: type[Exception] = TypeError) -> Fraction:
-    """``v`` as a ``Fraction``.  Floats are refused with ``error``: their binary
-    expansion would enter exact data as a power-of-two denominator."""
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, float):
-        raise error(f"float {v!r} is not exact; pass an int, Fraction or 'p/q' string")
-    return Fraction(v)
 
 
 class PowerSeries:

@@ -18,7 +18,6 @@ from qfpuzzles.coupled import (
     CoupledError,
     CouplingParams,
     ExtractedPiece,
-    GridCell,
     Itinerary,
     PuzzleBuild,
     UNIT_SQUARE,
@@ -34,7 +33,7 @@ from qfpuzzles.coupled import (
     multiplicity_estimate,
     refine_cylinders,
     _cell_options,
-    _cell_options_1d,
+    _exact,
     _find,
     _grid,
     _grid_boxes,
@@ -61,12 +60,69 @@ def dyadic_grid(resolution: int) -> list[Box]:
     return _grid_boxes(resolution)
 
 
+GridCell = tuple[int, ...]  # grid index (i, j) with i along x, or (i,) in 1-D
+
+
+def bit_of(cell: GridCell, width: int) -> int:
+    """The bit of a grid cell in a mask with rows ``width`` bits wide: ``i * width + j``
+    for ``(i, j)``, and ``i * width`` for ``(i,)``."""
+    return cell[0] * width + sum(cell[1:])
+
+
+def masks_of(cells, depth, width):
+    """The mask table of :func:`_grid_options` from per-cell option lists: ``masks[n][word]``
+    has the bit of each cell with ``word`` among its ``n``-th options, set one cell at a time."""
+    masks = [{} for _ in range(depth)]
+    for cell, options in cells:
+        bit = 1 << bit_of(cell, width)
+        for words, option in zip(masks, options):
+            for word in option:
+                words[word] = words.get(word, 0) | bit
+    return masks
+
+
+def options_of(masks, cells, width):
+    """The inverse of :func:`masks_of`: each of ``cells`` with, per iterate, the words
+    whose mask holds its bit, in ``itertools.product`` order.  A cell's iterates are
+    contiguous: one that is in no mask of an iterate is in none of a later one."""
+    held = [{word: {b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"}
+             for word, mask in words.items()} for words in masks]
+    out = []
+    for cell in cells:
+        b = bit_of(cell, width)
+        options = [tuple(w for w in ("PP", "PN", "NP", "NN", "P", "N") if b in bits.get(w, ())) for bits in held]
+        depth = options.index(()) if () in options else len(options)
+        assert not any(options[depth:]), (cell, options)
+        out.append((cell, options[:depth]))
+    return out
+
+
+def options_1d(alpha, depth, resolution, width):
+    """The mask table of ``t -> a(1-4t^2) - 1/2`` for ``a = alpha``, with the input
+    checks of :func:`component_counts_1d`."""
+    if depth < 1:
+        raise CoupledError("depth must be >= 1")
+    return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution, width)
+
+
+def cell_options(p, depth, resolution):
+    """Every grid index ``(i, j)``, in ``product`` order, with its options under the
+    coupled map, read back from the mask table of :func:`_cell_options`."""
+    n = 2**resolution
+    return options_of(_cell_options(p, depth, resolution, n), product(range(n), repeat=2), n)
+
+
+def cell_options_1d(alpha, depth, resolution):
+    """Every grid index ``(i,)`` with its options, read back from :func:`options_1d`."""
+    n = 2**resolution
+    return options_of(options_1d(alpha, depth, resolution, n), [(i,) for i in range(n)], n)
+
+
 def refine_cylinders_1d(alpha: Fraction, depth: int, resolution: int) -> dict[tuple[str, ...], tuple]:
     """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``,
-    walked as the 2-D cells ``(i, 0)``, as :func:`component_counts_1d` does."""
+    with cell ``i`` at bit ``i * 2^res``, as :func:`component_counts_1d` walks it."""
     n = _grid_size(resolution)
-    cells = [((i, 0), options) for (i,), options in _cell_options_1d(alpha, depth, resolution)]
-    *_, covers = _level_walk(cells, depth, n, lambda part: [part])
+    *_, covers = _level_walk(options_1d(alpha, depth, resolution, n), lambda part: [part], -1)
     by_bit = [iv for iv in _grid(resolution) for _ in range(n)]  # cell (i, 0) is bit i * n
     return {itin: tuple(_members(part, by_bit)) for itin, part, _ in covers}
 
@@ -327,7 +383,7 @@ def test_cell_options_match_fraction_reference_on_sweep_universe():
     assert len(points) == 298  # the 290 benchmark draws and the 8 it leaves out
     for abc in points:
         p = CouplingParams.make(*abc)
-        assert as_reference(_cell_options(p, 3, 4), 4) == reference_cell_options(p, 3, 4), abc
+        assert as_reference(cell_options(p, 3, 4), 4) == reference_cell_options(p, 3, 4), abc
 
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)
@@ -335,7 +391,7 @@ def test_cell_options_match_fraction_reference(abc):
     p = CouplingParams.make(*abc)
     for resolution in range(1, 6):
         for depth in range(1, 5):
-            got = as_reference(_cell_options(p, depth, resolution), resolution)
+            got = as_reference(cell_options(p, depth, resolution), resolution)
             assert got == reference_cell_options(p, depth, resolution), (resolution, depth)
 
 
@@ -343,7 +399,7 @@ def test_cell_options_match_fraction_reference(abc):
 def test_cell_options_1d_match_fraction_reference(alpha):
     for resolution in range(1, 6):
         for depth in range(1, 5):
-            got = as_reference(_cell_options_1d(alpha, depth, resolution), resolution)
+            got = as_reference(cell_options_1d(alpha, depth, resolution), resolution)
             assert got == reference_cell_options_1d(alpha, depth, resolution), (resolution, depth)
 
 
@@ -504,7 +560,7 @@ def reference_build_puzzle(p, depth, resolution, gap=None):
     if depth < 1:
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
-    cells = [c for c in _cell_options(p, depth, resolution) if len(c[1]) == depth]
+    cells = [c for c in cell_options(p, depth, resolution) if len(c[1]) == depth]
     box_of = grid_box_index(resolution)[0]
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     by_level = [{(): [(root, tuple(cell for cell, _ in cells))]}]
@@ -642,10 +698,13 @@ def test_mirror_cells_share_tails_and_match_per_cell_options(abc):
         for resolution in range(1, 7):
             n = 2**resolution
             for depth in range(1, 5):
-                got = _grid_options(step, dim, depth, resolution)
-                assert got == per_cell_grid_options(step, dim, depth, resolution), (dim, resolution, depth)
-                options = dict(got)
-                for cell, opts in got:
+                want = per_cell_grid_options(step, dim, depth, resolution)
+                for width in (n, n + 1):  # n + 1: the corner layout of multiplicity_estimate
+                    got = _grid_options(step, dim, depth, resolution, width)
+                    assert got == masks_of(want, depth, width), (dim, resolution, depth, width)
+                    assert options_of(got, [cell for cell, _ in want], width) == want
+                options = dict(want)
+                for cell, opts in want:
                     for mirrored in product(*({i, n - 1 - i} for i in cell)):
                         assert options[mirrored][1:] == opts[1:], (cell, mirrored)
 
@@ -754,13 +813,13 @@ def mask_components(cells, resolution, gap):
     return [tuple(cells_of(comp, n)) for comp in _grid_components(resolution, gap)(mask_of(cells, n))]
 
 
-def mask_walk(cells, depth, width, resolution=None, gap=None):
-    """The levels of :func:`_level_walk` with parts as cell tuples, split
-    into components at ``gap`` on rows ``width = 2^resolution`` bits wide
-    (``gap=None``: not split)."""
+def mask_walk(masks, width, resolution=None, gap=None, start=-1):
+    """The levels of :func:`_level_walk` on the mask table ``masks`` from the cells of
+    ``start``, with parts as cell tuples, split into components at ``gap`` on rows
+    ``width = 2^resolution`` bits wide (``gap=None``: not split)."""
     split = (lambda part: [part]) if gap is None else _grid_components(resolution, gap)
     return [[(itin, tuple(cells_of(part, width)), at) for itin, part, at in level]
-            for level in _level_walk(cells, depth, width, split)]
+            for level in _level_walk(masks, split, start)]
 
 
 def cell_walk(cells, depth, resolution=None, gap=None):
@@ -773,7 +832,7 @@ def cell_walk(cells, depth, resolution=None, gap=None):
 
 def test_grid_components_match_sweep_on_sweep_universe():
     for abc in sweep_universe():
-        cells = _cell_options(CouplingParams.make(*abc), 3, 4)
+        cells = cell_options(CouplingParams.make(*abc), 3, 4)
         covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
         for gap in (default_gap(4), Fraction(3, 7)):
             for members in covers:
@@ -782,7 +841,7 @@ def test_grid_components_match_sweep_on_sweep_universe():
 
 def test_grid_components_match_sweep_on_d3_r7_build():
     p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
-    cells = [c for c in _cell_options(p, 3, 7) if len(c[1]) == 3]
+    cells = [c for c in cell_options(p, 3, 7) if len(c[1]) == 3]
     covers = [cover for n in (1, 2, 3) for cover in reference_covers_from_options(cells, n).values()]
     assert len(covers) == 84
     gap = default_gap(7)
@@ -855,21 +914,26 @@ def test_members_read_the_set_bits_in_order():
 def test_level_walk_matches_reference_level_walk_on_sweep_universe():
     for abc in sweep_universe():
         p = CouplingParams.make(*abc)
-        full = _cell_options(p, 3, 4)
+        masks = _cell_options(p, 3, 4, 16)
+        full = options_of(masks, product(range(16), repeat=2), 16)
         kept = [c for c in full if len(c[1]) == 3]  # as build_puzzle walks them
-        assert mask_walk(full, 3, 16) == cell_walk(full, 3), abc
+        survivors = mask_of([cell for cell, _ in kept], 16)
+        assert mask_walk(masks, 16) == cell_walk(full, 3), abc
         for gap in (default_gap(4), Fraction(3, 7)):
-            assert mask_walk(kept, 3, 16, 4, gap) == cell_walk(kept, 3, 4, gap), (abc, gap)
-        cells_1d = [((i, 0), options) for (i,), options in _cell_options_1d(p.a, 3, 4)]
+            assert mask_walk(masks, 16, 4, gap, survivors) == cell_walk(kept, 3, 4, gap), (abc, gap)
+        masks_1d = options_1d(p.a, 3, 4, 16)
+        cells_1d = options_of(masks_1d, [(i, 0) for i in range(16)], 16)  # bit 16 i is cell (i, 0)
         gap = default_gap(4)
-        assert mask_walk(cells_1d, 3, 16, 4, gap) == cell_walk(cells_1d, 3, 4, gap), abc
+        assert mask_walk(masks_1d, 16, 4, gap) == cell_walk(cells_1d, 3, 4, gap), abc
 
 
 def test_level_walk_matches_reference_level_walk_at_d3_r7():
     p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
-    cells = [c for c in _cell_options(p, 3, 7) if len(c[1]) == 3]
+    masks = _cell_options(p, 3, 7, 128)
+    cells = [c for c in options_of(masks, product(range(128), repeat=2), 128) if len(c[1]) == 3]
     gap = default_gap(7)
-    assert mask_walk(cells, 3, 128, 7, gap) == cell_walk(cells, 3, 7, gap)
+    survivors = mask_of([cell for cell, _ in cells], 128)
+    assert mask_walk(masks, 128, 7, gap, survivors) == cell_walk(cells, 3, 7, gap)
 
 
 def test_level_walk_matches_reference_level_walk_on_random_options():
@@ -885,10 +949,11 @@ def test_level_walk_matches_reference_level_walk_on_random_options():
                     (cell if dim == 2 else (cell[0], 0), [rng.choice(words) for _ in range(rng.randint(0, 3))])
                     for cell in product(range(n), repeat=dim) if rng.random() < density
                 ]
-                assert mask_walk(cells, 3, n) == cell_walk(cells, 3), (dim, resolution)
+                masks = masks_of(cells, 3, n)
+                assert mask_walk(masks, n) == cell_walk(cells, 3), (dim, resolution)
                 for gap in oracle_gaps(resolution):
                     want = cell_walk(cells, 3, resolution, gap)
-                    assert mask_walk(cells, 3, n, resolution, gap) == want, (dim, resolution, gap)
+                    assert mask_walk(masks, n, resolution, gap) == want, (dim, resolution, gap)
 
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)
@@ -898,12 +963,12 @@ def test_level_walk_matches_reference_level_walk_where_cells_escape(abc):
     p = CouplingParams.make(*abc)
     for resolution in (1, 2, 3, 4):
         n = 2**resolution
-        cells = _cell_options(p, 3, resolution)
+        cells = cell_options(p, 3, resolution)
         for width in (n, n + 1):
-            assert mask_walk(cells, 3, width) == cell_walk(cells, 3), (resolution, width)
+            assert mask_walk(_cell_options(p, 3, resolution, width), width) == cell_walk(cells, 3), (resolution, width)
         for gap in oracle_gaps(resolution):
             want = cell_walk(cells, 3, resolution, gap)
-            assert mask_walk(cells, 3, n, resolution, gap) == want, (resolution, gap)
+            assert mask_walk(_cell_options(p, 3, resolution, n), n, resolution, gap) == want, (resolution, gap)
 
 
 def test_coupled_sweep_jobs_match_golden_on_whole_universe():

@@ -270,13 +270,22 @@ def test_avoiding_path_counts_k3():
 
 
 def test_negative_lengths_raise_graph_error():
-    from qfpuzzles.diagram import entropy_at_infinity_estimate
+    from qfpuzzles.diagram import entropy_at_infinity_estimate, gurevich_entropy_estimate, recurrence_evidence
 
     k2 = complete_graph(2)
-    with pytest.raises(GraphError):
-        avoiding_path_counts(k2, "0", {"0"}, -1)
-    with pytest.raises(GraphError):
-        entropy_at_infinity_estimate(k2, ["0"], -1)
+    calls = [
+        lambda n: avoiding_path_counts(k2, "0", {"0"}, n),
+        lambda n: entropy_at_infinity_estimate(k2, ["0"], n),
+        lambda n: based_loop_counts(k2, "0", n),
+        lambda n: gurevich_entropy_estimate(k2, "0", n),
+        lambda n: periodic_point_counts(k2, n),
+        lambda n: recurrence_evidence(k2, "0", ["1"], n),
+    ]
+    for call in calls:
+        for n in (-1, -3):
+            with pytest.raises(GraphError, match=rf"^max_length must be >= 0, got {n}$"):
+                call(n)
+        call(0)  # length 0 is an empty table, not an error
 
 
 def random_bundle_graph(rng, names):
@@ -307,7 +316,8 @@ def test_based_loop_counts_match_the_path_count_table():
 def test_based_loop_counts_edge_cases():
     g = complete_graph(2)
     assert based_loop_counts(g, "0", 0) == []
-    assert based_loop_counts(g, "0", -3) == []
+    with pytest.raises(GraphError, match=r"^max_length must be >= 0, got -3$"):
+        based_loop_counts(g, "0", -3)
     with pytest.raises(GraphError, match="unknown base vertex 'x'"):
         based_loop_counts(g, "x", 4)
 

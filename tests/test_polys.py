@@ -85,3 +85,34 @@ def test_zero_polynomial_conventions():
     assert z.degree == -1
     with pytest.raises(ValueError):
         sylvester_resultant(z, poly(1, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: RationalPolynomial([0.1, 1]),
+        lambda r: RationalPolynomial([Fraction(1, 2), 2.0]),
+        lambda r: r(0.1),
+        lambda r: r + 0.5,
+        lambda r: 0.5 + r,
+        lambda r: r - 0.5,
+        lambda r: 0.5 - r,
+        lambda r: r * 0.5,
+        lambda r: 0.5 * r,
+    ],
+    ids=["init", "init-integral-float", "call", "add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_floats_are_refused(call):
+    # 0.1 would enter as 3602879701896397/36028797018963968, its binary expansion
+    with pytest.raises(TypeError, match="float"):
+        call(poly(1, 1))
+
+
+def test_exact_scalars_still_accepted():
+    r = poly(1, 1)
+    assert RationalPolynomial(["1/10", 1]).coeffs == (Fraction(1, 10), 1)
+    assert all(type(c) is Fraction for c in RationalPolynomial([1, Fraction(1, 2)]).coeffs)
+    assert r(Fraction(1, 10)) == Fraction(11, 10) and r(2) == 3 and r("1/3") == Fraction(4, 3)
+    assert r + Fraction(1, 2) == poly(Fraction(3, 2), 1)
+    assert 1 - r == poly(0, -1) and r - 1 == poly(0, 1)
+    assert r * Fraction(1, 3) == poly(Fraction(1, 3), Fraction(1, 3)) == Fraction(1, 3) * r

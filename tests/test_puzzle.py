@@ -367,6 +367,25 @@ def test_dyadic_distance_takes_integer_exponents_and_zero():
     assert DyadicDistance(None).is_zero and DyadicDistance.zero() < DyadicDistance(40)
 
 
+def test_dyadic_distances_order_by_value():
+    values = [DyadicDistance.zero(), *(DyadicDistance(e) for e in range(6))]
+    for a, b in itertools.product(values, repeat=2):
+        assert (a < b, a <= b, a > b, a >= b) == (
+            a.value() < b.value(), a.value() <= b.value(), a.value() > b.value(), a.value() >= b.value()), (a, b)
+    assert sorted(reversed(values)) == values[:1] + values[:0:-1]  # zero, then 2^-5 up to 2^0
+
+
+@pytest.mark.parametrize("other", [0.5, Fraction(1, 2), 1, None, "2^-1"])
+def test_dyadic_distances_do_not_order_against_other_types(other):
+    with pytest.raises(TypeError):
+        DyadicDistance(1) < other
+    with pytest.raises(TypeError):
+        other < DyadicDistance(1)
+    with pytest.raises(TypeError):
+        DyadicDistance.zero() >= other
+    assert DyadicDistance(1) != other
+
+
 def brute_minimum_cover(balls, universe):
     best = len(universe)
     balls = list(balls)
