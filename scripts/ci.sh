@@ -32,14 +32,33 @@ step_tests() {
   PYTHONPATH=$src "$py" -m pytest -q --continue-on-collection-errors --durations=15
 }
 
+# The fixed-hash-seed runs: test files, then the -k keywords that select their
+# tests (none: the whole files).  One run per line.
+hash_seed_runs=(
+  "tests/test_properties.py tests/test_puzzle.py :"
+  "tests/test_fuzz.py : puzzle_zeta"
+  "tests/test_coupled.py : reference_build_puzzle flagged image_cylinder golden level_walk grid_components mask_layout block_size"
+  "tests/test_graphs.py : excursion avoiding"
+)
+
 step_hash_seeds() {
-  # puzzle, property, coupled label, mask-walk and golden, excursion and puzzle-zeta tests under fixed hash seeds
-  local seed
+  # puzzle, property, coupled label, mask-walk and golden, excursion and puzzle-zeta tests under fixed hash seeds;
+  # a keyword that selects no test (say, after a rename) fails the step
+  local run files keywords kw seed
+  for run in "${hash_seed_runs[@]}"; do
+    files=${run%%:*} keywords=${run#*:}
+    for kw in $keywords; do
+      if ! PYTHONPATH=$src "$py" -m pytest -q --collect-only -p no:cacheprovider $files -k "$kw" > /dev/null; then
+        echo "hash-seeds: -k $kw selects no test in $files"
+        return 1
+      fi
+    done
+  done
   for seed in 0 1; do
-    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_properties.py tests/test_puzzle.py || return 1
-    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_fuzz.py -k puzzle_zeta || return 1
-    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_coupled.py -k "reference_build_puzzle or flagged or image_cylinder or golden or level_walk or grid_components or mask_layout or block_size" || return 1
-    PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q tests/test_graphs.py -k "excursion or avoiding" || return 1
+    for run in "${hash_seed_runs[@]}"; do
+      files=${run%%:*} keywords=$(echo ${run#*:} | sed 's/ / or /g')
+      PYTHONHASHSEED=$seed PYTHONPATH=$src "$py" -m pytest -q $files ${keywords:+-k "$keywords"} || return 1
+    done
   done
 }
 

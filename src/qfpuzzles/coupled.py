@@ -7,13 +7,15 @@ are rational, so covers carry no rounding.  The grid pipeline carries
 each iterate as integer interval numerators over one denominator per
 iterate.  A set of cells is one ``int`` bit mask, bit ``i * 2^res + j``
 for cell ``(i, j)``, and each iterate's sign words are one mask per word.
-The map is even in each coordinate, so the grid cells mirrored through
-the axes share every iterate after the first: one orbit is stepped per
-mirror class, and its cells are ORed into the masks of the words it
-touches.  ``Box`` values are built only for returned data.  Two cells
-lie within a gap iff their Chebyshev index distance is at most
-``k = ceil(gap / cell width)``, so components grow by dilation of
-radius ``k``, in shift-or steps on the mask.
+The quadrants are the product of the axes' sign partitions, so at every
+iterate a word's mask is the AND over the axes of the cells reaching its
+sign on that axis.  The map is even in each coordinate, so the grid cells
+mirrored through the axes share every iterate after the first: one orbit
+is stepped per mirror class, and its cells are ORed into the reach masks
+of the signs it reaches.  ``Box`` values are built only for returned
+data.  Two cells lie within a gap iff their Chebyshev index distance is
+at most ``k = ceil(gap / cell width)``, so components grow by dilation
+of radius ``k``, in shift-or steps on the mask.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -184,6 +186,8 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
     on the partition boundary.  Statistics only; no finiteness claim.
     """
     x, y = _exact(x), _exact(y)
+    if steps < 0:
+        raise CoupledError(f"steps must be >= 0, got {steps}")
     hits = []
     for k in range(steps + 1):
         if on_boundary(x, y):
@@ -219,70 +223,49 @@ def _grid_boxes(resolution: int) -> list[Box]:
 Itinerary = tuple[str, ...]
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as false and true bytes
 
-# The sign words of one iterate, keyed by the contacts of each coordinate
-# ("P", "N" or "PN"), in ``itertools.product`` order.
-_WORDS = {
-    signs: tuple("".join(word) for word in product(*signs))
-    for dim in (1, 2)
-    for signs in product(("P", "N", "PN"), repeat=dim)
-}
+def _grid_options(step: Step, dim: int, depth: int, resolution: int) -> list[dict[str, int]]:
+    """``masks[n][word]`` for ``n < depth``: the grid cells whose ``n``-th iterate touches
+    the sign word ``word``, as bits ``i * 2^res + j`` for cell ``(i, j)``, or ``i * 2^res``
+    for cell ``i`` in 1-D; words that no cell touches are left out.
 
-
-def _options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[str, ...]]:
-    """Sign words touched by the first ``depth`` iterates of a cell.
-
-    ``cell`` holds interval numerators over ``denom``.  Iterate ``k`` is
-    ``step`` applied to iterate ``k - 1`` clipped to ``[-1/2, 1/2]`` in
-    each coordinate; its word lists, in ``itertools.product`` order, every
-    choice of ``P`` (the coordinate reaches ``>= 0``) or ``N`` (``<= 0``)
-    per coordinate.  The list stops at the first iterate that misses the
-    square, so a cell whose first ``n`` iterates stay in it has at least
-    ``n`` entries.
-    """
-    options: list[tuple[str, ...]] = []
-    while len(options) < depth:
-        if options:
-            cell, denom = step(cell, denom)
-        r = denom // 2
-        cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
-        if any(lo > hi for lo, hi in cell):
-            break
-        options.append(_WORDS[tuple(["P" * (hi >= 0) + "N" * (lo <= 0) for lo, hi in cell])])
-    return options
-
-
-def _grid_options(
-    step: Step, dim: int, depth: int, resolution: int, width: int
-) -> list[dict[str, int]]:
-    """``masks[n][word]`` for ``n < depth``: the grid cells whose ``n``-th iterate
-    (see :func:`_options`) touches the sign word ``word``, as bits ``i * width + j``
-    for cell ``(i, j)``, or ``i * width`` for cell ``i`` in 1-D.  Iterate 0 ANDs, per
-    axis, the slabs (rows, then columns) that reach the word's sign.  Later iterates
-    OR in one orbit per mirror class, stepped once: the AND of its slab pairs ``{i, n - 1 - i}``."""
+    Iterate ``k`` of a cell is ``step`` applied to iterate ``k - 1`` clipped to the
+    square, and a cell drops out at its first iterate that misses it.  The quadrants
+    are the product of the axes' sign partitions, so at every iterate the mask of a
+    word is the AND over the axes of the cells reaching its sign there: ``P`` where
+    ``hi >= 0``, ``N`` where ``lo <= 0``.  At iterate 0 the spans on an axis are its
+    slabs (rows, then columns); later, one orbit per mirror class, stepped once per
+    iterate, whose mask is the AND of its slab pairs ``{i, n - 1 - i}``."""
     n = _grid_size(resolution)
     h = n // 2
-    side = ["N"] * (h - 1) + ["PN"] * 2 + ["P"] * (h - 1)  # contacts of cell i's interval
     row = (1 << n) - 1 if dim == 2 else 1
-    column = sum(1 << i * width for i in range(n))  # bit 0 of every row
-    slabs = [[row << i * width for i in range(n)], [column << j for j in range(n)]][:dim]
-    reaching = [{s: sum(slab for slab, c in zip(axis, side) if s in c) for s in "PN"} for axis in slabs]
-    first = {"".join(word): reduce(and_, map(dict.get, reaching, word)) for word in product("PN", repeat=dim)}
-    masks = [first] + [{} for _ in range(depth - 1)]
+    column = sum(1 << i * n for i in range(n))  # bit 0 of every row
+    slabs = [[row << i * n for i in range(n)], [column << j for j in range(n)]][:dim]
     pairs = product(*([axis[i] | axis[n - 1 - i] for i in range(h, n)] for axis in slabs))
-    for cell, pair in zip(product(range(h, n), repeat=dim), pairs if depth > 1 else ()):
-        orbit = reduce(and_, pair)
-        image = step(tuple((i - h, i + 1 - h) for i in cell), n)  # iterate 1; the slabs gave iterate 0
-        for words, option in zip(masks[1:], _options(*image, step, depth - 1)):
-            for word in option:
-                words[word] = words.get(word, 0) | orbit
+    classes = [(tuple((i - h, i + 1 - h) for i in cell), n, reduce(and_, pair))  # numerators over n
+               for cell, pair in zip(product(range(h, n), repeat=dim), pairs)]
+    spans = [[(i - h, i + 1 - h, slab) for i, slab in enumerate(axis)] for axis in slabs]  # (lo, hi, mask)
+    words = ["".join(word) for word in product("PN", repeat=dim)]
+    masks = []
+    for k in range(depth):
+        if k:  # iterate k of the classes still in the square
+            stepped = []
+            for cell, denom, orbit in classes:
+                cell, denom = step(cell, denom)
+                r = denom // 2
+                cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
+                if all(lo <= hi for lo, hi in cell):
+                    stepped.append((cell, denom, orbit))
+            classes = stepped
+            spans = [[(*cell[a], orbit) for cell, _, orbit in classes] for a in range(dim)]
+        reach = [{"P": reduce(or_, (mask for _, hi, mask in axis if hi >= 0), 0),
+                  "N": reduce(or_, (mask for lo, _, mask in axis if lo <= 0), 0)} for axis in spans]
+        masks.append({word: mask for word in words if (mask := reduce(and_, map(dict.get, reach, word)))})
     return masks
 
 
-def _cell_options(
-    p: CouplingParams, depth: int, resolution: int, width: int
-) -> list[dict[str, int]]:
-    """The :func:`_grid_options` mask table of the coupled map, on rows ``width`` bits wide."""
-    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution, width)
+def _cell_options(p: CouplingParams, depth: int, resolution: int) -> list[dict[str, int]]:
+    """The :func:`_grid_options` mask table of the coupled map."""
+    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
 
 
 def _level_walk(
@@ -311,15 +294,15 @@ def _members(mask: int, items: Sequence) -> list:
     return list(compress(items, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
-def _covers_by_depth(p: CouplingParams, n_range: Sequence[int], resolution: int, width: int) -> list[tuple[int, dict]]:
+def _covers_by_depth(p: CouplingParams, n_range: Sequence[int], resolution: int) -> list[tuple[int, dict]]:
     """``(n, covers)`` for n in sorted(n_range), from one walk; the covers are those of
-    ``refine_cylinders(p, n, resolution)``, as masks with rows ``width`` bits wide."""
+    ``refine_cylinders(p, n, resolution)``, as masks of grid cells."""
     ns = sorted(n_range)
     if not ns:
         return []
     if ns[0] < 1:
         raise CoupledError("depth must be >= 1")
-    levels = list(_level_walk(_cell_options(p, ns[-1], resolution, width), lambda part: [part], -1))
+    levels = list(_level_walk(_cell_options(p, ns[-1], resolution), lambda part: [part], -1))
     return [(n, {itin: part for itin, part, _ in levels[n - 1]}) for n in ns]
 
 
@@ -333,8 +316,8 @@ def refine_cylinders(p: CouplingParams, depth: int, resolution: int) -> dict[Iti
     leaves later still covers depth-``depth`` cylinders here (unlike
     :func:`build_puzzle`, which drops it at every level).
     """
-    covers = _covers_by_depth(p, [depth], resolution, _grid_size(resolution))[0][1]
-    boxes = _grid_boxes(resolution)
+    boxes = _grid_boxes(resolution)  # checks the resolution before the depth
+    covers = _covers_by_depth(p, [depth], resolution)[0][1]
     return {itin: tuple(_members(part, boxes)) for itin, part in covers.items()}
 
 
@@ -467,7 +450,7 @@ def build_puzzle(p: CouplingParams, depth: int, resolution: int, gap: Fraction |
     if depth < 1:
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
-    masks = _cell_options(p, depth, resolution, _grid_size(resolution))
+    masks = _cell_options(p, depth, resolution)
     boxes = _grid_boxes(resolution)
     root = ExtractedPiece(ROOT, (), (UNIT_SQUARE,))
     pieces, ids, levels = {ROOT: root}, {ROOT: 0}, [[ROOT]]
@@ -529,7 +512,7 @@ def boundary_entropy_estimate(p: CouplingParams, n_range: Sequence[int], resolut
     ends = {0, n // 2 - 1, n // 2, n - 1}  # grid rows and columns on an axis or the frame
     row = sum(1 << j for j in ends)
     edge = sum(((1 << n) - 1 if i in ends else row) << i * n for i in range(n))
-    covers_by_depth = _covers_by_depth(p, n_range, resolution, n)
+    covers_by_depth = _covers_by_depth(p, n_range, resolution)
     counts = [(depth, sum(1 for part in covers.values() if part & edge)) for depth, covers in covers_by_depth]
     return _rate_table(counts, exact=False)
 
@@ -538,17 +521,21 @@ def multiplicity_estimate(p: CouplingParams, n_range: Sequence[int], resolution:
     """Max number of cylinder covers whose closure shares a point, per depth.
 
     Evaluated at grid corners, where incidences of an aligned tiling
-    peak; an upper estimate within the outer approximation.
+    peak; an upper estimate within the outer approximation.  A cover's
+    cells are laid out again on rows one bit wider, as the grid has one
+    more corner than cells per row.
     """
     out = {}
-    width = _grid_size(resolution) + 1  # corner (i, j) of the grid is bit i * width + j
-    for n, covers in _covers_by_depth(p, n_range, resolution, width):
+    n = _grid_size(resolution)
+    width = n + 1  # corner (i, j) of the grid is bit i * width + j
+    for depth, covers in _covers_by_depth(p, n_range, resolution):
         more: list[int] = []  # more[t]: the corners in more than t of the covers read
         for part in covers.values():
-            corners = part | part << 1
+            cells = sum((part >> i * n & (1 << n) - 1) << i * width for i in range(n))
+            corners = cells | cells << 1
             corners |= corners << width
             more = [grown for old, below in zip([*more, 0], [-1, *more]) if (grown := old | below & corners)]
-        out[n] = len(more)
+        out[depth] = len(more)
     return out
 
 
@@ -595,7 +582,7 @@ def component_counts_1d(
     if depth < 1:
         raise CoupledError("depth must be >= 1")
     step = _map_step((_exact(alpha),), Fraction(0))
-    masks = _grid_options(step, 1, depth, resolution, _grid_size(resolution))
+    masks = _grid_options(step, 1, depth, resolution)
     return [len(level) for level in _level_walk(masks, _grid_components(resolution, gap), -1)]
 
 

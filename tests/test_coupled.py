@@ -18,8 +18,10 @@ from qfpuzzles.coupled import (
     CoupledError,
     CouplingParams,
     ExtractedPiece,
+    IntCell,
     Itinerary,
     PuzzleBuild,
+    Step,
     UNIT_SQUARE,
     almost_connected_components,
     boundary_entropy_estimate,
@@ -42,11 +44,9 @@ from qfpuzzles.coupled import (
     _grid_size,
     _image_piece,
     _level_walk,
-    _WORDS,
     _ivl_intersect,
     _map_step,
     _members,
-    _options,
     _positive_gap,
 )
 from qfpuzzles.polys import RationalPolynomial, sylvester_resultant
@@ -97,32 +97,30 @@ def options_of(masks, cells, width):
     return out
 
 
-def options_1d(alpha, depth, resolution, width):
-    """The mask table of ``t -> a(1-4t^2) - 1/2`` for ``a = alpha``, with the input
-    checks of :func:`component_counts_1d`."""
-    if depth < 1:
-        raise CoupledError("depth must be >= 1")
-    return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution, width)
+def options_1d(alpha, depth, resolution):
+    """The mask table of ``t -> a(1-4t^2) - 1/2`` for ``a = alpha``, as :func:`component_counts_1d`
+    walks it."""
+    return _grid_options(_map_step((_exact(alpha),), Fraction(0)), 1, depth, resolution)
 
 
 def cell_options(p, depth, resolution):
     """Every grid index ``(i, j)``, in ``product`` order, with its options under the
     coupled map, read back from the mask table of :func:`_cell_options`."""
     n = 2**resolution
-    return options_of(_cell_options(p, depth, resolution, n), product(range(n), repeat=2), n)
+    return options_of(_cell_options(p, depth, resolution), product(range(n), repeat=2), n)
 
 
 def cell_options_1d(alpha, depth, resolution):
     """Every grid index ``(i,)`` with its options, read back from :func:`options_1d`."""
     n = 2**resolution
-    return options_of(options_1d(alpha, depth, resolution, n), [(i,) for i in range(n)], n)
+    return options_of(options_1d(alpha, depth, resolution), [(i,) for i in range(n)], n)
 
 
 def refine_cylinders_1d(alpha: Fraction, depth: int, resolution: int) -> dict[tuple[str, ...], tuple]:
     """1d analogue of :func:`refine_cylinders` for ``t -> a(1-4t^2) - 1/2``,
     with cell ``i`` at bit ``i * 2^res``, as :func:`component_counts_1d` walks it."""
     n = _grid_size(resolution)
-    *_, covers = _level_walk(options_1d(alpha, depth, resolution, n), lambda part: [part], -1)
+    *_, covers = _level_walk(options_1d(alpha, depth, resolution), lambda part: [part], -1)
     by_bit = [iv for iv in _grid(resolution) for _ in range(n)]  # cell (i, 0) is bit i * n
     return {itin: tuple(_members(part, by_bit)) for itin, part, _ in covers}
 
@@ -682,11 +680,44 @@ def test_no_image_cylinder_at_res_4_and_a_valid_build_at_res_5(capsys):
 # -- the mirror and block fast paths against the per-cell loop and the sweep
 
 
+# The sign words of one iterate, keyed by the contacts of each coordinate
+# ("P", "N" or "PN"), in ``itertools.product`` order.
+WORDS = {
+    signs: tuple("".join(word) for word in product(*signs))
+    for dim in (1, 2)
+    for signs in product(("P", "N", "PN"), repeat=dim)
+}
+
+
+def per_cell_options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[str, ...]]:
+    """Sign words touched by the first ``depth`` iterates of a cell, one cell at a time:
+    the integer per-cell route that the mask table's product rule replaced.
+
+    ``cell`` holds interval numerators over ``denom``.  Iterate ``k`` is
+    ``step`` applied to iterate ``k - 1`` clipped to ``[-1/2, 1/2]`` in
+    each coordinate; its word lists, in ``itertools.product`` order, every
+    choice of ``P`` (the coordinate reaches ``>= 0``) or ``N`` (``<= 0``)
+    per coordinate.  The list stops at the first iterate that misses the
+    square, so a cell whose first ``n`` iterates stay in it has at least
+    ``n`` entries.
+    """
+    options: list[tuple[str, ...]] = []
+    while len(options) < depth:
+        if options:
+            cell, denom = step(cell, denom)
+        r = denom // 2
+        cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
+        if any(lo > hi for lo, hi in cell):
+            break
+        options.append(WORDS[tuple(["P" * (hi >= 0) + "N" * (lo <= 0) for lo, hi in cell])])
+    return options
+
+
 def per_cell_grid_options(step, dim, depth, resolution):
-    """Every grid index, in ``product`` order, with the :func:`_options` of its cell."""
+    """Every grid index, in ``product`` order, with the :func:`per_cell_options` of its cell."""
     n = _grid_size(resolution)
     return [
-        (cell, _options(tuple((i - n // 2, i + 1 - n // 2) for i in cell), n, step, depth))
+        (cell, per_cell_options(tuple((i - n // 2, i + 1 - n // 2) for i in cell), n, step, depth))
         for cell in product(range(n), repeat=dim)
     ]
 
@@ -699,10 +730,9 @@ def test_mirror_cells_share_tails_and_match_per_cell_options(abc):
             n = 2**resolution
             for depth in range(1, 5):
                 want = per_cell_grid_options(step, dim, depth, resolution)
-                for width in (n, n + 1):  # n + 1: the corner layout of multiplicity_estimate
-                    got = _grid_options(step, dim, depth, resolution, width)
-                    assert got == masks_of(want, depth, width), (dim, resolution, depth, width)
-                    assert options_of(got, [cell for cell, _ in want], width) == want
+                got = _grid_options(step, dim, depth, resolution)
+                assert got == masks_of(want, depth, n), (dim, resolution, depth)
+                assert options_of(got, [cell for cell, _ in want], n) == want
                 options = dict(want)
                 for cell, opts in want:
                     for mirrored in product(*({i, n - 1 - i} for i in cell)):
@@ -914,14 +944,14 @@ def test_members_read_the_set_bits_in_order():
 def test_level_walk_matches_reference_level_walk_on_sweep_universe():
     for abc in sweep_universe():
         p = CouplingParams.make(*abc)
-        masks = _cell_options(p, 3, 4, 16)
+        masks = _cell_options(p, 3, 4)
         full = options_of(masks, product(range(16), repeat=2), 16)
         kept = [c for c in full if len(c[1]) == 3]  # as build_puzzle walks them
         survivors = mask_of([cell for cell, _ in kept], 16)
         assert mask_walk(masks, 16) == cell_walk(full, 3), abc
         for gap in (default_gap(4), Fraction(3, 7)):
             assert mask_walk(masks, 16, 4, gap, survivors) == cell_walk(kept, 3, 4, gap), (abc, gap)
-        masks_1d = options_1d(p.a, 3, 4, 16)
+        masks_1d = options_1d(p.a, 3, 4)
         cells_1d = options_of(masks_1d, [(i, 0) for i in range(16)], 16)  # bit 16 i is cell (i, 0)
         gap = default_gap(4)
         assert mask_walk(masks_1d, 16, 4, gap) == cell_walk(cells_1d, 3, 4, gap), abc
@@ -929,7 +959,7 @@ def test_level_walk_matches_reference_level_walk_on_sweep_universe():
 
 def test_level_walk_matches_reference_level_walk_at_d3_r7():
     p = CouplingParams.make(Fraction(9, 10), Fraction(9, 10), Fraction(1, 20))
-    masks = _cell_options(p, 3, 7, 128)
+    masks = _cell_options(p, 3, 7)
     cells = [c for c in options_of(masks, product(range(128), repeat=2), 128) if len(c[1]) == 3]
     gap = default_gap(7)
     survivors = mask_of([cell for cell, _ in cells], 128)
@@ -941,7 +971,7 @@ def test_level_walk_matches_reference_level_walk_on_random_options():
     # interleave, which the map's own covers rarely do at these gaps.
     rng = random.Random("walk-options")
     for dim in (1, 2):
-        words = [w for w in _WORDS.values() if len(w[0]) == dim]
+        words = [w for w in WORDS.values() if len(w[0]) == dim]
         for resolution in (1, 2, 3, 4):
             n = 2**resolution
             for density in (0.3, 0.7, 1.0):
@@ -958,17 +988,15 @@ def test_level_walk_matches_reference_level_walk_on_random_options():
 
 @pytest.mark.parametrize("abc", ORACLE_PARAMS)
 def test_level_walk_matches_reference_level_walk_where_cells_escape(abc):
-    # Cells with fewer options drop out level by level; the corner layout
-    # of multiplicity_estimate has rows one bit wider than the grid.
+    # Cells with fewer options drop out level by level.
     p = CouplingParams.make(*abc)
     for resolution in (1, 2, 3, 4):
         n = 2**resolution
         cells = cell_options(p, 3, resolution)
-        for width in (n, n + 1):
-            assert mask_walk(_cell_options(p, 3, resolution, width), width) == cell_walk(cells, 3), (resolution, width)
+        assert mask_walk(_cell_options(p, 3, resolution), n) == cell_walk(cells, 3), resolution
         for gap in oracle_gaps(resolution):
             want = cell_walk(cells, 3, resolution, gap)
-            assert mask_walk(_cell_options(p, 3, resolution, n), n, resolution, gap) == want, (resolution, gap)
+            assert mask_walk(_cell_options(p, 3, resolution), n, resolution, gap) == want, (resolution, gap)
 
 
 def test_coupled_sweep_jobs_match_golden_on_whole_universe():
@@ -1192,6 +1220,9 @@ def test_bad_inputs():
         iterate_polynomial(DECOUPLED, 0)
     with pytest.raises(CoupledError):
         Box((H, Fraction(0)), (Fraction(0), H))
+    with pytest.raises(CoupledError, match=r"^steps must be >= 0, got -1$"):
+        boundary_return_counts(DECOUPLED, 0, Fraction(1, 8), -1)
+    assert boundary_return_counts(DECOUPLED, 0, Fraction(1, 8), 0) == [0]
 
 
 
@@ -1213,7 +1244,7 @@ def test_box_and_params_store_fractions():
         lambda: Box((0, 1), (Fraction(0), 0.5)),
         lambda: CouplingParams.make(0.9, 0.9, 0.05),
         lambda: CouplingParams(Fraction(1, 2), Fraction(1, 2), 0.25),
-        lambda: refine_cylinders_1d(0.5, 1, 2),
+        lambda: DECOUPLED.apply(0.5, 0),
         lambda: component_counts_1d(0.5, 1, 2),
         lambda: component_counts_1d(Fraction(1, 2), 1, 2, gap=0.5),
         lambda: almost_connected_components([UNIT_SQUARE], 0.5),
@@ -1221,7 +1252,7 @@ def test_box_and_params_store_fractions():
         lambda: boundary_return_counts(DECOUPLED, 0.0, 0, 2),
         lambda: boundary_return_counts(DECOUPLED, 0, 0.125, 2),
     ],
-    ids=["box-x", "box-y", "make", "init", "refine-1d", "counts-1d", "counts-1d-gap",
+    ids=["box-x", "box-y", "make", "init", "apply", "counts-1d", "counts-1d-gap",
          "components-gap", "build-gap", "return-x", "return-y"],
 )
 def test_floats_are_refused(call):
@@ -1230,11 +1261,8 @@ def test_floats_are_refused(call):
 
 @pytest.mark.parametrize("depth, resolution", [(0, 4), (-1, 4), (2, 0), (2, -1)])
 def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
-    alpha = Fraction(1)
     with pytest.raises(CoupledError):
-        refine_cylinders_1d(alpha, depth, resolution)
-    with pytest.raises(CoupledError):
-        component_counts_1d(alpha, depth, resolution)
+        component_counts_1d(Fraction(1), depth, resolution)
     with pytest.raises(CoupledError):
         refine_cylinders(DECOUPLED, depth, resolution)
     with pytest.raises(CoupledError):
