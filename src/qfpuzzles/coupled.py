@@ -11,8 +11,11 @@ The quadrants are the product of the axes' sign partitions, so at every
 iterate a word's mask is the AND over the axes of the cells reaching its
 sign on that axis.  The map is even in each coordinate, so the grid cells
 mirrored through the axes share every iterate after the first: one orbit
-is stepped per mirror class, and its cells are ORed into the reach masks
-of the signs it reaches.  ``Box`` values are built only for returned
+is kept per mirror class, and its cells are ORed into the reach masks
+of the signs it reaches.  The classes of an iterate share its
+denominator, so they are held as coordinate columns (per axis, the lists
+of lower and upper numerators) and stepped by one batched call per
+iterate.  ``Box`` values are built only for returned
 data.  Two cells lie within a gap iff their Chebyshev index distance is
 at most ``k = ceil(gap / cell width)``, so components grow by dilation
 of radius ``k``, in shift-or steps on the mask.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import compress, product, zip_longest
-from operator import and_, or_
+from operator import and_, le, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
@@ -50,6 +53,13 @@ class CoupledError(ValueError):
 
 
 _exact = partial(_fraction, error=CoupledError)  # a float raises CoupledError
+
+
+def _int(name: str, value) -> int:
+    """``value``, a depth, resolution or count, if it is an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CoupledError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def _ivl(lo, hi) -> Interval:
@@ -129,37 +139,39 @@ class CouplingParams:
         return img.x[0], img.y[0]
 
 
-IntCell = Sequence[tuple[int, int]]  # interval numerators over a shared denominator
+IntCell = Sequence[tuple[Sequence[int], Sequence[int]]]  # per coordinate, (los, his) of many cells over one denominator
 Step = Callable[[IntCell, int], tuple[IntCell, int]]
 
 
-def _step(mains: tuple[int, ...], c: int, lcd: int, cell: IntCell, denom: int) -> tuple[IntCell, int]:
-    """Exact bounding intervals of the image of ``cell``, over ``lcd * denom^2``.
+def _step(mains: tuple[int, ...], c: int, lcd: int, columns: IntCell, denom: int) -> tuple[IntCell, int]:
+    """Exact bounding intervals of the images of many cells, over ``lcd * denom^2``.
 
-    ``cell`` holds numerators over ``denom``, and the map's coefficients
-    are numerators over ``lcd``, which is even.  Coordinate ``k`` maps to
-    ``(mains[k] (1 - 4 s^2) + c t^2) / lcd - 1/2``, where ``s`` is the
-    coordinate and ``t`` the other one (itself in 1-D, where ``c = 0``).
-    Each coordinate is a sum of two univariate quadratics, so its exact
-    range over a product box is the sum of the univariate ranges.
+    ``columns`` holds per coordinate the ``(los, his)`` lists of the cells'
+    interval numerators over ``denom``, one entry per cell, and the map's
+    coefficients are numerators over ``lcd``, which is even.  Coordinate ``k``
+    maps to ``(mains[k] (1 - 4 s^2) + c t^2) / lcd - 1/2``, where ``s`` is the
+    coordinate and ``t`` the other one (itself in 1-D, where ``c = 0``).  Each
+    coordinate is a sum of two univariate quadratics, so its exact range over a
+    product box is the sum of the univariate ranges.  The signs of ``mains[k]``
+    and ``c`` are those of the whole call, so they pick ends once per column.
     """
     d2 = denom * denom
     half = lcd * d2 // 2
     squares = [
-        (lo * lo, hi * hi) if lo > 0
-        else (hi * hi, lo * lo) if hi < 0
-        else (0, max(lo * lo, hi * hi))
-        for lo, hi in cell
+        ([lo * lo if lo > 0 else hi * hi if hi < 0 else 0 for lo, hi in zip(los, his)],
+         [hi * hi if hi > -lo else lo * lo for lo, hi in zip(los, his)])
+        for los, his in columns
     ]
     image = []
     for k, main in enumerate(mains):
         (s_lo, s_hi), (t_lo, t_hi) = squares[k], squares[-1 - k]
-        lo, hi = main * (d2 - 4 * s_hi), main * (d2 - 4 * s_lo)
         if main < 0:
-            lo, hi = hi, lo
+            s_lo, s_hi = s_hi, s_lo
         if c < 0:
             t_lo, t_hi = t_hi, t_lo
-        image.append((lo + c * t_lo - half, hi + c * t_hi - half))
+        base, m4 = main * d2 - half, 4 * main
+        image.append(([base - m4 * s + c * t for s, t in zip(s_hi, t_lo)],
+                      [base - m4 * s + c * t for s, t in zip(s_lo, t_hi)]))
     return image, lcd * d2
 
 
@@ -172,8 +184,8 @@ def _map_step(mains: tuple[Fraction, ...], c: Fraction) -> Step:
 def image_box(p: CouplingParams, box: Box) -> Box:
     """Exact bounding box of the image of a box."""
     (x0, x1, y0, y1), denom = _common((*box.x, *box.y))
-    (x, y), denom = _map_step((p.a, p.b), p.c)(((x0, x1), (y0, y1)), denom)
-    return Box(*((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in (x, y)))
+    columns, denom = _map_step((p.a, p.b), p.c)((([x0], [x1]), ([y0], [y1])), denom)
+    return Box(*((Fraction(lo, denom), Fraction(hi, denom)) for (lo,), (hi,) in columns))
 
 
 def on_boundary(x: Fraction, y: Fraction) -> bool:
@@ -186,7 +198,7 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
     on the partition boundary.  Statistics only; no finiteness claim.
     """
     x, y = _exact(x), _exact(y)
-    if steps < 0:
+    if _int("steps", steps) < 0:
         raise CoupledError(f"steps must be >= 0, got {steps}")
     hits = []
     for k in range(steps + 1):
@@ -197,7 +209,7 @@ def boundary_return_counts(p: CouplingParams, x, y, steps: int) -> list[int]:
 
 
 def _grid_size(resolution: int) -> int:
-    if resolution < 1:
+    if _int("resolution", resolution) < 1:
         raise CoupledError("resolution must be >= 1")
     return 2**resolution
 
@@ -232,33 +244,36 @@ def _grid_options(step: Step, dim: int, depth: int, resolution: int) -> list[dic
     square, and a cell drops out at its first iterate that misses it.  The quadrants
     are the product of the axes' sign partitions, so at every iterate the mask of a
     word is the AND over the axes of the cells reaching its sign there: ``P`` where
-    ``hi >= 0``, ``N`` where ``lo <= 0``.  At iterate 0 the spans on an axis are its
-    slabs (rows, then columns); later, one orbit per mirror class, stepped once per
-    iterate, whose mask is the AND of its slab pairs ``{i, n - 1 - i}``."""
+    ``hi >= 0``, ``N`` where ``lo <= 0``.  An iterate is held as axis columns, the
+    ``(los, his)`` lists of :func:`_step`, beside one mask per entry.  At iterate 0
+    the entries on an axis are its slabs (rows, then columns); later, one orbit per
+    mirror class, whose mask is the AND of its slab pairs ``{i, n - 1 - i}``, and all
+    classes are stepped in one call per iterate."""
     n = _grid_size(resolution)
     h = n // 2
     row = (1 << n) - 1 if dim == 2 else 1
     column = sum(1 << i * n for i in range(n))  # bit 0 of every row
     slabs = [[row << i * n for i in range(n)], [column << j for j in range(n)]][:dim]
     pairs = product(*([axis[i] | axis[n - 1 - i] for i in range(h, n)] for axis in slabs))
-    classes = [(tuple((i - h, i + 1 - h) for i in cell), n, reduce(and_, pair))  # numerators over n
-               for cell, pair in zip(product(range(h, n), repeat=dim), pairs)]
-    spans = [[(i - h, i + 1 - h, slab) for i, slab in enumerate(axis)] for axis in slabs]  # (lo, hi, mask)
+    orbits = [reduce(and_, pair) for pair in pairs]  # one per mirror class, in product order
+    corners = zip(*product(range(h), repeat=dim))  # per axis, each class's low numerator over n
+    columns, denom = [(list(los), [lo + 1 for lo in los]) for los in corners], n
+    spans = [(list(range(-h, h)), list(range(1 - h, h + 1)), axis) for axis in slabs]  # (los, his, masks)
     words = ["".join(word) for word in product("PN", repeat=dim)]
     masks = []
     for k in range(depth):
         if k:  # iterate k of the classes still in the square
-            stepped = []
-            for cell, denom, orbit in classes:
-                cell, denom = step(cell, denom)
-                r = denom // 2
-                cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
-                if all(lo <= hi for lo, hi in cell):
-                    stepped.append((cell, denom, orbit))
-            classes = stepped
-            spans = [[(*cell[a], orbit) for cell, _, orbit in classes] for a in range(dim)]
-        reach = [{"P": reduce(or_, (mask for _, hi, mask in axis if hi >= 0), 0),
-                  "N": reduce(or_, (mask for lo, _, mask in axis if lo <= 0), 0)} for axis in spans]
+            columns, denom = step(columns, denom)
+            r = denom // 2
+            columns = [([lo if lo > -r else -r for lo in los], [hi if hi < r else r for hi in his])
+                       for los, his in columns]
+            if not all(all(map(le, los, his)) for los, his in columns):  # some class escaped
+                keep = list(map(all, zip(*(map(le, los, his) for los, his in columns))))
+                columns = [(list(compress(los, keep)), list(compress(his, keep))) for los, his in columns]
+                orbits = list(compress(orbits, keep))
+            spans = [(los, his, orbits) for los, his in columns]
+        reach = [{"P": reduce(or_, compress(axis, [hi >= 0 for hi in his]), 0),
+                  "N": reduce(or_, compress(axis, [lo <= 0 for lo in los]), 0)} for los, his, axis in spans]
         masks.append({word: mask for word in words if (mask := reduce(and_, map(dict.get, reach, word)))})
     return masks
 
@@ -297,7 +312,7 @@ def _members(mask: int, items: Sequence) -> list:
 def _covers_by_depth(p: CouplingParams, n_range: Sequence[int], resolution: int) -> list[tuple[int, dict]]:
     """``(n, covers)`` for n in sorted(n_range), from one walk; the covers are those of
     ``refine_cylinders(p, n, resolution)``, as masks of grid cells."""
-    ns = sorted(n_range)
+    ns = sorted(map(partial(_int, "depth"), n_range))
     if not ns:
         return []
     if ns[0] < 1:
@@ -404,7 +419,7 @@ def _grid_components(resolution: int, gap: Fraction) -> Callable[[int], list[int
 
 
 def default_gap(resolution: int) -> Fraction:
-    return Fraction(1, 2 ** (resolution - 2)) if resolution >= 2 else Fraction(1)
+    return Fraction(1, 2 ** (resolution - 2)) if _int("resolution", resolution) >= 2 else Fraction(1)
 
 
 def _positive_gap(gap, resolution: int | None = None) -> Fraction:
@@ -447,7 +462,7 @@ def build_puzzle(p: CouplingParams, depth: int, resolution: int, gap: Fraction |
     first ``depth`` iterates misses the square, so level ``n`` can hold
     fewer boxes than ``refine_cylinders(p, n, resolution)``.
     """
-    if depth < 1:
+    if _int("depth", depth) < 1:
         raise CoupledError("depth must be >= 1")
     gap = _positive_gap(gap, resolution)
     masks = _cell_options(p, depth, resolution)
@@ -548,7 +563,7 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
     k-th image of (x, 0) equal to zero; built by exact coordinate
     iteration on ``int`` coefficient lists over one denominator, as in :func:`_step`.
     """
-    if k < 1:
+    if _int("k", k) < 1:
         raise CoupledError("k must be >= 1")
     (a, b, c, half), lcd = _common((p.a, p.b, p.c, HALF))
     X, Y, denom = [0, 1], [0], 1
@@ -579,7 +594,7 @@ def component_counts_1d(
     the x-coordinate of the coupled map with ``a = alpha``, ``c = 0``.  Cell ``i`` is
     bit ``i * 2^res``, the 2-D cell ``(i, 0)``: all cells share one y-interval."""
     gap = _positive_gap(gap, resolution)
-    if depth < 1:
+    if _int("depth", depth) < 1:
         raise CoupledError("depth must be >= 1")
     step = _map_step((_exact(alpha),), Fraction(0))
     masks = _grid_options(step, 1, depth, resolution)

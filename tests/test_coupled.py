@@ -18,7 +18,6 @@ from qfpuzzles.coupled import (
     CoupledError,
     CouplingParams,
     ExtractedPiece,
-    IntCell,
     Itinerary,
     PuzzleBuild,
     Step,
@@ -339,8 +338,10 @@ def reference_options(cell, step, depth):
 
 
 def reference_cell_options(p, depth, resolution):
-    """Every grid cell with its :func:`reference_options` under the coupled map."""
-    step = partial(_image, p)
+    """Every grid cell with its :func:`reference_options` under the coupled map.  The
+    Fraction step is memoised by the exact clipped cell within this call: cells share
+    a step only when their inputs are equal."""
+    step = cache(partial(_image, p))
     return [(box, reference_options((box.x, box.y), step, depth)) for box in dyadic_grid(resolution)]
 
 
@@ -415,6 +416,35 @@ def test_image_box_matches_fraction_reference(abc):
         assert image_box(p, box) == Box(*_image(p, (box.x, box.y))), box
         x, y = box.x[0], box.y[1]
         assert p.apply(x, y) == tuple(iv[0] for iv in _image(p, ((x, x), (y, y))))
+
+
+def test_batched_step_matches_fraction_reference_on_mixed_signs():
+    # No oracle point has a < 0 or b < 0: every sign of a, b and c, on columns mixing
+    # cells that straddle 0 (ends at 0 included), lie below it or lie above it.
+    rng = random.Random("batched-step")
+
+    def straddle(m):
+        return -rng.randint(0, m), rng.randint(0, m)
+
+    def positive(m):
+        return tuple(sorted(rng.randint(1, m) for _ in range(2)))
+
+    def negative(m):
+        lo, hi = positive(m)
+        return -hi, -lo
+
+    for signs in product((1, -1), repeat=3):
+        a, b, c = (s * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in signs)
+        p, denom = CouplingParams.make(a, b, c), rng.choice([1, 3, 8, 15])
+        cells = [(kx(3 * denom), ky(3 * denom)) for kx, ky in product((straddle, positive, negative), repeat=2)] * 3
+        for dim, step in ((2, _map_step((a, b), c)), (1, _map_step((a,), Fraction(0)))):
+            columns = [([cell[k][0] for cell in cells], [cell[k][1] for cell in cells]) for k in range(dim)]
+            image, d = step(columns, denom)
+            for at, cell in enumerate(cells):  # the reference, one cell at a time
+                box = tuple((Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in cell)
+                sq = _ivl_square(box[0])
+                want = _image(p, box) if dim == 2 else (_coord(a, 0, sq, sq),)
+                assert tuple((Fraction(los[at], d), Fraction(his[at], d)) for los, his in image) == want, (signs, cell)
 
 
 # -- components and estimators against the Box loop ----------------------------
@@ -689,7 +719,7 @@ WORDS = {
 }
 
 
-def per_cell_options(cell: IntCell, denom: int, step: Step, depth: int) -> list[tuple[str, ...]]:
+def per_cell_options(cell: Sequence[tuple[int, int]], denom: int, step: Step, depth: int) -> list[tuple[str, ...]]:
     """Sign words touched by the first ``depth`` iterates of a cell, one cell at a time:
     the integer per-cell route that the mask table's product rule replaced.
 
@@ -703,8 +733,9 @@ def per_cell_options(cell: IntCell, denom: int, step: Step, depth: int) -> list[
     """
     options: list[tuple[str, ...]] = []
     while len(options) < depth:
-        if options:
-            cell, denom = step(cell, denom)
+        if options:  # the cell alone, as one-element columns
+            columns, denom = step([([lo], [hi]) for lo, hi in cell], denom)
+            cell = [(lo, hi) for (lo,), (hi,) in columns]
         r = denom // 2
         cell = [(lo if lo > -r else -r, hi if hi < r else r) for lo, hi in cell]
         if any(lo > hi for lo, hi in cell):
@@ -1258,6 +1289,34 @@ def test_box_and_params_store_fractions():
 def test_floats_are_refused(call):
     with pytest.raises(CoupledError, match="float"):
         call()
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_puzzle(DECOUPLED, 2.0, 2),
+        lambda: build_puzzle(DECOUPLED, True, 2),
+        lambda: build_puzzle(DECOUPLED, 2, 2.0),
+        lambda: build_puzzle(DECOUPLED, 2, 2.0, gap=H),
+        lambda: refine_cylinders(DECOUPLED, 1.0, 2),
+        lambda: refine_cylinders(DECOUPLED, 1, True),
+        lambda: boundary_return_counts(DECOUPLED, 0, 0, 2.0),
+        lambda: boundary_return_counts(DECOUPLED, 0, 0, True),
+        lambda: component_counts_1d(Fraction(1), True, 2),
+        lambda: component_counts_1d(Fraction(1), 2, 2.0, gap=H),
+        lambda: boundary_entropy_estimate(DECOUPLED, [1, 2.0], 2),
+        lambda: multiplicity_estimate(DECOUPLED, [1], 2.0),
+        lambda: multiplicity_estimate(DECOUPLED, [False], 2),
+        lambda: iterate_polynomial(DECOUPLED, 1.0),
+        lambda: default_gap(2.0),
+    ],
+    ids=["build-depth", "build-depth-bool", "build-res", "build-res-gap", "refine-depth", "refine-res-bool",
+         "return-steps", "return-steps-bool", "counts-1d-depth-bool", "counts-1d-res", "boundary-n",
+         "multiplicity-res", "multiplicity-n-bool", "polynomial-k", "default-gap"],
+)
+def test_integer_parameters_are_refused_unless_int(call):
+    with pytest.raises(CoupledError, match=r"^(depth|resolution|steps|k) must be an int, got (True|False|\d\.0)$"):
+        call()
+
 
 @pytest.mark.parametrize("depth, resolution", [(0, 4), (-1, 4), (2, 0), (2, -1)])
 def test_1d_and_2d_paths_share_depth_and_resolution_checks(depth, resolution):
