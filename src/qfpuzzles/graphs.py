@@ -12,12 +12,15 @@ vertices carry no choices, so every walk statistic reduces to big-integer
 dynamic programming over named vertices, length-aware.
 
 Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`).
-Two passes count walks from all their sources at once, the counts from
-every source packed into one big integer per vertex and length, so a
-step is one multiply-add per bundle.  The excursion pass counts the walks
-that avoid a set between their ends: :func:`avoiding_path_counts` from
-one source, and the first returns to a finite set F from all of F.  The
-closed-walk pass of the periodic-point route shares no code with it.
+One packed pass counts walks from all its sources at once, the counts
+from every source packed into one big integer per vertex and length, so
+a step is one multiply-add per bundle.  It counts the walks that avoid a
+set between their ends: :func:`avoiding_path_counts` from one source,
+the first returns to a finite set F from all of F, and, avoiding nothing,
+the closed walks of :func:`periodic_point_counts` from every vertex.
+The determinant and periodic-point routes to the semi-local zeta stay
+independent in what they compute (first returns to F against traces of
+G and G minus F); the test oracles share no code with the pass.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
@@ -386,40 +389,22 @@ def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
     """Number of n-periodic sequences of the shift on the graph's paths,
 
     for n = 1..max_length.  Counted as sequences (points), not orbits;
-    equals the trace of the n-th adjacency power of the explicit graph:
-    a closed walk that ends on a bundle of length L gives L sequences.
+    equals the trace of the n-th adjacency power of the explicit graph,
+    read off one excursion pass from every vertex that avoids nothing.
+    With ``W(j, x, y)`` the walks ``x -> y`` of length ``j`` (``W(0)`` is
+    ``[x == y]``), ``p_n = sum_v W(n, v, v)`` over the named vertices plus
+    ``(L - 1) * m * W(n - L, dst, src)`` over the bundles of length
+    ``L > 1`` and multiplicity ``m``: each interior vertex of a copy is
+    left through ``dst`` and re-entered from ``src``.
     """
-    if max_length < 0:
-        raise GraphError(f"max_length must be >= 0, got {max_length}")
-    walks = _walk_counter(g, max(max_length - 1, 0))
-    return [sum(e.length * e.multiplicity * walks(n - e.length, e.dst, e.src) for e in g.edges if e.length <= n)
-            for n in range(1, max_length + 1)]
-
-
-def _walk_counter(g: GraphTruncation, max_length: int):
-    """``walks(j, x, y)``: the walks ``x -> y`` of total length ``j <= max_length``.
-
-    One pass serves every source.  ``ends[j][y]`` is one integer that holds
-    the count from each named vertex ``x`` in its own ``width``-bit slot;
-    step ``j`` is one multiply-add per bundle ``u -> y`` of length ``L`` and
-    multiplicity ``m``: ``ends[j][y] += m * ends[j - L][u]``.  With ``D`` the
-    largest weighted out-degree (at least 1) and ``width`` the bit length
-    of ``D ** max_length``, induction on ``j`` bounds the walks of length
-    ``j`` from ``x`` by ``sum_e m_e D^(j - L_e) <= D^j`` over its out-bundles
-    ``e``, so no slot carries into the next, and every partial sum is
-    non-negative and below its final value.
-    """
-    index = {v: k for k, v in enumerate(g.vertices)}
-    degree = max((sum(e.multiplicity for e in es) for es in g.adjacency.values()), default=0)
-    width = (max(1, degree) ** max_length).bit_length()
-    ins: dict[str, list[tuple[str, int, int]]] = {v: [] for v in g.vertices}
+    counts = _excursion_counts(g, g.vertices, (), max_length)
+    points = list(map(sum, zip(*map(counts, g.vertices, g.vertices)))) or [0] * max_length
     for e in g.edges:
-        ins[e.dst].append((e.src, e.length, e.multiplicity))
-    ends = [{v: 1 << width * k for v, k in index.items()}]
-    for j in range(1, max_length + 1):
-        ends.append({y: sum(m * ends[j - L][u] for u, L, m in into if L <= j) for y, into in ins.items()})
-    mask = (1 << width) - 1
-    return lambda j, x, y: ends[j][y] >> width * index[x] & mask
+        if 1 < e.length <= max_length:
+            walks = [int(e.dst == e.src), *counts(e.dst, e.src)]
+            for n in range(e.length, max_length + 1):
+                points[n - 1] += (e.length - 1) * e.multiplicity * walks[n - e.length]
+    return points
 
 
 def _excursion_counts(

@@ -26,7 +26,6 @@ from qfpuzzles.graphs import (
     GraphTruncation,
     _check_gamma_level,
     _excursion_counts,
-    _walk_counter,
     avoiding_path_counts,
     periodic_point_counts,
 )
@@ -524,8 +523,8 @@ def periodic_empirical_measure(g: GraphTruncation, n: int) -> dict[str, Fraction
     if n < 1:
         raise ValueError("the period must be >= 1")
     # on a plain graph, n-periodic sequences at v are the closed n-walks at v
-    walks = _walk_counter(g, n)
-    loops = {v: walks(n, v, v) for v in g.vertices}
+    counts = _excursion_counts(g, g.vertices, (), n)
+    loops = {v: counts(v, v)[n - 1] for v in g.vertices}
     total = sum(loops.values())
     if total == 0:
         raise ValueError(f"no {n}-periodic sequences")

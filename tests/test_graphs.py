@@ -11,7 +11,6 @@ from qfpuzzles.graphs import (
     GraphError,
     GraphTruncation,
     _excursion_counts,
-    _walk_counter,
     avoiding_path_counts,
     based_loop_counts,
     complete_graph,
@@ -35,8 +34,8 @@ from qfpuzzles.zeta import (
 )
 
 
-# Reference route for the packed closed-walk pass: the all-pairs walk table
-# and periodic counts read from it.
+# Reference route for the closed walks of the excursion pass: the all-pairs
+# walk table and periodic counts read from it.
 def path_count_table(g: GraphTruncation, max_length: int) -> list[dict[str, dict[str, int]]]:
     """``table[j][x][y]`` = number of walks x->y of total length j through
 
@@ -456,17 +455,19 @@ def kernel_oracle_graphs(rng):
     return graphs
 
 
-def test_packed_walk_counts_match_the_path_count_table():
-    """Every walk count of the packed all-sources pass against the table."""
+def test_excursion_pass_avoiding_nothing_matches_the_path_count_table():
+    """Every walk count of the pass from all vertices, avoiding nothing,
+
+    against the table at lengths 1..N."""
     rng = random.Random(11)
     N = 12
     for g in kernel_oracle_graphs(rng):
         table = path_count_table(g, N)
-        walks = _walk_counter(g, N)
-        for j in range(N + 1):
+        counts = excursions(g, g.vertices, (), N)
+        for j in range(1, N + 1):
             for x in g.vertices:
                 for y in g.vertices:
-                    assert walks(j, x, y) == table[j][x][y], (g.edges, j, x, y)
+                    assert counts[x][y][j - 1] == table[j][x][y], (g.edges, j, x, y)
 
 
 def test_periodic_point_counts_match_the_table_route():
@@ -486,7 +487,7 @@ def test_periodic_point_counts_match_the_table_route():
                 assert semi_local_zeta_brute(g, F, 24) == zeta_from_counts(meeting, order=24)
 
 
-def test_packed_slots_do_not_carry_at_the_degree_bound():
+def test_excursion_slots_avoiding_nothing_do_not_carry_at_the_degree_bound():
     """A slot that holds exactly D**N, with the next source's slot above it.
 
     Vertex ``a`` has D = 2 self-loops, so walks a -> a of length j number
@@ -495,10 +496,10 @@ def test_packed_slots_do_not_carry_at_the_degree_bound():
     """
     g = GraphTruncation(("a", "b"), (Edge("a", "a", 1, 2), Edge("b", "a")))
     for N in (1, 2, 7, 24):
-        walks = _walk_counter(g, N)
-        assert walks(N, "a", "a") == 2**N
-        assert walks(N, "b", "a") == 2 ** (N - 1)
-        assert walks(N, "a", "b") == walks(N, "b", "b") == 0
+        counts = excursions(g, g.vertices, (), N)
+        assert counts["a"]["a"][N - 1] == 2**N
+        assert counts["b"]["a"][N - 1] == 2 ** (N - 1)
+        assert counts["a"]["b"][N - 1] == counts["b"]["b"][N - 1] == 0
         assert periodic_point_counts(g, N) == [2**n for n in range(1, N + 1)]
 
 
