@@ -15,12 +15,12 @@ Adjacency is indexed once per graph (:attr:`GraphTruncation.adjacency`).
 One packed pass counts walks from all its sources at once, the counts
 from every source packed into one big integer per vertex and length, so
 a step is one multiply-add per bundle.  It counts the walks that avoid a
-set between their ends: :func:`avoiding_path_counts` from one source,
+set between their ends: from one source (:func:`avoiding_path_counts`),
 the first returns to a finite set F from all of F, and, avoiding nothing,
-the closed walks of :func:`periodic_point_counts` from every vertex.
-The determinant and periodic-point routes to the semi-local zeta stay
-independent in what they compute (first returns to F against traces of
-G and G minus F); the test oracles share no code with the pass.
+the closed walks of :func:`periodic_point_counts`.  The semi-local zeta's
+two routes stay independent in what they compute (first returns to F
+against traces of G and G minus F), and the tests' oracles share no code
+with the pass.
 
 ``completeness_bound`` records up to which cycle length the presentation
 is guaranteed faithful to the intended (possibly infinite) graph; ``None``
@@ -388,14 +388,13 @@ def based_loop_counts(g: GraphTruncation, base: str, max_length: int) -> list[in
 def periodic_point_counts(g: GraphTruncation, max_length: int) -> list[int]:
     """Number of n-periodic sequences of the shift on the graph's paths,
 
-    for n = 1..max_length.  Counted as sequences (points), not orbits;
-    equals the trace of the n-th adjacency power of the explicit graph,
-    read off one excursion pass from every vertex that avoids nothing.
-    With ``W(j, x, y)`` the walks ``x -> y`` of length ``j`` (``W(0)`` is
-    ``[x == y]``), ``p_n = sum_v W(n, v, v)`` over the named vertices plus
+    for n = 1..max_length.  Counted as sequences (points), not orbits: the
+    trace of the n-th adjacency power of the explicit graph, read off one
+    excursion pass from every vertex, avoiding nothing.  With ``W(j, x, y)``
+    the walks ``x -> y`` of length ``j`` and ``W(0, x, y) = [x == y]``,
+    ``p_n`` sums ``W(n, v, v)`` over the named vertices ``v`` and
     ``(L - 1) * m * W(n - L, dst, src)`` over the bundles of length
-    ``L > 1`` and multiplicity ``m``: each interior vertex of a copy is
-    left through ``dst`` and re-entered from ``src``.
+    ``L > 1`` and multiplicity ``m``, one term per interior vertex.
     """
     counts = _excursion_counts(g, g.vertices, (), max_length)
     points = list(map(sum, zip(*map(counts, g.vertices, g.vertices)))) or [0] * max_length
