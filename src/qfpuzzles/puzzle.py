@@ -102,9 +102,9 @@ class DyadicDistance:
 class Puzzle:
     """Immutable leveled piece structure with maps ``i`` and ``f``.
 
-    The constructor interns pieces and tabulates maps, children and
-    fibres but does not enforce the axioms; :meth:`validate` reports
-    violations as data, so broken puzzles can be built for testing.
+    The constructor interns pieces and tabulates maps and children (fibres
+    follow on demand) but does not enforce the axioms; :meth:`validate`
+    reports violations as data, so broken puzzles can be built for testing.
     """
 
     def __init__(
@@ -144,8 +144,8 @@ class Puzzle:
                   i: Sequence[int | None], f: Sequence[int | None], name: str) -> None:
         """Set up from ids: level ``n`` holds the next ``len(levels[n])`` ids,
         ``label_to_id`` lists the labels in id order, and ``i`` and ``f``
-        hold each id's image, ``None`` where undefined.  Every table is
-        built here, once."""
+        hold each id's image, ``None`` where undefined.  The id tables are
+        built here, once; a level's fibres and rival check on first use."""
         self.name = name
         self.depth = len(levels) - 1
         self._label_to_id = label_to_id
@@ -160,22 +160,19 @@ class Puzzle:
             if tgt is not None:
                 children[tgt].append(src)
         self._children = tuple(map(tuple, children))
-        self._fibres = tuple(map(self._group, bounds, bounds[1:]))
+        self._spans = tuple(map(slice, bounds, bounds[1:]))  # level n holds the ids of _spans[n]
+        self._fibres: list[Mapping[tuple[int, int], tuple[int, ...]] | None] = [None] * len(sizes)
+        self._rivals: list[bool | None] = [None] * len(sizes)
 
-    def _group(self, start: int, stop: int) -> Mapping[tuple[int, int], tuple[int, ...]] | None:
-        """The fibres of the level holding ids ``start .. stop - 1``."""
-        i, f = self._i[start:stop], self._f[start:stop]
-        if None in i or None in f:
-            return None  # fibres(n) lets the accessors raise
-        keys = list(zip(i, f))
-        level = range(start, stop)
-        out = dict(zip(keys, zip(level)))  # every fibre a single piece
-        if len(out) < len(keys):
-            groups: dict[tuple[int, int], list[int]] = {}
-            for key, v in zip(keys, level):
-                groups.setdefault(key, []).append(v)
-            out = {key: tuple(group) for key, group in groups.items()}
-        return MappingProxyType(out)
+    def _has_rivals(self, n: int) -> bool:
+        """Whether two order-``n`` pieces share their ``(i, f)`` images, by the
+        ``int`` keys ``i * size + f`` (no fibre is built); kept per level.
+        The maps must be defined on the level."""
+        if (rivals := self._rivals[n]) is None:
+            span, size = self._spans[n], len(self._labels)
+            keys = {i * size + f for i, f in zip(self._i[span], self._f[span])}
+            rivals = self._rivals[n] = len(keys) < span.stop - span.start
+        return rivals
 
     # -- piece accessors -------------------------------------------------
 
@@ -231,12 +228,26 @@ class Puzzle:
 
         Each key is an edge ``u -> v`` of the level-``n - 1`` transition
         graph; its fibre holds the pieces lifting that edge, which are
-        each other's (R2) rivals.  Built once, when the puzzle is assembled.
+        each other's (R2) rivals.  Built on the first call for a level and
+        kept, so later calls return the same mapping.  A level where a map is
+        undefined raises on every call, as the accessors do; ``n`` outside
+        ``0 .. depth`` raises :class:`IndexError`.
         """
-        fibres = self._fibres[n]
-        if fibres is None:
-            for v in self.levels[n]:  # the accessors raise the error, i first
-                self.i(v), self.f(v)
+        if not 0 <= n <= self.depth:  # a negative level is no index from the end
+            raise IndexError(f"no level {n} in a puzzle of depth {self.depth}")
+        if (fibres := self._fibres[n]) is None:
+            i, f = self._i[self._spans[n]], self._f[self._spans[n]]
+            if None in i or None in f:
+                for v in self.levels[n]:  # the accessors raise the error, i first
+                    self.i(v), self.f(v)
+            keys, level = list(zip(i, f)), self.levels[n]
+            out = dict(zip(keys, zip(level)))  # every fibre a single piece
+            if len(out) < len(keys):
+                groups: dict[tuple[int, int], list[int]] = {}
+                for key, v in zip(keys, level):
+                    groups.setdefault(key, []).append(v)
+                out = {key: tuple(group) for key, group in groups.items()}
+            fibres = self._fibres[n] = MappingProxyType(out)
         return fibres
 
     def project(self, piece: int, n: int) -> int:

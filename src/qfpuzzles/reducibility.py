@@ -68,10 +68,6 @@ class ReducibilityVerdict:
     def is_reducible(self) -> bool:
         return self.status is Status.REDUCIBLE
 
-    @property
-    def is_unknown(self) -> bool:
-        return self.status is Status.UNKNOWN
-
 
 @dataclass(frozen=True)
 class ReductionOutcome:
@@ -152,8 +148,8 @@ class ReducibilityAnalyzer:
                 table[v] = r1.get(k) or r1.setdefault(k, ReducibilityVerdict(_R1, d_avail, witness_level=k))
                 status[v] = _R1
             below = {v: k + 1 for v, k in fail.items()}
-            # the members of a fibre are each other's (R2) rivals
-            for group in [group for group in p.fibres(n).values() if len(group) > 1]:
+            # the members of a fibre are each other's (R2) rivals; a level without rivals builds no fibres
+            for group in [group for group in p.fibres(n).values() if len(group) > 1] if p._has_rivals(n) else ():
                 for v in group:
                     below[v] = 1
                     if v not in fail:

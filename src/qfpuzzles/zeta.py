@@ -324,6 +324,8 @@ def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]
 # Window and word statuses in puzzle_zeta_n: a word's status is the max over its windows.
 _LOW, _HIGH, _AMBIG, _DEAD = range(4)
 _TAGS = ("liftable-with-low-return", "liftable-high", None, "unliftable-at-depth")
+# A block's forced lift is a piece id, or one of these: several pieces, or an empty fibre.
+_SEVERAL, _NONE = -1, -2
 
 
 class _Table(dict):
@@ -366,26 +368,30 @@ def puzzle_zeta_n(
 ) -> PuzzleZetaResult:
     """Periodic points of the level-N transition graph, certified by lifting.
 
-    One depth-first search lists the n-periodic vertex sequences of the
-    level-``level`` graph for every ``n <= order``, each period in label
-    order.  A sequence is certified when it lifts to a periodic chain at
-    ``cert_depth``: level by level, position ``j`` takes a piece in the
-    fibre (:meth:`Puzzle.fibres`) of the edge from lift ``j`` to ``j + 1``.
-    As ``f`` and ``i`` commute, that lift at level ``level + t`` depends
-    only on letters ``j .. j + t`` read cyclically: a sliding block code.
-    With ``m = cert_depth - level`` each window of ``m + 1`` letters maps
-    once to its forced top lift, to DEAD when a fibre over forced pieces
-    is empty (the sequence does not lift), or to AMBIG when a fibre has
-    several pieces.  Sequences with an AMBIG window and no DEAD one go to
-    the product search, trying candidates level by level in
-    ``itertools.product`` order over piece ids.
+    The n-periodic vertex sequences of the level-``level`` graph are listed
+    for every ``n <= order``, each period in label order.  A sequence is
+    certified when it lifts to a periodic chain at ``cert_depth``: level by
+    level, position ``j`` takes a piece in the fibre (:meth:`Puzzle.fibres`)
+    of the edge from lift ``j`` to ``j + 1``.  As ``f`` and ``i`` commute,
+    that lift at level ``level + t`` depends only on letters ``j .. j + t``
+    read cyclically: a sliding block code.  The forced lift of a block of
+    ``t + 1`` letters is the fibre piece over the lifts of its first and
+    last ``t`` letters: DEAD when one of those is DEAD or the fibre is empty
+    (no lift), else AMBIG when one of those is AMBIG or the fibre has
+    several pieces.  With ``m = cert_depth - level`` each window of
+    ``m + 1`` letters maps once to the status of its top lift.  Sequences
+    with an AMBIG window and no DEAD one go to the product search, trying
+    candidates level by level in ``itertools.product`` order over piece ids.
 
-    The search walks digits: the level's vertices numbered ``0 .. V - 1``
-    in label order.  A path carries its last ``min(n, m + 1)`` digits as
-    one integer in base ``V``, which keys the window statuses, and a word
-    of period ``n >= m`` reads its wrapping windows from one more table,
-    keyed by its last ``m`` digits times ``V**m`` plus its first ``m``.
-    Only a word shorter than ``m``, whose ring repeats, is unrolled.
+    The listing walks digits: the level's vertices numbered ``0 .. V - 1``
+    in label order.  For each start vertex it extends all paths one letter
+    at a time, in label order, to the successors from which the start is
+    still reachable within ``order`` letters.  A path carries its digits as
+    one integer in base ``V``: its last ``m + 1`` digits key the window
+    statuses, and a word of period ``n >= m`` reads its wrapping windows
+    from one more table, keyed by its last ``m`` digits times ``V**m`` plus
+    its first ``m``.  Only a word shorter than ``m``, whose ring repeats,
+    is unrolled.
 
     A certified class is tagged by the reduction chains of its first lift:
     low when all end at order <= level, else high; unknown at ``cert_depth
@@ -396,21 +402,21 @@ def puzzle_zeta_n(
         raise ValueError("need level < cert_depth <= depth")
     an = analyzer or ReducibilityAnalyzer(p)
     _check_gamma_level(p, level)
-    # lifts[L][(u, v)]: the order-(L+1) pieces lifting the level-L edge u -> v
-    lifts = {L: p.fibres(L + 1) for L in range(level, cert_depth)}
+    # lifts[t][(u, v)]: the order-(level+t+1) pieces lifting the level-(level+t) edge u -> v
+    lifts = [p.fibres(L + 1) for L in range(level, cert_depth)]
     # the level graph gamma_n(p, level) on digits: digit d is verts[d], in label order
     verts = sorted(p.level(level), key=p.label)
-    labels, V = [p.label(v) for v in verts], len(verts)
+    letters, V = [(p.label(v),) for v in verts], len(verts)  # one-letter words
     digit = {v: d for d, v in enumerate(verts)}
     succ: list[list[int]] = [[] for _ in verts]
     preds: list[set[int]] = [set() for _ in verts]
-    for a, b in sorted((digit[u], digit[v]) for u, v in lifts[level]):
+    for a, b in sorted((digit[u], digit[v]) for u, v in lifts[0]):
         succ[a].append(b)
         preds[b].add(a)
-    # steps[t][edge]: the one piece over a level-(level+t) edge, or -1 for several
-    steps = [{e: ps[0] if len(ps) == 1 else -1 for e, ps in f.items()} for f in lifts.values()]
+    # steps[t][edge]: the one piece over a level-(level+t) edge, or _SEVERAL
+    steps = [{e: ps[0] if len(ps) == 1 else _SEVERAL for e, ps in f.items()} for f in lifts]
     m, beyond = cert_depth - level, cert_depth == p.depth
-    mod = V**m  # a key's last m digits are key % mod
+    mod, span = V**m, V ** (m + 1)  # a key's last m and m + 1 digits are key % mod and key % span
     tags = ("liftable-unknown-beyond-depth",) * 2 + _TAGS[2:] if beyond else _TAGS
 
     @cache
@@ -423,70 +429,48 @@ def puzzle_zeta_n(
     def top_status(top: Sequence[int]) -> int:
         return _LOW if beyond or not any(map(high, top)) else _HIGH
 
-    def status(key: int) -> int:
-        """The (m+1)-block map: the forced top lift status of the window whose
-        digits in base V are ``key``, DEAD or AMBIG."""
-        row = [verts[key // V**k % V] for k in range(m, -1, -1)]
-        for step in steps:  # -1 marks a piece that is not forced, None an empty fibre
-            row = [-1 if -1 in e else step.get(e) for e in zip(row, row[1:])]
-            if None in row:
-                return _DEAD
-        return _AMBIG if row[0] == -1 else top_status(row)
+    # tops[t][code]: the forced lift of the (t+1)-block with digits code
+    tops = [dict(enumerate(verts)), *({} for _ in steps)]
+
+    def status(key: int) -> int:  # the (m+1)-block map: the status of the window with digits key
+        top = _block_lift(tops, steps, V, m, key)
+        return _DEAD if top == _NONE else _AMBIG if top == _SEVERAL else top_status((top,))
 
     # wraps[last * mod + first]: the max status of the m windows that wrap a
     # word whose last m digits are ``last`` and first m digits ``first``
     windows = _Table(status)
-    wraps = _Table(lambda key: max(windows[key // V**k % (mod * V)] for k in range(m)))
-
-    def certify(beta: tuple[int, ...], at_level: int) -> tuple[int, ...] | None:
-        """Return the first lift of beta at cert_depth, or None."""
-        if at_level == cert_depth:
-            return beta
-        fibre = lifts[at_level]
-        nxt = beta[1:] + beta[:1]
-        for candidate in product(*(fibre.get(edge, ()) for edge in zip(beta, nxt))):
-            lifted = certify(candidate, at_level + 1)
-            if lifted is not None:
-                return lifted
-        return None
-
+    wraps = _Table(lambda key: max(windows[key // V**k % span] for k in range(m)))
     classes: list[list[PeriodicClass]] = [[] for _ in range(order)]
-    certs = [0] * order
-
-    def visit(v: int, word: tuple[str, ...], key: int, first: int | None, word_status: int) -> None:
-        """Extend the path ``word``, ending at digit ``v``, whose last min(n, m + 1)
-        digits are ``key`` and first m digits ``first``; ``word_status`` is the
-        max over its inner windows, or DEAD."""
-        n = len(word)
-        if n > m and word_status != _DEAD:
-            s = windows[key]
-            if s > word_status:
-                word_status = s
-        elif n == m:
-            first = key
-        for w in succ[v]:
-            if w == start:  # the word closes: add its wrapping windows
-                s = word_status
-                if s != _DEAD:
-                    if first is None:  # period < m: unroll the ring from position -m to m - 1
-                        ring = [key // V**k % V for k in range(n - 1, -1, -1)]
-                        t = wraps[sum(ring[j % n] * V**(m - 1 - j) for j in range(-m, m))]
+    new_class, pows = PeriodicClass._make, [V**k for k in range(order + 1)]
+    for start in range(V if order > 0 else 0):
+        to_start = _walk_lengths_to(preds, start, order)
+        closes = preds[start]
+        # the paths of n letters from start, in label order: (word, digit key, max status of its windows)
+        paths = [(letters[start], start, _LOW)]
+        for n in range(1, order + 1):
+            left = order - n  # letters a path may still add and close; its end v has to_start[v] <= left + 1
+            nexts = {v: [w for w in succ[v] if to_start.get(w, order) <= left]
+                     for v, d in to_start.items() if d <= left + 1}
+            grown = []
+            found, windowed = classes[n - 1], n >= m
+            for word, key, s in paths:
+                v = key % V
+                if v in closes:  # the word closes: add its wrapping windows
+                    if (t := s) != _DEAD:  # a word shorter than m is unrolled from position -m to m - 1
+                        t = max(t, wraps[key % mod * mod + key // pows[n - m] if windowed else sum(
+                            key // pows[n - 1 - j % n] % V * V ** (m - 1 - j) for j in range(-m, m))])
+                    if t == _AMBIG:
+                        top = _first_lift(lifts, tuple(map(p.id_of, word)))
+                        t = _DEAD if top is None else top_status(top)
+                    found.append(new_class((word, t != _DEAD, tags[t])))
+                for w in nexts[v]:
+                    k = key * V + w
+                    if windowed and s != _DEAD and (t := windows[k % span]) > s:
+                        grown.append((word + letters[w], k, t))
                     else:
-                        t = wraps[key % mod * mod + first]
-                    s = max(s, t)
-                if s == _AMBIG:
-                    top = certify(tuple(map(p.id_of, word)), level)
-                    s = _DEAD if top is None else top_status(top)
-                certified = s != _DEAD
-                certs[n - 1] += certified
-                classes[n - 1].append(PeriodicClass(word, certified, tags[s]))
-            if n + to_start.get(w, order) <= order:
-                visit(w, word + (labels[w],), key % mod * V + w, first, word_status)
-
-    if order > 0:
-        for start in range(V):
-            to_start = _walk_lengths_to(preds, start, order)
-            visit(start, (labels[start],), start, None, _LOW)
+                        grown.append((word + letters[w], k, s))
+            paths = grown
+    certs = [sum(c.certified for c in period) for period in classes]
     totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
@@ -498,6 +482,43 @@ def puzzle_zeta_n(
         tuple(c for period in classes for c in period),
         zeta_from_counts(certs, order=order),
     )
+
+
+def _block_lift(tops: list[dict[int, int]], steps: Sequence[Mapping[tuple[int, int], int]],
+                V: int, t: int, code: int) -> int:
+    """The forced lift of the ``(t + 1)``-block whose digits in base ``V`` are
+    ``code``, memoised in ``tops[t]``: the piece of ``steps[t - 1]`` over the
+    lifts of its first and last ``t``-blocks, ``_NONE`` when either of those or
+    that fibre is empty, else ``_SEVERAL`` when either is."""
+    top = tops[t].get(code)
+    if top is None:
+        a = _block_lift(tops, steps, V, t - 1, code // V)
+        b = _block_lift(tops, steps, V, t - 1, code % V**t)
+        if a == _NONE or b == _NONE:
+            top = _NONE
+        elif a == _SEVERAL or b == _SEVERAL:
+            top = _SEVERAL
+        else:
+            top = steps[t - 1].get((a, b), _NONE)
+        tops[t][code] = top
+    return top
+
+
+def _first_lift(lifts: Sequence[Mapping[tuple[int, int], tuple[int, ...]]],
+                beta: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first lift of the ring ``beta`` through the fibres ``lifts``, level
+    by level, candidates in ``itertools.product`` order; None when there is none."""
+    tried = [iter((beta,))]  # the candidates left at each level, depth first
+    while tried:
+        beta = next(tried[-1], None)
+        if beta is None:
+            tried.pop()
+        elif len(tried) > len(lifts):
+            return beta
+        else:
+            fibre = lifts[len(tried) - 1]
+            tried.append(product(*(fibre.get(e, ()) for e in zip(beta, beta[1:] + beta[:1]))))
+    return None
 
 
 def _walk_lengths_to(preds: Sequence[set[int]], target: int, bound: int) -> dict[int, int]:

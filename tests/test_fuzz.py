@@ -6,6 +6,7 @@ level by level among the commutation-compatible targets.  Everything
 the analyzer claims about such puzzles must hold without exception.
 """
 
+import gc
 import random
 from itertools import combinations, product
 
@@ -233,6 +234,21 @@ def test_one_pass_verdicts_match_tree_walk_on_constructions():
     for p in puzzles:
         assert_verdicts_match_reference(p)
         assert_verdicts_match_reference(dual(p))
+
+
+def test_second_analyzer_on_one_puzzle_gives_the_same_verdicts():
+    # the rival check and the fibres are kept on the puzzle, so a second analyzer reads
+    # what the first one left; both must agree with the definition
+    rng = random.Random(3100)
+    fuzz = [random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)) for _ in range(20)]
+    for p in [layered_full_shifts_puzzle(3, 5), periodic_orbit_tower_puzzle([2, 3, 2, 3, 2], 5),
+              undetermined_puzzle(), golden_mean_puzzle(6), *fuzz]:
+        for q in (p, dual(p)):
+            first, second = ReducibilityAnalyzer(q), ReducibilityAnalyzer(q)
+            for piece in q.pieces()[1:]:
+                assert first.verdict(piece) == second.verdict(piece) == reference_verdict(q, piece)
+            for n in range(1, q.depth + 1):
+                assert first.irreducible_pieces(n) == second.irreducible_pieces(n)
 
 
 SHORT_WORDS = ["".join(w) for n in (2, 3) for w in product("01", repeat=n)]
@@ -627,6 +643,61 @@ def test_puzzle_zeta_block_map_branches_match_reference(monkeypatch):
             if len(c.word) < cert - level:
                 seen.add("wraps more than once")
     assert seen == {"forced", "dead", "ambig", "dead+ambig", "wraps more than once"}
+
+
+def test_puzzle_zeta_searches_exactly_the_words_with_an_ambiguous_window_and_no_dead_one(monkeypatch):
+    # a window with an empty fibre below it is DEAD even where another part of it is
+    # ambiguous, so its word never reaches the product search
+    searched = []
+    first_lift = zeta_module._first_lift
+
+    def recording_first_lift(lifts, beta):
+        searched.append(beta)
+        return first_lift(lifts, beta)
+
+    monkeypatch.setattr(zeta_module, "_first_lift", recording_first_lift)
+    kinds = set()
+    for p, level, order, cert in [
+        (layered_full_shifts_puzzle(3, 5), 1, 6, 4),
+        (random_puzzle(random.Random(4), 4, max_width=3), 1, 5, 4),
+        *((random_puzzle(random.Random(seed), 5, max_width=3), 1, 5, 5) for seed in range(6)),
+    ]:
+        searched.clear()
+        result = puzzle_zeta_n(p, level, order, cert)
+        assert result == reference_puzzle_zeta(p, level, order, cert)
+        words = [c.word for c in result.classes]
+        kinds.update(window_kind(p, level, cert, w) for w in words)
+        ambiguous = [w for w in words if window_kind(p, level, cert, w) == "ambig"]
+        assert sorted(searched) == sorted(tuple(map(p.id_of, w)) for w in ambiguous)
+    assert kinds == {"forced", "dead", "ambig", "dead+ambig"}
+
+
+def test_puzzle_zeta_leaves_no_reference_cycles(monkeypatch):
+    # nothing built by a call (the listing, the window tables, the product search) holds
+    # a reference cycle, so the call leaves the cyclic collector nothing to do
+    searches = []
+
+    def counting_product(*options):
+        searches.append(len(options))
+        return product(*options)
+
+    monkeypatch.setattr(zeta_module, "product", counting_product)
+    cases = [
+        (from_subshift(words_avoiding("01", [("1", "1", "0")], 12), 12), 2, 10, 6),
+        (layered_full_shifts_puzzle(3, 5), 1, 6, 4),  # reaches the product search
+    ]
+    for p, level, order, cert in cases:
+        searches.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            result = puzzle_zeta_n(p, level, order, cert)
+            assert sum(result.counts_total) > 0
+            del result
+            assert gc.collect() == 0, p.name
+        finally:
+            gc.enable()
+    assert searches
 
 
 def benchmark_like_shift(rng: random.Random, depth: int = 12) -> Puzzle:

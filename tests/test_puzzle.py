@@ -33,6 +33,7 @@ from qfpuzzles.puzzle import (
     sequence_entropy,
     word_label,
 )
+from qfpuzzles.reducibility import ReducibilityAnalyzer
 
 from test_fuzz import random_puzzle, with_f_override
 
@@ -724,12 +725,31 @@ def test_fibres_and_children_match_regrouping():
             assert {key: list(group) for key, group in fibres.items()} == reference_fibres(q, n)
             assert list(fibres) == list(reference_fibres(q, n))  # keys in first-piece order
             assert all(type(group) is tuple for group in fibres.values())
-            assert q.fibres(n) is fibres  # built at assembly, not per call
+            assert q.fibres(n) is fibres  # built on the first call, then kept
     for q in valid + list(broken_puzzles().values()):
         parent_of = q.to_json()["i"]
         for v in q.pieces():
             kids = tuple(w for w in q.pieces() if parent_of.get(q.label(w)) == q.label(v))
             assert q.i_preimages(v) == kids
+
+
+def test_rival_check_matches_the_fibres():
+    # Puzzle._has_rivals reads int keys and builds no fibre; the analyzer builds
+    # the fibres of exactly the levels with rivals
+    rng = random.Random(6200)
+    fuzz = [random_puzzle(rng, rng.randint(2, 5), max_width=rng.randint(2, 6)) for _ in range(40)]
+    seen = set()
+    for p in CONSTRUCTIONS + fuzz:
+        for q in (p, dual(p)):
+            fresh, built = Puzzle.loads(q.dumps()), Puzzle.loads(q.dumps())
+            ReducibilityAnalyzer(built)
+            for n in range(1, q.depth + 1):
+                rivals = any(len(group) > 1 for group in q.fibres(n).values())
+                assert fresh._has_rivals(n) is rivals
+                assert fresh._fibres[n] is None
+                assert (built._fibres[n] is not None) is rivals
+                seen.add(rivals)
+    assert seen == {True, False}
 
 
 def test_fibres_are_read_only():
@@ -748,8 +768,9 @@ def test_fibres_are_read_only():
 )
 def test_fibres_and_gamma_raise_on_undefined_maps(name, n, message):
     p = broken_puzzles()[name]
-    with pytest.raises(PuzzleError, match=f"^{message}$"):
-        p.fibres(n)
+    for _ in range(2):  # raised on every call: the error is never kept
+        with pytest.raises(PuzzleError, match=f"^{message}$"):
+            p.fibres(n)
     with pytest.raises(PuzzleError, match=f"^{message}$"):
         gamma_n(p, n - 1)
     assert {key: list(group) for key, group in p.fibres(n - 1).items()} == reference_fibres(p, n - 1)
@@ -759,5 +780,6 @@ def test_root_level_fibres_raise_like_the_maps():
     p = full_shift_puzzle(3)
     with pytest.raises(PuzzleError, match="^i undefined on 'ε'$"):
         p.fibres(0)
-    with pytest.raises(IndexError):
-        p.fibres(4)
+    for n in (4, -1, -4):  # a negative level is no index from the end
+        with pytest.raises(IndexError, match=f"^no level {n} in a puzzle of depth 3$"):
+            p.fibres(n)
