@@ -441,19 +441,19 @@ def puzzle_zeta_n(
     windows = _Table(status)
     wraps = _Table(lambda key: max(windows[key // V**k % span] for k in range(m)))
     classes: list[list[PeriodicClass]] = [[] for _ in range(order)]
-    new_class, pows = PeriodicClass._make, [V**k for k in range(order + 1)]
+    certs, new_class, pows = [0] * order, PeriodicClass._make, [V**k for k in range(order + 1)]
     for start in range(V if order > 0 else 0):
         to_start = _walk_lengths_to(preds, start, order)
         closes = preds[start]
-        # the paths of n letters from start, in label order: (word, digit key, max status of its windows)
-        paths = [(letters[start], start, _LOW)]
+        # the paths of n letters from start, in label order: words, digit keys, max status of their windows
+        words, keys, stats = [letters[start]], [start], [_LOW]
         for n in range(1, order + 1):
             left = order - n  # letters a path may still add and close; its end v has to_start[v] <= left + 1
             nexts = {v: [w for w in succ[v] if to_start.get(w, order) <= left]
                      for v, d in to_start.items() if d <= left + 1}
-            grown = []
+            grown, grown_keys, grown_stats = [], [], []
             found, windowed = classes[n - 1], n >= m
-            for word, key, s in paths:
+            for word, key, s in zip(words, keys, stats):
                 v = key % V
                 if v in closes:  # the word closes: add its wrapping windows
                     if (t := s) != _DEAD:  # a word shorter than m is unrolled from position -m to m - 1
@@ -462,15 +462,14 @@ def puzzle_zeta_n(
                     if t == _AMBIG:
                         top = _first_lift(lifts, tuple(map(p.id_of, word)))
                         t = _DEAD if top is None else top_status(top)
+                    certs[n - 1] += t != _DEAD
                     found.append(new_class((word, t != _DEAD, tags[t])))
                 for w in nexts[v]:
                     k = key * V + w
-                    if windowed and s != _DEAD and (t := windows[k % span]) > s:
-                        grown.append((word + letters[w], k, t))
-                    else:
-                        grown.append((word + letters[w], k, s))
-            paths = grown
-    certs = [sum(c.certified for c in period) for period in classes]
+                    grown.append(word + letters[w])
+                    grown_keys.append(k)
+                    grown_stats.append(t if windowed and s != _DEAD and (t := windows[k % span]) > s else s)
+            words, keys, stats = grown, grown_keys, grown_stats
     totals = [len(c) for c in classes]
     return PuzzleZetaResult(
         level,
