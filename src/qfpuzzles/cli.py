@@ -27,7 +27,6 @@ from qfpuzzles.diagram import build_diagram, entropy_at_infinity_estimate, gurev
 from qfpuzzles.polys import sylvester_resultant
 from qfpuzzles.puzzle import Puzzle, PuzzleError
 from qfpuzzles.reducibility import ReducibilityAnalyzer
-from qfpuzzles.series import SeriesError
 
 DEFAULT_TRUNC = 16
 
@@ -113,6 +112,8 @@ def _coupling(args) -> tuple[cp.CouplingParams, dict]:
 
 def _subset(text: str, g: gr.GraphTruncation) -> list[str]:
     subset = [part for part in text.split(",") if part]
+    if not subset:
+        raise InputError(f"--subset {text!r} names no vertex")
     missing = [v for v in subset if v not in g.vertices]
     if missing:
         raise InputError(f"subset vertices not in graph: {missing}")
@@ -275,7 +276,7 @@ def cmd_graph_build(args) -> int:
 
 def cmd_graph_zeta(args) -> int:
     g = _load_graph(args.spec)
-    subset = _subset(args.subset, g) if args.subset else list(g.vertices)
+    subset = list(g.vertices) if args.subset is None else _subset(args.subset, g)
     _nonnegative("--trunc/--order", args.trunc)
     fn = zt.semi_local_zeta_det if args.method == "det" else zt.semi_local_zeta_brute
     series = fn(g, subset, args.trunc)
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (PuzzleError, gr.GraphError, SeriesError, cp.CoupledError, zt.NotRationalError, ValueError) as exc:
+    except ValueError as exc:  # every library error subclasses it
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
 

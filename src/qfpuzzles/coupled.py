@@ -39,9 +39,8 @@ from operator import and_, le, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from qfpuzzles.diagram import RateTable, _rate_table
-from qfpuzzles.polys import RationalPolynomial, _common, _fraction
+from qfpuzzles.polys import RationalPolynomial, _common, _fraction, _product
 from qfpuzzles.puzzle import Puzzle
-from qfpuzzles.series import _mul
 
 HALF = Fraction(1, 2)
 
@@ -103,9 +102,6 @@ class Box:
 
     def area(self) -> Fraction:
         return (self.x[1] - self.x[0]) * (self.y[1] - self.y[0])
-
-    def corners(self) -> list[tuple[Fraction, Fraction]]:
-        return [(x, y) for x in self.x for y in self.y]
 
 
 UNIT_SQUARE = Box((-HALF, HALF), (-HALF, HALF))
@@ -568,7 +564,7 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
     (a, b, c, half), lcd = _common((p.a, p.b, p.c, HALF))
     X, Y, denom = [0, 1], [0], 1
     for _ in range(k):
-        X2, Y2 = (_mul(*[P + [0] * (len(P) - 1)] * 2) for P in (X, Y))  # untruncated squares
+        X2, Y2 = _product(X, X), _product(Y, Y)
         d2 = denom * denom
         X, Y = _quadratic(a, X2, c, Y2, (a - half) * d2), _quadratic(b, Y2, c, X2, (b - half) * d2)
         denom = lcd * d2
@@ -576,11 +572,9 @@ def iterate_polynomial(p: CouplingParams, k: int) -> RationalPolynomial:
 
 
 def _quadratic(main: int, S2: list[int], c: int, T2: list[int], constant: int) -> list[int]:
-    """``constant - 4 main S2 + c T2``, without trailing zeros."""
+    """``constant - 4 main S2 + c T2``."""
     out = [c * t - 4 * main * s for s, t in zip_longest(S2, T2, fillvalue=0)]
     out[0] += constant
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 

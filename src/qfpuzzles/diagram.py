@@ -64,7 +64,6 @@ class MarkovDiagram:
         self.puzzle = puzzle
         self.analyzer = analyzer
         self.cutoff = cutoff
-        self.provenance = puzzle.name
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
         self.frontier = tuple(frontier)
@@ -95,7 +94,7 @@ class MarkovDiagram:
     def to_dot(self) -> str:
         p = self.puzzle
         q = _dot_quote
-        lines = [f"digraph {q(self.provenance)} {{"]
+        lines = [f"digraph {q(p.name)} {{"]
         for v in self.vertices:
             lines.append(f"  {q(p.label(v))}[label={q(f'{p.label(v)}|{p.order(v)}')}];")
         for a in self.arrows:

@@ -3,8 +3,10 @@
 Supports the handful of exact operations the toolkit needs: arithmetic,
 evaluation, euclidean division, gcd, the Sylvester matrix and its
 determinant (the resultant), and rational root finding for the pole
-analysis of rational functions.  A ``float`` coefficient or argument
-raises ``TypeError``: its binary expansion is not the value meant.
+analysis of rational functions.  ``_mul`` is the one product kernel, for
+series; polynomials and orbit polynomials pad it (``_product``).  A
+``float`` coefficient or argument raises ``TypeError``: its binary
+expansion is not the value meant.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -94,14 +97,7 @@ class RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             c = _fraction(other)
             return RationalPolynomial([c * x for x in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return RationalPolynomial(out)
+        return RationalPolynomial(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -138,6 +134,19 @@ class RationalPolynomial:
             return self
         lead = self.leading()
         return RationalPolynomial([c / lead for c in self.coeffs])
+
+
+def _mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+    """Product of two series of one length, truncated to that length."""
+    rb = b[::-1]
+    k = len(a) - 1
+    return [sum(map(mul, a, rb[k - n:])) for n in range(k + 1)]
+
+
+def _product(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+    """Untruncated product: :func:`_mul` of both lists padded to length ``len(a) + len(b) - 1``."""
+    n = len(a) + len(b) - 1
+    return _mul([*a, *[0] * (n - len(a))], [*b, *[0] * (n - len(b))])
 
 
 def _terms(coeffs: Sequence[Coeff], var: str) -> list[str]:

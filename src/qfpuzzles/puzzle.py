@@ -240,14 +240,10 @@ class Puzzle:
             if None in i or None in f:
                 for v in self.levels[n]:  # the accessors raise the error, i first
                     self.i(v), self.f(v)
-            keys, level = list(zip(i, f)), self.levels[n]
-            out = dict(zip(keys, zip(level)))  # every fibre a single piece
-            if len(out) < len(keys):
-                groups: dict[tuple[int, int], list[int]] = {}
-                for key, v in zip(keys, level):
-                    groups.setdefault(key, []).append(v)
-                out = {key: tuple(group) for key, group in groups.items()}
-            fibres = self._fibres[n] = MappingProxyType(out)
+            groups: dict[tuple[int, int], list[int]] = {}
+            for key, v in zip(zip(i, f), self.levels[n]):
+                groups.setdefault(key, []).append(v)
+            fibres = self._fibres[n] = MappingProxyType({key: tuple(group) for key, group in groups.items()})
         return fibres
 
     def project(self, piece: int, n: int) -> int:

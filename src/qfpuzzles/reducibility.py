@@ -64,10 +64,6 @@ class ReducibilityVerdict:
     def is_irreducible(self) -> bool:
         return self.status in (Status.IRREDUCIBLE_R1, Status.IRREDUCIBLE_R2)
 
-    @property
-    def is_reducible(self) -> bool:
-        return self.status is Status.REDUCIBLE
-
 
 @dataclass(frozen=True)
 class ReductionOutcome:

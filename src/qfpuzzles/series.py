@@ -13,12 +13,12 @@ needs ``c_0 == 0``.  Violations raise :class:`SeriesError`.
 
 The product, reciprocal, ``exp`` and ``log`` have one implementation
 each, a private kernel on coefficient lists of ``int`` or ``Fraction``
-values (``_mul``, ``_reciprocal``, ``_exp_counts``, ``_log_counts``
-below).  :class:`PowerSeries` hands integral coefficients to it as
-``int``, so series over the integers, which is what the zeta layer
-mostly handles, are computed in ``int``; the zeta layer calls the kernel
-on ``int`` lists directly and converts to :class:`PowerSeries` at its
-boundary.
+values (``_reciprocal``, ``_exp_counts``, ``_log_counts`` below; the
+product ``_mul`` lives in :mod:`qfpuzzles.polys`, which polynomials share).
+:class:`PowerSeries` hands integral coefficients to it as ``int``, so
+series over the integers, which is what the zeta layer mostly handles,
+are computed in ``int``; the zeta layer calls the kernel on ``int``
+lists directly and converts to :class:`PowerSeries` at its boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from qfpuzzles.polys import _fraction, _terms
+from qfpuzzles.polys import _fraction, _mul, _terms
 
 Coeff = Union[int, Fraction]
 
@@ -199,13 +199,6 @@ def _lift(cs: Sequence[Coeff]) -> Sequence[Coeff]:
     if all(c.denominator == 1 for c in cs):
         return [c.numerator for c in cs]
     return cs
-
-
-def _mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
-    """Truncated product."""
-    rb = b[::-1]
-    k = len(a) - 1
-    return [sum(map(mul, a, rb[k - n:])) for n in range(k + 1)]
 
 
 def _reciprocal(a: Sequence[Coeff]) -> list[Coeff]:

@@ -216,23 +216,6 @@ class RationalFunction:
         den = PowerSeries(list(self.denominator), order=order)
         return num * den.reciprocal()
 
-    def __str__(self) -> str:
-        return f"({_poly_str(self.numerator)}) / ({_poly_str(self.denominator)})"
-
-
-def _poly_str(coeffs: Sequence[int]) -> str:
-    parts = []
-    for n, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if n == 0:
-            parts.append(str(c))
-        elif n == 1:
-            parts.append(f"{c}z" if c != 1 else "z")
-        else:
-            parts.append(f"{c}z^{n}" if c != 1 else f"z^{n}")
-    return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class PoleReport:
@@ -300,14 +283,10 @@ def pade_pole_analysis(series: PowerSeries, num_deg: int, den_deg: int) -> PoleR
 def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]]]:
     poly = RationalPolynomial(den)
     poles: list[Fraction] = []
-    while poly.degree > 0:
-        roots = rational_roots(poly)
-        if not roots:
-            break
-        root = roots[0]
-        poles.append(root)
-        poly, rem = poly.divmod(RationalPolynomial([-root, 1]))
-        assert rem.is_zero()
+    for root in rational_roots(poly):  # sorted, so the poles come out sorted
+        while poly(root) == 0:
+            poly, _ = poly.divmod(RationalPolynomial([-root, 1]))
+            poles.append(root)
     leftovers = []
     if poly.degree > 0:
         # a factor is only defined up to scale; report it primitive
@@ -315,7 +294,7 @@ def _poles_of(den: list[Fraction]) -> tuple[list[Fraction], list[tuple[int, ...]
         if ints[0] < 0:
             ints = [-c for c in ints]
         leftovers.append(tuple(ints))
-    return sorted(poles), leftovers
+    return poles, leftovers
 
 
 # -- puzzle-level zeta ----------------------------------------------------------

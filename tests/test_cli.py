@@ -158,6 +158,9 @@ DIRECTORY = object()
         ("[" * 100_000 + "]" * 100_000, ["graph", "zeta"]),
         (b'{"kind": "complete", "d": 3, "note": "\xff"}', ["graph", "zeta"]),
         (b'{"levels": [["\xe9"]], "i": {}, "f": {}}', ["puzzle", "validate"]),
+        (K3, ["graph", "zeta", "--subset", "", "--order", "4"]),
+        (K3, ["graph", "zeta", "--subset", ",", "--order", "4"]),
+        (K3, ["graph", "hinf", "--subset", ",", "--length", "4"]),
     ],
     ids=[
         "zeta-negative-trunc", "zeta-negative-order", "hinf-negative-length",
@@ -168,6 +171,7 @@ DIRECTORY = object()
         "puzzle-in-directory", "graph-spec-directory", "out-directory", "out-missing-folder",
         "dot-directory", "dot-missing-folder", "graph-out-directory", "graph-dot-missing-folder",
         "puzzle-deep-nesting", "spec-deep-nesting", "spec-not-utf8", "puzzle-not-utf8",
+        "zeta-empty-subset", "zeta-comma-subset", "hinf-comma-subset",
     ],
 )
 def test_bad_input_exits_one_without_output(capsys, tmp_path, fullshift_file, spec, argv):

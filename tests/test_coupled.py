@@ -485,7 +485,7 @@ def reference_multiplicity(p, n_range, resolution):
         incidence = {}
         for itin, boxes in reference_covers(p, n, resolution).items():
             for box in boxes:
-                for corner in box.corners():
+                for corner in product(box.x, box.y):
                     incidence.setdefault(corner, set()).add(itin)
         out[n] = max((len(s) for s in incidence.values()), default=0)
     return out

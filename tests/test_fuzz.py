@@ -378,7 +378,7 @@ def reference_is_determined(an: ReducibilityAnalyzer) -> DeterminacyResult:
     for n in range(1, top + 1):
         by_target: dict[tuple[int, int], list[int]] = {}
         for piece in sorted(p.level(n), key=p.label):
-            if an.verdict(piece).is_reducible:
+            if an.verdict(piece).status is Status.REDUCIBLE:
                 by_target.setdefault((p.f(piece), p.project(piece, 1)), []).append(piece)
         pairs = [tuple(group[:2]) for group in by_target.values() if len(group) > 1]
         if pairs:

@@ -5,6 +5,7 @@ import pytest
 
 from qfpuzzles.polys import (
     RationalPolynomial,
+    _product,
     det_fraction,
     poly_gcd,
     rational_roots,
@@ -15,6 +16,48 @@ from qfpuzzles.polys import (
 
 def poly(*coeffs):
     return RationalPolynomial(coeffs)
+
+
+def reference_poly_mul(a, b):
+    """Product of two coefficient lists by the schoolbook double loop over
+
+    their nonzero coefficients, sharing no code with the series product.
+    """
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                out[i + j] += x * y
+    return RationalPolynomial(out)
+
+
+def seeded_polys(seed, count):
+    """The zero polynomial, constants, and ``count`` seeded ``Fraction``
+
+    polynomials of lengths 1 to 7, zero coefficients and zero tops included.
+    """
+    rng = random.Random(seed)
+    values = [Fraction(0)] * 3 + [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    out = [[0], [Fraction(5, 2)], [-1], [0, 0, 0]]
+    out += [[rng.choice(values) for _ in range(rng.randint(1, 7))] for _ in range(count)]
+    return out
+
+
+def test_product_matches_reference_poly_mul():
+    lists = seeded_polys(31, 60)
+    for a in lists:
+        for b in lists[::3]:
+            want = reference_poly_mul(a, b)
+            assert poly(*a) * poly(*b) == want == poly(*b) * poly(*a)
+            # raw lists keep their zero tops: the product is as long as the padding
+            assert len(_product(a, b)) == len(a) + len(b) - 1
+            assert RationalPolynomial(_product(a, b)) == want
+    # tops and middles that cancel: (1 + x)(1 - x) = 1 - x^2, (1 + x + x^2)(1 - x) = 1 - x^3
+    assert poly(1, 1) * poly(1, -1) == poly(1, 0, -1) == reference_poly_mul([1, 1], [1, -1])
+    assert poly(1, 1, 1) * poly(1, -1) == poly(1, 0, 0, -1)
+    assert _product([1, 2, 0], [3, 0]) == [3, 6, 0, 0]
 
 
 def test_divmod_reconstructs():

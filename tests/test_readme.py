@@ -39,5 +39,5 @@ def test_readme_quick_tour_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     expected = documented_lines(code)
-    assert len(expected) == 3
+    assert len(expected) == 5
     assert out.getvalue().splitlines() == expected

@@ -200,7 +200,7 @@ def test_undetermined_puzzle_yields_counterexample():
     u, v = res.counterexample
     assert (p.label(u), p.label(v)) == ("u", "v")
     an = ReducibilityAnalyzer(p)
-    assert an.verdict(u).is_reducible and an.verdict(v).is_reducible
+    assert an.verdict(u).status is Status.REDUCIBLE and an.verdict(v).status is Status.REDUCIBLE
     assert p.f(u) == p.f(v)
     assert p.project(u, 1) == p.project(v, 1)
     assert p.i(u) != p.i(v)

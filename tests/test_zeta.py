@@ -20,6 +20,7 @@ from qfpuzzles.graphs import (
     sft_graph,
     two_hub_graph,
 )
+from qfpuzzles.polys import RationalPolynomial, _primitive_ints, rational_roots
 from qfpuzzles.puzzle import PuzzleError, from_subshift
 from qfpuzzles.series import PowerSeries, SeriesError
 from qfpuzzles.zeta import (
@@ -241,6 +242,57 @@ def test_pade_fractional_coefficients_keep_the_function():
     report = pade_pole_analysis(series, 0, 1)
     assert report.rational.series(12) == series
     assert report.poles == (Fraction(3),)
+
+
+def reference_poles_of(den):
+    """Poles and the primitive leftover factor of a denominator, by a fresh
+
+    rational-root search after each root divided out.
+    """
+    poly = RationalPolynomial(den)
+    poles = []
+    while poly.degree > 0:
+        roots = rational_roots(poly)
+        if not roots:
+            break
+        poles.append(roots[0])
+        poly, rem = poly.divmod(RationalPolynomial([-roots[0], 1]))
+        assert rem.is_zero()
+    leftovers = []
+    if poly.degree > 0:
+        ints = _primitive_ints(poly.coeffs)
+        leftovers.append(tuple(-c for c in ints) if ints[0] < 0 else tuple(ints))
+    return sorted(poles), leftovers
+
+
+def test_pade_repeated_poles():
+    # 1 / ((1 - 2z)^2 (1 + z + z^2)) and 1 / (1 - 3z)^3
+    den = (RationalPolynomial([1, -2]) * RationalPolynomial([1, -2]) * RationalPolynomial([1, 1, 1])).coeffs
+    report = pade_pole_analysis(ratio_series([1], list(den), 12), 0, 4)
+    assert report.poles == (Fraction(1, 2), Fraction(1, 2))
+    assert report.irreducible_factors == ((1, 1, 1),)
+    report = pade_pole_analysis(ratio_series([1], [1, -9, 27, -27], 12), 0, 3)
+    assert report.poles == (Fraction(1, 3),) * 3
+    assert report.irreducible_factors == ()
+
+
+def test_pade_poles_match_reference_poles_of_on_repeated_roots():
+    rng = random.Random(29)
+    inverse_poles = [Fraction(n, d) for n in range(-4, 5) if n for d in (1, 2, 3)]
+    for _ in range(60):
+        # one inverse pole two or three times, up to two others, and maybe 1 + z + z^2
+        picks = [rng.choice(inverse_poles)] * rng.randint(2, 3) + rng.sample(inverse_poles, rng.randint(0, 2))
+        den = RationalPolynomial([1])
+        for r in picks:
+            den = den * RationalPolynomial([1, -r])
+        if rng.random() < 0.5:
+            den = den * RationalPolynomial([1, 1, 1])
+        num = [rng.randint(1, 3), *(rng.randint(-3, 3) for _ in range(rng.randint(0, 2)))]
+        series = ratio_series(num, list(den.coeffs), 16)
+        report = pade_pole_analysis(series, len(num) - 1, den.degree)
+        poles, leftovers = reference_poles_of(report.rational.denominator)
+        assert list(report.poles) == poles and list(report.irreducible_factors) == leftovers
+        assert report.rational.series(16) == series
 
 
 def test_puzzle_zeta_full_shift():
