@@ -240,10 +240,10 @@ class Puzzle:
             if None in i or None in f:
                 for v in self.levels[n]:  # the accessors raise the error, i first
                     self.i(v), self.f(v)
-            groups: dict[tuple[int, int], list[int]] = {}
-            for key, v in zip(zip(i, f), self.levels[n]):
-                groups.setdefault(key, []).append(v)
-            fibres = self._fibres[n] = MappingProxyType({key: tuple(group) for key, group in groups.items()})
+            out: dict[tuple[int, int], tuple[int, ...]] = {}
+            for key, v in zip(zip(i, f), self.levels[n]):  # a fibre holds few pieces: grow its tuple
+                out[key] = out.get(key, ()) + (v,)
+            fibres = self._fibres[n] = MappingProxyType(out)
         return fibres
 
     def project(self, piece: int, n: int) -> int:
