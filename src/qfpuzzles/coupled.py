@@ -16,9 +16,13 @@ of the signs it reaches.  The classes of an iterate share its
 denominator, so they are held as coordinate columns (per axis, the lists
 of lower and upper numerators) and stepped by one batched call per
 iterate.  ``Box`` values are built only for returned
-data.  Two cells lie within a gap iff their Chebyshev index distance is
-at most ``k = ceil(gap / cell width)``, so components grow by dilation
-of radius ``k``, in shift-or steps on the mask.
+data.  A params object keeps one mask table, the deepest yet asked at the
+last resolution asked; a shallower depth reads its prefix, as an iterate
+does not depend on the depth, so a build and the estimators on one params
+object share one table.  The table is not a field: equality, ``hash`` and
+``repr`` ignore it.  Two cells lie within a gap iff their Chebyshev index
+distance is at most ``k = ceil(gap / cell width)``, so components grow by
+dilation of radius ``k``, in shift-or steps on the mask.
 
 Cylinder refinement is an outer approximation on a dyadic grid: a grid
 box is assigned every itinerary its forward bounding-box images can
@@ -116,6 +120,7 @@ class CouplingParams:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             object.__setattr__(self, name, _exact(getattr(self, name)))
+        object.__setattr__(self, "_table", None)  # (resolution, masks) for _cell_options
 
     @classmethod
     def make(cls, a, b, c) -> "CouplingParams":
@@ -223,8 +228,8 @@ def _grid_boxes(resolution: int) -> list[Box]:
     boxes = []
     for x, y in product(_grid(resolution), repeat=2):
         boxes.append(box := object.__new__(Box))
-        object.__setattr__(box, "x", x)
-        object.__setattr__(box, "y", y)
+        attrs = box.__dict__
+        attrs["x"], attrs["y"] = x, y
     return boxes
 
 
@@ -275,8 +280,17 @@ def _grid_options(step: Step, dim: int, depth: int, resolution: int) -> list[dic
 
 
 def _cell_options(p: CouplingParams, depth: int, resolution: int) -> list[dict[str, int]]:
-    """The :func:`_grid_options` mask table of the coupled map."""
-    return _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
+    """The :func:`_grid_options` mask table of the coupled map, read from the one table
+    that ``p`` keeps: the deepest yet asked at the last resolution asked.  A shallower
+    depth is its prefix; a deeper one or another resolution replaces it.  Callers must
+    not change the table's dicts."""
+    _grid_size(resolution)  # before the slot, so that True or 4.0 never reads it
+    kept = p._table
+    if kept is not None and kept[0] == resolution and len(kept[1]) >= depth:
+        return kept[1][:depth]
+    masks = _grid_options(_map_step((p.a, p.b), p.c), 2, depth, resolution)
+    object.__setattr__(p, "_table", (resolution, masks))
+    return masks
 
 
 def _level_walk(

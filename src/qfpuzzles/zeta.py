@@ -221,7 +221,9 @@ class RationalFunction:
 class PoleReport:
     rational: RationalFunction
     poles: tuple[Fraction, ...]  # rational poles, multiplicity by repetition
-    irreducible_factors: tuple[tuple[int, ...], ...]  # leftover denominator factors
+    # the whole rootless rest of the denominator as one primitive integer factor, or
+    # none; it is not factored further, so it need not be irreducible
+    irreducible_factors: tuple[tuple[int, ...], ...]
     residual_checked_to: int
 
 
@@ -231,8 +233,10 @@ def pade_pole_analysis(series: PowerSeries, num_deg: int, den_deg: int) -> PoleR
     Solves the linear system for a denominator with constant term one,
     then demands that every remaining coefficient of the input matches
     the reconstruction exactly; otherwise the series is declared not
-    rational at these degrees.  Rational poles are found exactly; any
-    leftover denominator part is reported as an irreducible factor.
+    rational at these degrees.  Rational poles are found exactly.  The
+    rest of the denominator, which has no rational root, is reported
+    whole in ``irreducible_factors`` as one primitive integer factor; it
+    is not factored further, so it need not be irreducible.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("degrees must be non-negative")

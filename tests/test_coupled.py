@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import random
+import re
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -10,6 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
 
+from qfpuzzles import coupled
 from qfpuzzles.cli import main
 from qfpuzzles.coupled import (
     HALF,
@@ -1054,6 +1057,74 @@ def test_estimators_match_box_loop_reference(abc):
         assert [r.count for r in boundary.rows] == reference_boundary(p, n_range, resolution)
         want = reference_multiplicity(p, n_range, resolution)
         assert multiplicity_estimate(p, n_range, resolution) == want
+
+
+# -- the one mask table kept on a params object
+
+SWEEP_POINT = (Fraction(5, 8), Fraction(3, 8), Fraction(1, 4))
+KEPT_CALLS = {  # each read as (params, depth, resolution)
+    "cells": _cell_options,
+    "build": partial(build_outcome, build_puzzle),
+    "refine": refine_cylinders,
+    "boundary": lambda p, depth, resolution: boundary_entropy_estimate(p, range(1, depth + 1), resolution).rows,
+    "multiplicity": lambda p, depth, resolution: multiplicity_estimate(p, range(1, depth + 1), resolution),
+}
+KEPT_ORDERS = {
+    "deeper after shallower": [("cells", 1, 4), ("cells", 3, 4), ("refine", 3, 4), ("build", 3, 4)],
+    "shallower after deeper": [("cells", 3, 4), ("cells", 1, 4), ("multiplicity", 2, 4), ("refine", 1, 4)],
+    "build at depth 2 after depth 3": [("build", 3, 4), ("build", 2, 4), ("cells", 3, 4)],
+    "estimators before the build": [("boundary", 2, 4), ("multiplicity", 2, 4), ("build", 3, 4)],
+    "the benchmark's job": [("build", 3, 4), ("boundary", 2, 4), ("multiplicity", 2, 4), ("refine", 3, 4)],
+    "resolution switch and back": [("build", 3, 4), ("build", 3, 3), ("cells", 2, 3), ("build", 3, 4),
+                                   ("boundary", 3, 3), ("multiplicity", 2, 4)],
+}
+
+
+@pytest.mark.parametrize("abc", [*ORACLE_PARAMS, SWEEP_POINT])
+def test_kept_table_gives_what_fresh_params_give_in_any_call_order(abc):
+    for order, calls in KEPT_ORDERS.items():
+        p = CouplingParams.make(*abc)
+        for call, depth, resolution in calls:
+            want = KEPT_CALLS[call](CouplingParams.make(*abc), depth, resolution)
+            assert KEPT_CALLS[call](p, depth, resolution) == want, (order, call, depth, resolution)
+
+
+def test_build_and_both_estimators_make_one_table(monkeypatch):
+    made = []
+
+    def counted(step, dim, depth, resolution):
+        made.append((depth, resolution))
+        return _grid_options(step, dim, depth, resolution)
+
+    monkeypatch.setattr(coupled, "_grid_options", counted)
+    p = CouplingParams.make(*SWEEP_POINT)
+    build_puzzle(p, 3, 4)
+    boundary_entropy_estimate(p, [1, 2], 4)
+    multiplicity_estimate(p, [1, 2], 4)
+    assert made == [(3, 4)]
+
+
+@pytest.mark.parametrize("resolution, message", [
+    (True, "resolution must be an int, got True"),
+    (4.0, "resolution must be an int, got 4.0"),
+    (0, "resolution must be >= 1"),
+])
+def test_resolutions_are_refused_after_a_table_is_kept(resolution, message):
+    p = CouplingParams.make(*SWEEP_POINT)
+    for kept in (1, 4):  # True equals 1 and 4.0 equals 4
+        _cell_options(p, 3, kept)
+        with pytest.raises(CoupledError, match=f"^{re.escape(message)}$"):
+            _cell_options(p, 2, resolution)
+        with pytest.raises(CoupledError, match=f"^{re.escape(message)}$"):
+            build_puzzle(p, 2, resolution, H)
+
+
+def test_params_that_keep_a_table_equal_fresh_params():
+    p, fresh = CouplingParams.make(*SWEEP_POINT), CouplingParams.make(*SWEEP_POINT)
+    build_puzzle(p, 3, 4)
+    assert p._table is not None and fresh._table is None
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert fields(p) == fields(fresh) and [f.name for f in fields(p)] == ["a", "b", "c"]
 
 
 def test_escape_rule_refine_versus_build():

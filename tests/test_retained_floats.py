@@ -3,7 +3,8 @@
 Results are exact (``int`` and ``Fraction``) except the sampled estimates:
 the ``rate`` and ``ratio`` of a rate-table row, the ``rate`` of a covering
 cell, the ``gap`` of recurrence evidence and ``EntropyTable.estimate``.
-These tests walk every field of what the library returns and retains, and
+These tests walk every field of what the library returns and retains
+(with the attributes that a ``CouplingParams`` keeps beside its fields), and
 every value the README's CLI commands print (where the CSV columns
 ``rate_estimate`` and ``ratio_estimate`` are the estimates).
 """
@@ -21,7 +22,7 @@ from qfpuzzles.constructions import (
     periodic_orbit_tower_puzzle,
     words_avoiding,
 )
-from qfpuzzles.coupled import CouplingParams, build_puzzle
+from qfpuzzles.coupled import CouplingParams, boundary_entropy_estimate, build_puzzle, multiplicity_estimate
 from qfpuzzles.diagram import build_diagram, gurevich_entropy_estimate, recurrence_evidence, scc_decomposition
 from qfpuzzles.graphs import two_hub_graph
 from qfpuzzles.puzzle import DyadicDistance, from_subshift, sequence_entropy
@@ -97,7 +98,12 @@ def library_results():
     g = two_hub_graph([1], [0, 1], [1], [1])
     yield "gurevich", gurevich_entropy_estimate(g, g.vertices[0], 10)
     yield "recurrence", recurrence_evidence(g, g.vertices[0], [g.vertices[0]], 10)
-    yield "build_puzzle", build_puzzle(CouplingParams(Fraction(1), Fraction(1), Fraction(0)), 2, 5)
+    params = CouplingParams(Fraction(1), Fraction(1), Fraction(0))
+    yield "build_puzzle", build_puzzle(params, 2, 5)
+    yield "coupled estimates", (boundary_entropy_estimate(params, [1, 2], 5), multiplicity_estimate(params, [1, 2], 5))
+    # stray_floats walks a dataclass's fields only: the mask table the params keep is not one
+    assert params._table is not None
+    yield "coupling params", vars(params)
 
 
 def test_library_results_hold_floats_only_in_estimate_fields():

@@ -229,6 +229,14 @@ def test_pade_reports_irrational_poles_as_factor():
     assert report.irreducible_factors == ((1, -1, -1),)
 
 
+def test_pade_reports_the_rootless_rest_whole_not_factored():
+    # 1 / ((1 + z + z^2)(1 + z^2)): two irreducible quadratics, one reported factor
+    series = ratio_series([1], [1, 1, 2, 1, 1], 12)
+    report = pade_pole_analysis(series, 0, 4)
+    assert report.poles == ()
+    assert report.irreducible_factors == ((1, 1, 2, 1, 1),)
+
+
 def test_pade_reconstruction_matches_series():
     series = ratio_series([2, 1], [1, 0, -1, 3], 14)
     report = pade_pole_analysis(series, 1, 3)
