@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import pytest
 
-from qfpuzzles import coupled
 from qfpuzzles.cli import main
 from qfpuzzles.coupled import (
     HALF,
@@ -1096,7 +1095,7 @@ def test_build_and_both_estimators_make_one_table(monkeypatch):
         made.append((depth, resolution))
         return _grid_options(step, dim, depth, resolution)
 
-    monkeypatch.setattr(coupled, "_grid_options", counted)
+    monkeypatch.setattr("qfpuzzles.coupled._grid_options", counted)
     p = CouplingParams.make(*SWEEP_POINT)
     build_puzzle(p, 3, 4)
     boundary_entropy_estimate(p, [1, 2], 4)
